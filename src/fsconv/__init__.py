@@ -20,9 +20,10 @@ from .dfs import (
 )
 from .fcfs import (
     AccelerationReport,
-    DiagonalIntegral,
+    FcfsPlan,
     build_integrals,
     fcfs_conv,
+    fcfs_plan,
     measured_acceleration,
     required_diagonals,
 )

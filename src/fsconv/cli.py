@@ -24,10 +24,11 @@ from .errors import (
     DegenerateStrideError,
     FilterSummaryError,
     FormatError,
+    InvalidArgumentError,
     InvalidRatioError,
     UnsupportedGeometryError,
 )
-from .fcfs import fcfs_conv
+from .fcfs import FcfsPlan, fcfs_conv
 from .formats import (
     ArchSpec,
     BatchNormSpec,
@@ -421,6 +422,10 @@ def cmd_bench(args) -> int:
     arch_path = _resolve_arch(args.arch)
     arch = read_arch(arch_path)
     d1, d2 = args.spatial
+    if d1 < 1 or d2 < 1:
+        raise InvalidArgumentError(f"--spatial must be >= 1, got {d1} {d2}")
+    if args.repeat < 1:
+        raise InvalidArgumentError(f"--repeat must be >= 1, got {args.repeat}")
     _emit("bench", file=arch_path, spatial=f"{d1}x{d2}", repeat=args.repeat, seed=args.seed)
     for index, layer in enumerate(arch.layers):
         if not isinstance(layer, ConvSpec):
@@ -442,7 +447,10 @@ def cmd_bench(args) -> int:
         fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
         naive_counter = MultCounter()
         reference = naive_conv(fs, fmap, naive_counter)
-        fast, fast_counter = fcfs_conv(fs, fmap)
+        start = time.perf_counter()
+        plan = FcfsPlan.build(geom, layout, d1, d2)
+        plan_ms = (time.perf_counter() - start) * 1e3
+        fast, fast_counter = fcfs_conv(fs, fmap)  # caches the plan: fcfs_ms is execution
         naive_ms = _time_best(lambda: naive_conv(fs, fmap), args.repeat)
         fcfs_ms = _time_best(lambda: fcfs_conv(fs, fmap), args.repeat)
         pred = predicted_acceleration(geom, layout, d1, d2)
@@ -460,6 +468,8 @@ def cmd_bench(args) -> int:
             naive_ms=naive_ms,
             fcfs_ms=fcfs_ms,
             dev=_rel_dev(fast.data, reference.data),
+            plan_ms=plan_ms,
+            plan_bytes=plan.nbytes,
         )
     _emit("status", ok=1)
     return OK

@@ -37,6 +37,10 @@ class FormatError(FilterSummaryError, ValueError):
     """Malformed model or architecture file."""
 
 
+class InvalidArgumentError(FilterSummaryError, ValueError):
+    """Command-line argument outside its valid range."""
+
+
 class NonDifferentiableWarning(UserWarning):
     """A fractional location landed exactly on an integer; the one-sided
     (right-hand) derivative is returned."""

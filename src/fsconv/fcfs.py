@@ -1,41 +1,49 @@
 """Exact convolution from diagonal prefix sums of the product matrix.
 
 Conceptually there is a matrix A with A[x, y] = padded_map[x] * summary[y].
-Every slice inner product the convolution needs — a patch column against the
-matching filter column, both contiguous runs of c_in*s1 elements — is the sum
-of one diagonal segment of A. So instead of forming A, this module:
+Every slice inner product the convolution needs (a patch column against the
+matching filter column, both runs of c_in*s1 elements) is the sum of one
+diagonal segment of A. Which segments those are depends only on the layer
+shape and the map size, so a cached FcfsPlan per (geometry, layout, d1, d2)
+holds them, merged into diagonal runs and grouped by length, together with
+the exact operation counts. Execution has three stages: stage 1 materializes
+every run, one multiply per entry (weights shared between overlapping
+filters and patches are multiplied once); stage 2 prefix-sums each run on
+its own; stage 3 reads every slice inner product as one subtraction of two
+prefix values and adds the s2 slice results per output, in slice order.
 
-  stage 1  materializes only the diagonal segments some slice pair touches,
-           one multiply per materialized entry (weights shared between
-           overlapping filters and patches are multiplied once);
-  stage 2  turns each segment into a running prefix sum (additions only);
-  stage 3  reads every slice inner product back as a single subtraction of
-           two prefix values and accumulates the s2 slice results per
-           (filter, output position), in slice order.
+Stage 1 exceeds the closed form's c_in*d1*d2*slices products, since patch
+starts occupy all s1 row residues and runs cross the padding rows: 3.3-4.2x
+on the six ResNet-110 shapes at 32/16/8 (705,280 against 196,608 products
+for 16->16 at 32x32). In numpy, execution still trails the BLAS-backed
+reference engine in wall clock.
 
-Diagonals are keyed by offset = row - column. A filter stride that is a
-multiple of c_in keeps every needed offset on the channel-aligned residue,
-which bounds the number of distinct diagonals; for other strides the
-reference engine is used instead (with a warning), since the scattered
-diagonal set defeats the sharing this path exists for.
+Diagonals are keyed by offset = row - column. A filter stride that is not a
+multiple of c_in scatters the offsets across channel residues and defeats
+the sharing, so the reference engine runs instead, with a warning.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counters import MultCounter
 from .errors import ShapeMismatchError, UnsupportedGeometryError
-from .geometry import PredictedAcceleration, predicted_acceleration
+from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
 from .oracle import ConvOutput, naive_conv, pad_same
 from .tensors import FeatureMap, FilterSummary
 
 __all__ = [
-    "DiagonalIntegral",
+    "PLAN_CACHE_SIZE",
+    "FcfsPlan",
+    "fcfs_plan",
     "AccelerationReport",
     "required_diagonals",
     "build_integrals",
@@ -43,57 +51,129 @@ __all__ = [
     "measured_acceleration",
 ]
 
+PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
+_CHUNK = 1 << 16  # table entries per stage-1/2 step, bounds the temporaries
 
-@dataclass(frozen=True)
-class DiagonalIntegral:
-    """Prefix sums along one needed diagonal of the product matrix.
 
-    integral[t] = sum of padded[y + offset] * summary[y] for
-    y in [start_col, start_col + t], i.e. inclusive prefix sums over the
-    materialized column extent [start_col, end_col).
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """int32 copy of non-negative indices when they fit, else unchanged."""
+    return values.astype(np.int32) if values.size == 0 or values.max() < 2**31 else values
+
+
+@dataclass(frozen=True, eq=False)
+class FcfsPlan:
+    """Everything fcfs_conv needs that does not depend on the data.
+
+    groups  (length, rows, cols) per run length, ascending: the padded-map
+            and summary starts of the runs. The flat prefix table holds the
+            runs in this order, each as length+1 exclusive prefix sums.
+    index   table position of each slice pair's lower prefix value, shape
+            (s2, d2, d1, c_out): per slice, the output's channel-major order
+    multiplies, additions, lookups: the exact counts of one execution.
     """
 
-    offset: int
-    start_col: int
-    end_col: int
-    integral: np.ndarray
+    width: int
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    index: np.ndarray
+    table_size: int
+    multiplies: int
+    additions: int
+    lookups: int
 
-    def segment_sum(self, lo: int, hi: int):
-        """Sum of products over columns [lo, hi) — one subtraction."""
-        if not (self.start_col <= lo <= hi <= self.end_col):
-            raise ShapeMismatchError(
-                f"segment [{lo}, {hi}) outside extent "
-                f"[{self.start_col}, {self.end_col}) of diagonal {self.offset}"
-            )
-        if lo == hi:
-            return self.integral.dtype.type(0)
-        upper = self.integral[hi - 1 - self.start_col]
-        if lo == self.start_col:
-            return upper
-        return upper - self.integral[lo - 1 - self.start_col]
+    @classmethod
+    def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "FcfsPlan":
+        """Plan one layer at one map size, uncached. Slice k of filter i at
+        output (m, n) pairs the padded-map run starting at
+        a = (n+k)*c_in*p1 + m*c_in with the summary run starting at
+        b = i*stride + k*c_in*s1, both of length c_in*s1."""
+        width = geom.slice_len
+        p1 = d1 + geom.s1 - 1
+        k, n, m, i = np.ogrid[: geom.s2, :d2, :d1, : geom.c_out]
+        a = (n + k) * (geom.c_in * p1) + m * geom.c_in
+        b = i * layout.stride + k * width
+        # (offset, column) as one key; 0 <= b < span keeps the order
+        # lexicographic. Since b + width <= phys_length < span, keys more
+        # than width apart never share a run, within or across diagonals.
+        span = layout.phys_length + 1
+        keys = (a - b) * span + b
+        ordered = np.sort(keys, axis=None)
+        breaks = np.flatnonzero(np.diff(ordered) > width) + 1
+        first = ordered[np.r_[0, breaks]]
+        lengths = ordered[np.r_[breaks - 1, -1]] + width - first
+        cols = first % span
+        rows = first // span + cols
+
+        by_length = np.argsort(lengths, kind="stable")
+        slots = lengths[by_length] + 1
+        base = np.empty_like(slots)
+        base[by_length] = np.cumsum(slots) - slots
+        run = np.searchsorted(first, keys, side="right") - 1
+        index = _narrow(base[run] + (keys - first[run]))
+
+        lengths, rows, cols = lengths[by_length], _narrow(rows[by_length]), _narrow(cols[by_length])
+        for shared in (index, rows, cols):  # one cached plan serves every caller
+            shared.flags.writeable = False
+        bounds = np.r_[0, np.flatnonzero(np.diff(lengths)) + 1, lengths.size]
+        groups = tuple((int(lengths[lo]), rows[lo:hi], cols[lo:hi]) for lo, hi in pairwise(bounds))
+        multiplies = int(lengths.sum())
+        # stage 2 adds length-1 per run; stage 3 one per slice pair and s2-1 per output
+        additions = multiplies - lengths.size + keys.size + (geom.s2 - 1) * (keys.size // geom.s2)
+        return cls(width, groups, index, int(slots.sum()), multiplies, additions, keys.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the plan's index arrays."""
+        return self.index.nbytes + sum(r.nbytes + c.nbytes for _, r, c in self.groups)
+
+    def diagonals(self) -> dict[int, list[tuple[int, int]]]:
+        """The runs as offset -> sorted [start, stop) column runs."""
+        runs: dict[int, list[tuple[int, int]]] = {}
+        for off, lo, hi in sorted(
+            (r - c, c, c + n) for n, rows, cols in self.groups
+            for r, c in zip(rows.tolist(), cols.tolist())
+        ):
+            runs.setdefault(off, []).append((lo, hi))
+        return runs
+
+    def prefix_table(self, padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Stages 1 and 2: the flat table of per-run exclusive prefix sums."""
+        flat = np.empty(self.table_size, np.result_type(padded, weights))
+        pos = 0
+        for length, rows, cols in self.groups:
+            block = flat[pos : pos + rows.size * (length + 1)].reshape(rows.size, length + 1)
+            block[:, 0] = 0
+            x = sliding_window_view(padded, length)
+            w = sliding_window_view(weights, length)
+            step = max(1, _CHUNK // length)
+            for lo in range(0, rows.size, step):
+                products = x[rows[lo : lo + step]] * w[cols[lo : lo + step]]
+                np.cumsum(products, axis=1, out=block[lo : lo + step, 1:])
+            pos += block.size
+        return flat
 
 
-def _check_fast_path(geom):
-    if geom.s2 == 1:
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
+    """The cached plan for one key. The layout is part of the key: a summary
+    may carry any layout, not only derive_layout(geom)."""
+    return FcfsPlan.build(geom, layout, d1, d2)
+
+
+def _check_input(fs: FilterSummary, fmap: FeatureMap) -> tuple:
+    """The plan key of a valid input; raises for s2 == 1, a channel count
+    other than c_in, or an empty map."""
+    if fs.geom.s2 == 1:
         raise UnsupportedGeometryError(
             "the integral-line path only pays off for s2 > 1; "
             "use the reference engine for s2 == 1 layers"
         )
-
-
-def _slice_pairs(geom, layout, d1, d2):
-    """Row/column starts of every needed slice pair.
-
-    For output position (m, n), slice k of filter i pairs the padded-map run
-    starting at a = (n+k)*c_in*p1 + m*c_in with the summary run starting at
-    b = i*stride + k*c_in*s1, both of length c_in*s1. Returns (offsets a-b,
-    starts b) as int64 arrays of shape (s2, c_out, d1, d2).
-    """
-    p1 = d1 + geom.s1 - 1
-    k, i, m, n = np.indices((geom.s2, geom.c_out, d1, d2), dtype=np.int64)
-    a = (n + k) * (geom.c_in * p1) + m * geom.c_in
-    b = i * layout.stride + k * geom.slice_len
-    return a - b, b
+    if fmap.c_in != fs.geom.c_in:
+        raise ShapeMismatchError(
+            f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}"
+        )
+    if fmap.d1 < 1 or fmap.d2 < 1:
+        raise ShapeMismatchError(f"feature map is {fmap.d1}x{fmap.d2}; both sizes must be >= 1")
+    return fs.geom, fs.layout, fmap.d1, fmap.d2
 
 
 def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tuple[int, int]]]:
@@ -101,58 +181,23 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
 
     Maps offset -> sorted disjoint [start, stop) column runs, the union of
     the length-(c_in*s1) segments of every slice pair. Nothing outside these
-    runs is ever multiplied.
+    runs is ever multiplied. A view of the cached plan's runs.
     """
-    geom, layout = fs.geom, fs.layout
-    _check_fast_path(geom)
-    if fmap.c_in != geom.c_in:
-        raise ShapeMismatchError(
-            f"feature map has {fmap.c_in} channels, layer expects {geom.c_in}"
-        )
-    offs, starts = _slice_pairs(geom, layout, fmap.d1, fmap.d2)
-    pairs = np.unique(np.stack((offs.ravel(), starts.ravel()), axis=1), axis=0)
-    width = geom.slice_len
-
-    runs: dict[int, list[tuple[int, int]]] = {}
-    cur_off = None
-    cur_lo = cur_hi = 0
-    for off, b in pairs:
-        off = int(off)
-        b = int(b)
-        if off != cur_off or b > cur_hi:
-            if cur_off is not None:
-                runs.setdefault(cur_off, []).append((cur_lo, cur_hi))
-            cur_off, cur_lo, cur_hi = off, b, b + width
-        else:
-            cur_hi = max(cur_hi, b + width)
-    if cur_off is not None:
-        runs.setdefault(cur_off, []).append((cur_lo, cur_hi))
-    return runs
+    return fcfs_plan(*_check_input(fs, fmap)).diagonals()
 
 
 def build_integrals(
-    fs: FilterSummary,
-    fmap: FeatureMap,
-    diagonals: dict[int, list[tuple[int, int]]],
-    counter: MultCounter | None = None,
-) -> dict[int, list[DiagonalIntegral]]:
-    """Stage 1 + 2: materialize the needed diagonal segments and prefix-sum
-    them. One multiply is counted per materialized entry; the prefix pass
-    adds but never multiplies."""
-    geom = fs.geom
-    padded = pad_same(fmap, geom.s1, geom.s2).data
-    weights = fs.weights
-    out: dict[int, list[DiagonalIntegral]] = {}
-    for off, runs in diagonals.items():
-        lines = []
-        for lo, hi in runs:
-            products = padded[lo + off : hi + off] * weights[lo:hi]
-            if counter is not None:
-                counter.multiplies += hi - lo
-                counter.additions += hi - lo - 1
-            lines.append(DiagonalIntegral(off, lo, hi, np.cumsum(products)))
-        out[off] = lines
-    return out
+    fs: FilterSummary, fmap: FeatureMap, diagonals: dict, counter: MultCounter | None = None
+) -> np.ndarray:
+    """Stages 1 and 2 on this input: the cached plan's flat prefix table
+    (see FcfsPlan). `diagonals` is not read; the plan already holds them. A
+    counter, if given, gets the stage-1 multiplies and stage-2 additions."""
+    plan = fcfs_plan(*_check_input(fs, fmap))
+    table = plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
+    if counter is not None:
+        counter.multiplies += plan.multiplies
+        counter.additions += plan.multiplies - sum(r.size for _, r, _ in plan.groups)
+    return table
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
@@ -160,15 +205,11 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
 
     Equals naive_conv up to floating reassociation (the prefix sums regroup
     the same products). Falls back to the reference engine with a warning
-    when the filter stride is not channel-aligned; raises for s2 == 1.
+    when the filter stride is not channel-aligned; raises for s2 == 1 and
+    for an empty map.
     """
+    key = _check_input(fs, fmap)
     geom, layout = fs.geom, fs.layout
-    _check_fast_path(geom)
-    if fmap.c_in != geom.c_in:
-        raise ShapeMismatchError(
-            f"feature map has {fmap.c_in} channels, layer expects {geom.c_in}"
-        )
-    counter = MultCounter()
     if layout.stride % geom.c_in != 0:
         warnings.warn(
             f"filter stride {layout.stride} is not a multiple of c_in={geom.c_in}; "
@@ -176,58 +217,18 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
             "the reference engine instead",
             stacklevel=2,
         )
+        counter = MultCounter()
         return naive_conv(fs, fmap, counter), counter
 
-    diagonals = required_diagonals(fs, fmap)
-    integrals = build_integrals(fs, fmap, diagonals, counter)
-
-    # Flat tables over all runs, in (offset, start) order, for vectorized
-    # stage-3 lookups. Each run contributes an exclusive prefix array of
-    # length run_len + 1 so a segment sum is always two reads.
-    run_offsets = []
-    run_starts = []
-    run_base = []
-    chunks = []
-    pos = 0
-    for off in integrals:
-        for line in integrals[off]:
-            run_offsets.append(line.offset)
-            run_starts.append(line.start_col)
-            run_base.append(pos)
-            zero = np.zeros(1, dtype=line.integral.dtype)
-            chunks.append(zero)
-            chunks.append(line.integral)
-            pos += line.integral.size + 1
-    flat = np.concatenate(chunks)
-    run_offsets = np.asarray(run_offsets, dtype=np.int64)
-    run_starts = np.asarray(run_starts, dtype=np.int64)
-    run_base = np.asarray(run_base, dtype=np.int64)
-
-    d1, d2 = fmap.d1, fmap.d2
-    width = geom.slice_len
-    offs, starts = _slice_pairs(geom, layout, d1, d2)
-    offs = offs.reshape(-1)
-    starts = starts.reshape(-1)
-
-    # Composite (offset, column) keys; the run containing a segment is the
-    # last run with (offset, start) <= (offset, segment start).
-    span = np.int64(layout.phys_length + 1)
-    off_min = run_offsets.min()
-    run_keys = (run_offsets - off_min) * span + run_starts
-    pair_keys = (offs - off_min) * span + starts
-    idx = np.searchsorted(run_keys, pair_keys, side="right") - 1
-    rel = starts - run_starts[idx] + run_base[idx]
-    slice_sums = flat[rel + width] - flat[rel]
-    counter.additions += slice_sums.size
-    counter.lookups += slice_sums.size
-
-    per_slice = slice_sums.reshape(geom.s2, geom.c_out, d1, d2)
-    out = np.zeros((geom.c_out, d1, d2), dtype=per_slice.dtype)
-    for k in range(geom.s2):  # fixed slice order keeps results bit-stable
-        out += per_slice[k]
-    counter.additions += (geom.s2 - 1) * geom.c_out * d1 * d2
-    data = np.ascontiguousarray(out.transpose(2, 1, 0)).ravel()
-    return ConvOutput(geom.c_out, d1, d2, data), counter
+    plan = fcfs_plan(*key)
+    padded = pad_same(fmap, geom.s1, geom.s2).data
+    flat = plan.prefix_table(padded, fs.weights)
+    slice_sums = flat[plan.width :][plan.index] - flat[plan.index]
+    out = np.zeros(geom.c_out * fmap.d1 * fmap.d2, dtype=flat.dtype)
+    for per_slice in slice_sums.reshape(geom.s2, -1):  # fixed order: bit-stable
+        out += per_slice
+    counter = MultCounter(plan.multiplies, plan.additions, plan.lookups)
+    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out), counter
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,7 @@ class AccelerationReport:
     plus the s2 per-output-element lookups (the same accounting the
     closed-form prediction uses); `predicted` is that closed form. The two
     are reported separately because the closed form undercounts the first
-    stage (see required_diagonals: slice starts of patches occupy all s1
-    residues, not one).
+    stage (see the module docstring).
     """
 
     naive: MultCounter

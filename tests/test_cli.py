@@ -308,3 +308,32 @@ class TestBench:
         assert int(layer["naive_mults"]) == 9_437_184
         assert abs(float(layer["predicted"]) - 11.294) < 1e-2
         assert float(layer["measured"]) >= 3.2
+
+    def test_plan_reported_apart_from_execution(self, capsys, tmp_path):
+        arch = tmp_path / "bench.arch"
+        arch.write_text("layer c kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n")
+        code, records, _ = run(capsys, "bench", arch, "--spatial", "6", "5", "--repeat", "1")
+        assert code == 0
+        (layer,) = records_of(records, "layer")
+        assert float(layer["plan_ms"]) > 0
+        assert int(layer["plan_bytes"]) > 0
+        assert float(layer["fcfs_ms"]) > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--spatial", "0", "0"),
+            ("--spatial", "4", "0"),
+            ("--spatial", "-1", "4"),
+            ("--repeat", "0"),
+            ("--repeat", "-2"),
+        ],
+    )
+    def test_sizes_below_one_refused(self, capsys, tmp_path, argv):
+        arch = tmp_path / "bench.arch"
+        arch.write_text("layer c kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n")
+        code, records, err = run(capsys, "bench", arch, *argv)
+        assert code == 2
+        assert "must be >= 1" in err
+        assert records_of(records, "status") == []
+        assert records_of(records, "layer") == []

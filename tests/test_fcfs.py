@@ -13,18 +13,22 @@ import pytest
 
 from fsconv import (
     ConvGeometry,
+    FcfsPlan,
     FeatureMap,
     FilterSummary,
+    Layout,
     MultCounter,
     StridePolicy,
     build_integrals,
     fcfs_conv,
+    fcfs_plan,
     measured_acceleration,
     naive_conv,
     pad_same,
     required_diagonals,
 )
 from fsconv.errors import ShapeMismatchError, UnsupportedGeometryError
+from fsconv.fcfs import PLAN_CACHE_SIZE
 
 from conftest import random_fast_geometry, random_instance, rel_dev
 
@@ -43,6 +47,25 @@ def enumerate_cells(geom, layout, d1, d2):
                     for t in range(width):
                         cells.add((a - b, b + t))
     return cells
+
+
+def enumerate_counts(geom, cells, d1, d2):
+    """Oracle: (multiplies, additions, lookups) implied by the cell set. Each
+    maximal run of consecutive cells on one diagonal is prefix-summed once."""
+    runs = sum((off, y - 1) not in cells for off, y in cells)
+    lookups = geom.s2 * geom.c_out * d1 * d2
+    additions = len(cells) - runs + lookups + (geom.s2 - 1) * geom.c_out * d1 * d2
+    return len(cells), additions, lookups
+
+
+def slice_starts(fs, plan_index, d1):
+    """Padded-map and summary start of every slice pair, in the plan's
+    (s2, d2, d1, c_out) index order."""
+    geom = fs.geom
+    k, n, m, i = np.indices(plan_index.shape)
+    a = (n + k) * geom.c_in * (d1 + geom.s1 - 1) + m * geom.c_in
+    b = i * fs.layout.stride + k * geom.slice_len
+    return a.ravel(), b.ravel()
 
 
 def plan_cells(plan):
@@ -78,7 +101,11 @@ class TestRequiredDiagonals:
             d2 = int(rng.integers(1, 5))
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
             plan = required_diagonals(fs, fmap)
-            assert plan_cells(plan) == enumerate_cells(geom, fs.layout, d1, d2)
+            cells = enumerate_cells(geom, fs.layout, d1, d2)
+            assert plan_cells(plan) == cells
+            planned = fcfs_plan(geom, fs.layout, d1, d2)
+            counts = (planned.multiplies, planned.additions, planned.lookups)
+            assert counts == enumerate_counts(geom, cells, d1, d2)
             for runs in plan.values():  # runs disjoint, sorted, non-touching
                 for (lo1, hi1), (lo2, hi2) in zip(runs, runs[1:]):
                     assert lo1 < hi1 < lo2 < hi2
@@ -108,45 +135,61 @@ class TestRequiredDiagonals:
 
 
 class TestBuildIntegrals:
+    """Stages 1 and 2: the plan's flat table of exclusive prefix sums."""
+
     def test_hand_case(self):
-        # products [3*1, 4*2] on the principal diagonal -> integral [3, 11]
-        geom = ConvGeometry(1, 2, 1, 1, 1)
+        # one 1x1x2 filter [1, 2] on the 1x2 map [3, 4] (padded [3, 4, 0]):
+        # diagonal 0 holds products [3*1, 4*2] -> prefix sums [3, 11], and
+        # diagonal 1 holds [4*1, 0*2] -> [4, 4]; each run leads with a zero
+        geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
-        fmap = FeatureMap(1, 2, 1, np.array([3.0, 4.0]))
+        fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
         counter = MultCounter()
-        lines = build_integrals(fs, fmap, {0: [(0, 2)]}, counter)
-        (line,) = lines[0]
-        assert np.array_equal(line.integral, [3.0, 11.0])
-        assert counter.multiplies == 2
-        assert line.segment_sum(0, 2) == 11.0
-        assert line.segment_sum(1, 2) == 8.0
+        table = build_integrals(fs, fmap, required_diagonals(fs, fmap), counter)
+        assert np.array_equal(table, [0.0, 3.0, 11.0, 0.0, 4.0, 4.0])
+        assert counter.multiplies == 4
+        assert counter.additions == 2
+        plan = fcfs_plan(geom, fs.layout, 1, 2)
+        reads = table[plan.width :][plan.index] - table[plan.index]
+        assert np.array_equal(reads.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
+        assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
 
     def test_zero_summary_zero_integrals(self):
         geom = ConvGeometry(2, 2, 2, 3, 2)
         template = FilterSummary.random(geom, seed=8)
         fs = FilterSummary(geom, template.layout, np.zeros_like(template.weights))
         fmap = FeatureMap.random(2, 3, 3, seed=8)
-        plan = required_diagonals(fs, fmap)
-        for lines in build_integrals(fs, fmap, plan).values():
-            for line in lines:
-                assert not line.integral.any()
+        table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
+        assert table.size == fcfs_plan(geom, fs.layout, 3, 3).table_size > 0
+        assert not table.any()
 
     def test_telescoping_matches_direct_dot(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
-            plan = required_diagonals(fs, fmap)
-            lines = build_integrals(fs, fmap, plan)
+            plan = fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
             padded = pad_same(fmap, fs.geom.s1, fs.geom.s2).data
-            for _ in range(20):
-                off = list(lines)[int(rng.integers(len(lines)))]
-                line = lines[off][int(rng.integers(len(lines[off])))]
-                lo = int(rng.integers(line.start_col, line.end_col))
-                hi = int(rng.integers(lo, line.end_col + 1))
-                direct = float(padded[lo + off : hi + off] @ fs.weights[lo:hi])
-                assert abs(line.segment_sum(lo, hi) - direct) <= 1e-12 * max(
-                    1.0, abs(direct)
-                )
+            width = plan.width
+            # every stage-3 read is the slice pair's inner product
+            reads = (table[width:][plan.index] - table[plan.index]).ravel()
+            for read, a, b in zip(reads, *slice_starts(fs, plan.index, fmap.d1)):
+                direct = float(padded[a : a + width] @ fs.weights[b : b + width])
+                assert abs(read - direct) <= 1e-12 * max(1.0, abs(direct))
+            # and any segment of any run telescopes to its direct dot product
+            pos = 0
+            for length, rows, cols in plan.groups:
+                for j in rng.integers(rows.size, size=5):
+                    lo = int(rng.integers(length + 1))
+                    hi = int(rng.integers(lo, length + 1))
+                    row = pos + int(j) * (length + 1)
+                    direct = float(
+                        padded[rows[j] + lo : rows[j] + hi] @ fs.weights[cols[j] + lo : cols[j] + hi]
+                    )
+                    got = table[row + hi] - table[row + lo]
+                    assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
+                pos += rows.size * (length + 1)
+            assert pos == table.size
 
 
 class TestFcfsConv:
@@ -199,6 +242,16 @@ class TestFcfsConv:
         with pytest.raises(UnsupportedGeometryError):
             fcfs_conv(fs, FeatureMap.random(2, 3, 3, seed=17))
 
+    @pytest.mark.parametrize("d1, d2", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_map_raises_typed_error(self, d1, d2):
+        geom = ConvGeometry(2, 2, 2, 2, 1)
+        fs = FilterSummary.random(geom, seed=18)
+        fmap = FeatureMap(2, d1, d2, np.zeros(0))
+        with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+            fcfs_conv(fs, fmap)
+        with pytest.raises(ShapeMismatchError):
+            required_diagonals(fs, fmap)
+
     def test_channel_mismatch_raises(self):
         geom = ConvGeometry(2, 2, 2, 2, 1)
         fs = FilterSummary.random(geom, seed=18)
@@ -224,6 +277,68 @@ class TestFcfsConv:
             assert counter.multiplies == sum(
                 hi - lo for runs in plan.values() for lo, hi in runs
             )
+
+
+class TestPlanCache:
+    def test_layout_other_than_derived_matches_oracle(self):
+        # a summary may carry any layout; the plan must follow its stride
+        geom = ConvGeometry(4, 3, 3, 8, 2)
+        derived = FilterSummary.random(geom, seed=30)
+        layout = derived.layout
+        other = Layout(layout.length, layout.stride - geom.c_in, layout.slices, layout.phys_length)
+        fs = FilterSummary(geom, other, derived.weights)
+        fmap = FeatureMap.random(4, 6, 5, seed=31)
+        out, _ = fcfs_conv(derived, fmap)  # caches the derived layout's plan first
+        fast, _ = fcfs_conv(fs, fmap)
+        assert rel_dev(fast.data, naive_conv(fs, fmap).data) <= 1e-12
+        assert not np.array_equal(fast.data, out.data)
+        assert fcfs_plan(geom, other, 6, 5) is not fcfs_plan(geom, layout, 6, 5)
+
+    def test_repeated_key_reuses_plan_bit_identical_to_cold_build(self):
+        rng = np.random.default_rng(32)
+        fs, fmap = random_instance(rng)
+        key = (fs.geom, fs.layout, fmap.d1, fmap.d2)
+        fcfs_plan.cache_clear()
+        cold, cold_counter = fcfs_conv(fs, fmap)
+        assert fcfs_plan.cache_info().misses == 1
+        warm, warm_counter = fcfs_conv(fs, fmap)
+        info = fcfs_plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert fcfs_plan(*key) is fcfs_plan(*key)
+        assert warm.data.tobytes() == cold.data.tobytes()
+        assert warm_counter == cold_counter
+        fresh = FcfsPlan.build(*key)
+        cached = fcfs_plan(*key)
+        assert np.array_equal(fresh.index, cached.index)
+        assert fresh.nbytes == cached.nbytes > 0
+        with pytest.raises(ValueError):
+            cached.index[0] = 0
+        with pytest.raises(ValueError):
+            cached.groups[0][1][0] = 0
+
+    def test_cache_size_stays_bounded(self):
+        geom = ConvGeometry(1, 1, 2, 2, 1)
+        fs = FilterSummary.random(geom, seed=33)
+        fcfs_plan.cache_clear()
+        for d2 in range(1, PLAN_CACHE_SIZE + 6):
+            fcfs_conv(fs, FeatureMap.random(1, 2, d2, seed=d2))
+        info = fcfs_plan.cache_info()
+        assert info.maxsize == PLAN_CACHE_SIZE
+        assert info.currsize == PLAN_CACHE_SIZE
+        assert info.misses == PLAN_CACHE_SIZE + 5
+
+    def test_f32_and_f64_share_one_plan(self):
+        rng = np.random.default_rng(34)
+        fs, fmap = random_instance(rng)
+        fs32 = FilterSummary(fs.geom, fs.layout, fs.weights.astype(np.float32))
+        fmap32 = FeatureMap(fmap.c_in, fmap.d1, fmap.d2, fmap.data.astype(np.float32))
+        fcfs_plan.cache_clear()
+        out64, counter64 = fcfs_conv(fs, fmap)
+        out32, counter32 = fcfs_conv(fs32, fmap32)
+        info = fcfs_plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert (out64.data.dtype, out32.data.dtype) == (np.float64, np.float32)
+        assert counter64 == counter32
 
 
 class TestMeasuredAcceleration:

@@ -159,7 +159,7 @@ def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
     return FcfsPlan.build(geom, layout, d1, d2)
 
 
-def _check_input(fs: FilterSummary, fmap: FeatureMap) -> tuple:
+def _plan_key(fs: FilterSummary, fmap: FeatureMap) -> tuple:
     """The plan key of a valid input; raises for s2 == 1, a channel count
     other than c_in, or an empty map."""
     if fs.geom.s2 == 1:
@@ -183,7 +183,7 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
     the length-(c_in*s1) segments of every slice pair. Nothing outside these
     runs is ever multiplied. A view of the cached plan's runs.
     """
-    return fcfs_plan(*_check_input(fs, fmap)).diagonals()
+    return fcfs_plan(*_plan_key(fs, fmap)).diagonals()
 
 
 def build_integrals(
@@ -192,7 +192,7 @@ def build_integrals(
     """Stages 1 and 2 on this input: the cached plan's flat prefix table
     (see FcfsPlan). `diagonals` is not read; the plan already holds them. A
     counter, if given, gets the stage-1 multiplies and stage-2 additions."""
-    plan = fcfs_plan(*_check_input(fs, fmap))
+    plan = fcfs_plan(*_plan_key(fs, fmap))
     table = plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
     if counter is not None:
         counter.multiplies += plan.multiplies
@@ -208,7 +208,7 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
     when the filter stride is not channel-aligned; raises for s2 == 1 and
     for an empty map.
     """
-    key = _check_input(fs, fmap)
+    key = _plan_key(fs, fmap)
     geom, layout = fs.geom, fs.layout
     if layout.stride % geom.c_in != 0:
         warnings.warn(

@@ -11,6 +11,7 @@ fractional filter locations.
 
 from .counters import MultCounter
 from .dfs import (
+    central_diff,
     extract_fractional,
     grad_alpha,
     grad_summary,
@@ -21,10 +22,13 @@ from .dfs import (
 from .fcfs import (
     AccelerationReport,
     FcfsPlan,
+    RunReport,
     build_integrals,
+    convolve,
     fcfs_conv,
     fcfs_plan,
     measured_acceleration,
+    measured_ratio,
     required_diagonals,
 )
 from .formats import (
@@ -40,20 +44,21 @@ from .formats import (
     parse_arch,
     read_arch,
     read_model,
-    write_arch,
     write_model,
 )
 from .geometry import (
     ConvGeometry,
+    Fallback,
     Layout,
     ParamCount,
     PredictedAcceleration,
     StridePolicy,
     count_params,
     derive_layout,
+    fcfs_fallback,
     predicted_acceleration,
 )
-from .oracle import ConvOutput, naive_conv, pad_same
+from .oracle import ConvOutput, naive_conv, pad_same, rel_dev
 from .quant import (
     QuantizedSummary,
     dequantize,

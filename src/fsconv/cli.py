@@ -11,24 +11,29 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .counters import MultCounter
-from .dfs import extract_fractional, grad_alpha, grad_summary, init_alphas, locate, locate_grad
+from .dfs import (
+    central_diff,
+    extract_fractional,
+    grad_alpha,
+    grad_summary,
+    init_alphas,
+    locate,
+    locate_grad,
+)
 from .errors import (
     DegenerateStrideError,
     FilterSummaryError,
     FormatError,
     InvalidArgumentError,
     InvalidRatioError,
-    UnsupportedGeometryError,
 )
-from .fcfs import FcfsPlan, fcfs_conv
+from .fcfs import FcfsPlan, convolve, measured_ratio
 from .formats import (
     ArchSpec,
     BatchNormSpec,
@@ -45,9 +50,10 @@ from .geometry import (
     StridePolicy,
     count_params,
     derive_layout,
+    fcfs_fallback,
     predicted_acceleration,
 )
-from .oracle import naive_conv
+from .oracle import rel_dev
 from .quant import effective_params, quantize
 from .tensors import FeatureMap, FilterSummary, unwrap
 
@@ -62,9 +68,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(record: str, **fields) -> None:
+def _emit(record: str, stream=None, **fields) -> None:
+    """One record to stdout, or to `stream` (stderr for warnings)."""
     tokens = [record] + [f"{k}={_fmt(v)}" for k, v in fields.items()]
-    print(" ".join(tokens))
+    print(" ".join(tokens), file=stream)
 
 
 def _resolve_arch(name: str) -> Path:
@@ -79,31 +86,27 @@ def _resolve_arch(name: str) -> Path:
     raise FormatError(f"architecture file {name!r} not found")
 
 
-def _resolve_conv_settings(arch: ArchSpec, layer: ConvSpec, args):
-    ratio = layer.ratio
-    if ratio is None and args.ratio is not None:
-        ratio = Fraction(args.ratio)
+def _conv_settings(arch: ArchSpec, layer: ConvSpec, args) -> tuple[Fraction, StridePolicy]:
+    """Ratio and policy of a conv layer: from the layer, else the command
+    line, else the file's defaults; the policy falls back to channel."""
+    ratio = next((r for r in (layer.ratio, args.ratio, arch.default_ratio) if r is not None), None)
     if ratio is None:
-        ratio = arch.default_ratio
-    if ratio is None:
-        raise FormatError(
-            f"layer {layer.name!r} has no ratio; set r= in the file or pass --ratio"
-        )
-    policy = layer.policy
-    if policy is None and args.policy is not None:
-        policy = StridePolicy(args.policy)
-    if policy is None:
-        policy = arch.default_policy
-    if policy is None:
-        policy = StridePolicy.CHANNEL_ALIGNED
+        raise FormatError(f"layer {layer.name!r} has no ratio; set r= in the file or pass --ratio")
+    try:
+        ratio = Fraction(ratio)  # only --ratio is still text here
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgumentError(f"--ratio must be a rational number, got {ratio!r}") from exc
+    flag_policy = StridePolicy(args.policy) if args.policy is not None else None
+    policy = layer.policy or flag_policy or arch.default_policy or StridePolicy.CHANNEL_ALIGNED
     return ratio, policy
 
 
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
-    if scale == 0.0:
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
-    return float(np.max(np.abs(a - b))) / scale
+def _resolve_conv(arch: ArchSpec, layer: ConvSpec, args):
+    """(geom, layout) of a conv layer. Raises DegenerateStrideError or
+    InvalidRatioError for a layer that has no valid layout."""
+    ratio, policy = _conv_settings(arch, layer, args)
+    geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
+    return geom, derive_layout(geom)
 
 
 # --- plan --------------------------------------------------------------------
@@ -113,15 +116,11 @@ def cmd_plan(args) -> int:
     arch_path = _resolve_arch(args.arch)
     arch = read_arch(arch_path)
     _emit("plan", file=arch_path, layers=len(arch.layers))
-    baseline_total = 0
-    fsnet_total = 0
+    baseline_total = fsnet_total = 0
     for layer in arch.layers:
         if isinstance(layer, BatchNormSpec):
             _emit("layer", name=layer.name, kind="bn", params=layer.params)
-            baseline_total += layer.params
-            fsnet_total += layer.params
-            continue
-        if isinstance(layer, DenseSpec):
+        elif isinstance(layer, DenseSpec):
             _emit(
                 "layer",
                 name=layer.name,
@@ -131,31 +130,25 @@ def cmd_plan(args) -> int:
                 bias=int(layer.bias),
                 params=layer.params,
             )
+        if not isinstance(layer, ConvSpec):
             baseline_total += layer.params
             fsnet_total += layer.params
             continue
-        ratio, policy = _resolve_conv_settings(arch, layer, args)
-        fields = dict(
-            name=layer.name,
-            kind="conv",
-            c_in=layer.c_in,
-            s1=layer.s1,
-            s2=layer.s2,
-            c_out=layer.c_out,
-            r=ratio,
-            policy=policy.value,
-        )
+        fields = dict(name=layer.name, kind="conv", c_in=layer.c_in, s1=layer.s1, s2=layer.s2,
+                      c_out=layer.c_out)
         try:
-            geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
-            layout = derive_layout(geom)
+            geom, layout = _resolve_conv(arch, layer, args)
         except (DegenerateStrideError, InvalidRatioError) as exc:
             # surfaced per layer, not fatal: the layer stays uncompressed
+            ratio, policy = _conv_settings(arch, layer, args)
             kind = "degenerate_stride" if isinstance(exc, DegenerateStrideError) else "invalid_ratio"
             baseline = layer.c_in * layer.s1 * layer.s2 * layer.c_out
-            _emit("layer", **fields, error=kind, baseline=baseline, fs=baseline)
+            fields.update(r=ratio, policy=policy.value, error=kind)
+            _emit("layer", **fields, baseline=baseline, fs=baseline)
             baseline_total += baseline
             fsnet_total += baseline
             continue
+        fields.update(r=geom.ratio, policy=geom.stride_policy.value)
         params = count_params(geom, layout)
         fields.update(
             K=geom.filter_len,
@@ -188,62 +181,40 @@ def cmd_plan(args) -> int:
 
 def _load_input(path) -> np.ndarray:
     try:
-        arr = np.load(path)
+        return np.load(path)
     except (OSError, ValueError) as exc:
         raise FormatError(f"cannot read input tensor {path!r}: {exc}") from exc
-    if arr.ndim != 3:
-        raise FormatError(f"input tensor must be 3D (c_in, d1, d2), got shape {arr.shape}")
-    return arr
-
-
-def _fcfs_or_fallback(fs, fmap, name):
-    try:
-        return fcfs_conv(fs, fmap), False
-    except UnsupportedGeometryError:
-        print(f"warning layer={name} s2=1 fcfs_unsupported fallback=naive", file=sys.stderr)
-        counter = MultCounter()
-        out = naive_conv(fs, fmap, counter)
-        return (out, counter), True
 
 
 def cmd_conv(args) -> int:
     layers = read_model(args.model)
     if not layers:
         raise FormatError("model has no layers")
-    fmap = unwrap(_load_input(args.input))
+    current = unwrap(_load_input(args.input))
+    engines = ("naive", "fcfs") if args.engine == "both" else (args.engine,)
     status = OK
     _emit("conv", model=args.model, input=args.input, engine=args.engine, tolerance=args.tolerance)
-    current = fmap
-    output = None
     for layer in layers:
         fs = layer.summary()
+        runs = {engine: convolve(fs, current, engine) for engine in engines}
+        output = runs[engines[0]][0]  # the reference output, when both run
         fields = dict(name=layer.name, engine=args.engine)
-        if args.engine == "naive":
-            counter = MultCounter()
-            output = naive_conv(fs, current, counter)
-            fields.update(naive_mults=counter.multiplies)
-        elif args.engine == "fcfs":
-            (output, counter), fell_back = _fcfs_or_fallback(fs, current, layer.name)
-            fields.update(
-                fcfs_mults=counter.multiplies,
-                fcfs_lookups=counter.lookups,
-                fallback=int(fell_back),
-            )
-        else:
-            naive_counter = MultCounter()
-            reference = naive_conv(fs, current, naive_counter)
-            (fast, fast_counter), fell_back = _fcfs_or_fallback(fs, current, layer.name)
-            dev = _rel_dev(fast.data, reference.data)
-            fields.update(
-                dev=dev,
-                naive_mults=naive_counter.multiplies,
-                fcfs_mults=fast_counter.multiplies,
-                fcfs_lookups=fast_counter.lookups,
-                fallback=int(fell_back),
-            )
-            if dev > args.tolerance:
+        if args.engine == "both":
+            fields["dev"] = rel_dev(runs["fcfs"][0].data, output.data)
+            if fields["dev"] > args.tolerance:
                 status = FAIL
-            output = reference
+        if "naive" in runs:
+            fields["naive_mults"] = runs["naive"][1].counts.multiplies
+        if "fcfs" in runs:
+            report = runs["fcfs"][1]
+            if report.fallback is not None:
+                _emit("warning", stream=sys.stderr, layer=layer.name,
+                      fcfs_unsupported=report.fallback.value, fallback=report.engine)
+            fields.update(
+                fcfs_mults=report.counts.multiplies,
+                fcfs_lookups=report.counts.lookups,
+                fallback=int(report.fallback is not None),
+            )
         _emit("layer", **fields)
         current = FeatureMap(output.c_out, output.d1, output.d2, output.data)
     out_path = args.output or str(Path(args.input).with_suffix("")) + ".out.npy"
@@ -267,7 +238,7 @@ def cmd_quantize(args) -> int:
         phys = layer.layout.phys_length
         float_total += phys
         if layer.dtype != "f32":
-            print(f"warning layer={layer.name} already_quantized={layer.dtype}", file=sys.stderr)
+            _emit("warning", stream=sys.stderr, layer=layer.name, already_quantized=layer.dtype)
             new_layers.append(layer)
             sizes.append((phys, layer.quant.nbits))
             _emit("layer", name=layer.name, skipped=layer.dtype)
@@ -275,13 +246,7 @@ def cmd_quantize(args) -> int:
         q = quantize(layer.weights, args.bits)
         sizes.append((phys, args.bits))
         new_layers.append(
-            ModelLayer(
-                layer.name,
-                layer.geom,
-                dtype=f"q{args.bits}",
-                quant=q,
-                alphas=layer.alphas,
-            )
+            ModelLayer(layer.name, layer.geom, f"q{args.bits}", quant=q, alphas=layer.alphas)
         )
         _emit(
             "layer",
@@ -294,12 +259,8 @@ def cmd_quantize(args) -> int:
         )
     write_model(out_path, new_layers)
     effective_total = effective_params(sizes)
-    _emit(
-        "total",
-        float_params=float_total,
-        effective_params=effective_total,
-        ratio=Fraction(float_total) / effective_total,
-    )
+    _emit("total", float_params=float_total, effective_params=effective_total,
+          ratio=Fraction(float_total) / effective_total)
     _emit("status", ok=1)
     return OK
 
@@ -307,37 +268,14 @@ def cmd_quantize(args) -> int:
 # --- gradcheck ----------------------------------------------------------------
 
 
-def _central_diff(f, x: float, step: float, tol: float) -> tuple[float, float]:
-    """Central difference plus the denominator for a relative comparison.
-
-    A central difference cannot resolve below ~eps*|f|/step, so components
-    smaller than that are measured against the resolution floor instead of
-    their own (noise-dominated) magnitude; everything FD can resolve at
-    `tol` is still compared at `tol` relative.
-    """
-    hi = f(x + step)
-    lo = f(x - step)
-    fd = (hi - lo) / (2.0 * step)
-    noise = 64.0 * np.finfo(np.float64).eps * max(abs(hi), abs(lo)) / step
-    return fd, max(abs(fd), noise / tol)
-
-
 def cmd_gradcheck(args) -> int:
     layers = read_model(args.model)
     rng = np.random.default_rng(args.seed)
-    _emit(
-        "gradcheck",
-        model=args.model,
-        seed=args.seed,
-        points=args.points,
-        tolerance=args.tolerance,
-        step=args.step,
-    )
+    _emit("gradcheck", model=args.model, seed=args.seed, points=args.points,
+          tolerance=args.tolerance, step=args.step)
     status = OK
     for layer in layers:
-        fs64 = FilterSummary(
-            layer.geom, layer.layout, layer.summary().weights.astype(np.float64)
-        )
+        fs64 = FilterSummary(layer.geom, layer.layout, layer.summary().weights.astype(np.float64))
         k = layer.geom.filter_len
         length = layer.layout.length
         if length <= k + 1:
@@ -349,10 +287,8 @@ def cmd_gradcheck(args) -> int:
         # where every location rounds to an integer and gets flagged)
         base = float(np.clip(np.mean(alphas), -3.0, 3.0))
 
-        alpha_err = 0.0
-        summary_err = 0.0
-        checked = flagged = 0
-        attempts = 0
+        alpha_err = summary_err = 0.0
+        checked = flagged = attempts = 0
         while checked < args.points and attempts < 50 * args.points:
             attempts += 1
             alpha = base + float(rng.uniform(-4.0, 4.0))
@@ -361,13 +297,10 @@ def cmd_gradcheck(args) -> int:
             guard = max(2.0 * locate_grad(alpha, length, k) * args.step, 1e-9)
             if abs(loc - round(loc)) <= guard:
                 flagged += 1
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    grad_alpha(fs64, alpha, np.ones(k))
                 continue
             upstream = rng.standard_normal(k)
             analytic = grad_alpha(fs64, alpha, upstream)
-            fd, denom = _central_diff(
+            fd, denom = central_diff(
                 lambda a: float(upstream @ extract_fractional(fs64, locate(a, length, k))),
                 alpha,
                 args.step,
@@ -385,7 +318,7 @@ def cmd_gradcheck(args) -> int:
                         FilterSummary(layer.geom, layer.layout, summary), loc
                     ))
 
-                fd_w, denom_w = _central_diff(
+                fd_w, denom_w = central_diff(
                     bumped_value, float(fs64.weights[idx]), 1e-6, args.tolerance
                 )
                 summary_err = max(summary_err, abs(grad[idx] - fd_w) / denom_w)
@@ -430,44 +363,38 @@ def cmd_bench(args) -> int:
     for index, layer in enumerate(arch.layers):
         if not isinstance(layer, ConvSpec):
             continue
-        ratio, policy = _resolve_conv_settings(arch, layer, args)
         try:
-            geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
-            layout = derive_layout(geom)
+            geom, layout = _resolve_conv(arch, layer, args)
         except (DegenerateStrideError, InvalidRatioError) as exc:
             _emit("layer", name=layer.name, skipped=type(exc).__name__)
             continue
-        if geom.s2 == 1:
-            _emit("layer", name=layer.name, skipped="s2_is_1")
+        fallback = fcfs_fallback(geom, layout)
+        if fallback is not None:
+            _emit("layer", name=layer.name, skipped=fallback.value)
             continue
         if d1 == 1 and d2 == 1 and geom.s1 == 1:
             _emit("layer", name=layer.name, skipped="trivial_1x1_output")
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
         fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
-        naive_counter = MultCounter()
-        reference = naive_conv(fs, fmap, naive_counter)
+        reference, naive = convolve(fs, fmap, "naive")
         start = time.perf_counter()
         plan = FcfsPlan.build(geom, layout, d1, d2)
         plan_ms = (time.perf_counter() - start) * 1e3
-        fast, fast_counter = fcfs_conv(fs, fmap)  # caches the plan: fcfs_ms is execution
-        naive_ms = _time_best(lambda: naive_conv(fs, fmap), args.repeat)
-        fcfs_ms = _time_best(lambda: fcfs_conv(fs, fmap), args.repeat)
-        pred = predicted_acceleration(geom, layout, d1, d2)
-        measured = Fraction(
-            naive_counter.multiplies, fast_counter.multiplies + fast_counter.lookups
-        )
+        fast, report = convolve(fs, fmap)  # caches the plan: fcfs_ms is execution
+        naive_ms = _time_best(lambda: convolve(fs, fmap, "naive"), args.repeat)
+        fcfs_ms = _time_best(lambda: convolve(fs, fmap), args.repeat)
         _emit(
             "layer",
             name=layer.name,
-            naive_mults=naive_counter.multiplies,
-            fcfs_mults=fast_counter.multiplies,
-            fcfs_lookups=fast_counter.lookups,
-            measured=measured,
-            predicted=pred.ratio,
+            naive_mults=naive.counts.multiplies,
+            fcfs_mults=report.counts.multiplies,
+            fcfs_lookups=report.counts.lookups,
+            measured=measured_ratio(naive.counts, report.counts),
+            predicted=predicted_acceleration(geom, layout, d1, d2).ratio,
             naive_ms=naive_ms,
             fcfs_ms=fcfs_ms,
-            dev=_rel_dev(fast.data, reference.data),
+            dev=rel_dev(fast.data, reference.data),
             plan_ms=plan_ms,
             plan_bytes=plan.nbytes,
         )
@@ -530,10 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FilterSummaryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except FileNotFoundError as exc:
+    except (FilterSummaryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -21,9 +21,3 @@ class MultCounter:
     multiplies: int = 0
     additions: int = 0
     lookups: int = 0
-
-    def merge(self, other: "MultCounter") -> "MultCounter":
-        self.multiplies += other.multiplies
-        self.additions += other.additions
-        self.lookups += other.lookups
-        return self

@@ -30,6 +30,7 @@ __all__ = [
     "grad_alpha",
     "grad_summary",
     "init_alphas",
+    "central_diff",
 ]
 
 
@@ -140,3 +141,14 @@ def init_alphas(fs: FilterSummary, *, eps: float = 1e-9) -> np.ndarray:
     targets = np.arange(fs.geom.c_out, dtype=np.float64) * fs.layout.stride
     frac = np.clip(targets / span, eps, 1.0 - eps)
     return np.log(frac / (1.0 - frac))
+
+
+def central_diff(f, x: float, step: float, tol: float = 1e-6) -> tuple[float, float]:
+    """Central difference of f at x, and the denominator for a `tol`-relative
+    check: below its resolution, ~eps*|f|/step, a component is measured
+    against that floor instead of its own noise-dominated magnitude."""
+    hi = f(x + step)
+    lo = f(x - step)
+    fd = (hi - lo) / (2.0 * step)
+    noise = 64.0 * np.finfo(np.float64).eps * max(abs(hi), abs(lo)) / step
+    return fd, max(abs(fd), noise / tol)

@@ -38,7 +38,7 @@ class FormatError(FilterSummaryError, ValueError):
 
 
 class InvalidArgumentError(FilterSummaryError, ValueError):
-    """Command-line argument outside its valid range."""
+    """Command-line option or engine name outside its valid range."""
 
 
 class NonDifferentiableWarning(UserWarning):

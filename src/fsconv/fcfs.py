@@ -18,9 +18,11 @@ on the six ResNet-110 shapes at 32/16/8 (705,280 against 196,608 products
 for 16->16 at 32x32). In numpy, execution still trails the BLAS-backed
 reference engine in wall clock.
 
-Diagonals are keyed by offset = row - column. A filter stride that is not a
-multiple of c_in scatters the offsets across channel residues and defeats
-the sharing, so the reference engine runs instead, with a warning.
+Diagonals are keyed by offset = row - column. geometry.fcfs_fallback is the
+one rule for which layers this engine runs. convolve(fs, fmap, engine) is
+the entry point: asked for "fcfs" on a layer the rule refuses, it runs the
+reference engine and its RunReport names the reason. fcfs_conv raises for
+s2 == 1 and warns before falling back for an unaligned stride.
 """
 
 from __future__ import annotations
@@ -35,19 +37,29 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .counters import MultCounter
-from .errors import ShapeMismatchError, UnsupportedGeometryError
-from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
-from .oracle import ConvOutput, naive_conv, pad_same
+from .errors import InvalidArgumentError, UnsupportedGeometryError
+from .geometry import (
+    ConvGeometry,
+    Fallback,
+    Layout,
+    PredictedAcceleration,
+    fcfs_fallback,
+    predicted_acceleration,
+)
+from .oracle import ConvOutput, check_conv_input, naive_conv, pad_same
 from .tensors import FeatureMap, FilterSummary
 
 __all__ = [
     "PLAN_CACHE_SIZE",
     "FcfsPlan",
     "fcfs_plan",
+    "RunReport",
+    "convolve",
     "AccelerationReport",
     "required_diagonals",
     "build_integrals",
     "fcfs_conv",
+    "measured_ratio",
     "measured_acceleration",
 ]
 
@@ -160,19 +172,14 @@ def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
 
 
 def _plan_key(fs: FilterSummary, fmap: FeatureMap) -> tuple:
-    """The plan key of a valid input; raises for s2 == 1, a channel count
-    other than c_in, or an empty map."""
-    if fs.geom.s2 == 1:
+    """The plan key of a valid input; raises for s2 == 1 and for a map
+    check_conv_input refuses."""
+    if fcfs_fallback(fs.geom, fs.layout) is Fallback.S2_IS_1:
         raise UnsupportedGeometryError(
             "the integral-line path only pays off for s2 > 1; "
             "use the reference engine for s2 == 1 layers"
         )
-    if fmap.c_in != fs.geom.c_in:
-        raise ShapeMismatchError(
-            f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}"
-        )
-    if fmap.d1 < 1 or fmap.d2 < 1:
-        raise ShapeMismatchError(f"feature map is {fmap.d1}x{fmap.d2}; both sizes must be >= 1")
+    check_conv_input(fs, fmap)
     return fs.geom, fs.layout, fmap.d1, fmap.d2
 
 
@@ -200,46 +207,69 @@ def build_integrals(
     return table
 
 
-def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """Convolve via diagonal integral lines; exact, not approximate.
+@dataclass(frozen=True)
+class RunReport:
+    """What one convolve call did: the engine that ran ("naive" or "fcfs"),
+    why "fcfs" was asked for and did not run (or None), and its counts."""
 
-    Equals naive_conv up to floating reassociation (the prefix sums regroup
-    the same products). Falls back to the reference engine with a warning
-    when the filter stride is not channel-aligned; raises for s2 == 1 and
-    for an empty map.
-    """
-    key = _plan_key(fs, fmap)
-    geom, layout = fs.geom, fs.layout
-    if layout.stride % geom.c_in != 0:
-        warnings.warn(
-            f"filter stride {layout.stride} is not a multiple of c_in={geom.c_in}; "
-            "diagonal offsets scatter across channel residues, computing with "
-            "the reference engine instead",
-            stacklevel=2,
-        )
+    engine: str
+    fallback: Fallback | None
+    counts: MultCounter
+
+
+def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOutput, RunReport]:
+    """Convolve with "naive" or "fcfs". On a layer fcfs_fallback refuses,
+    "fcfs" quietly runs the reference engine and the report says why."""
+    if engine not in ("naive", "fcfs"):
+        raise InvalidArgumentError(f"engine must be 'naive' or 'fcfs', got {engine!r}")
+    fallback = fcfs_fallback(fs.geom, fs.layout) if engine == "fcfs" else None
+    if engine == "naive" or fallback is not None:
         counter = MultCounter()
-        return naive_conv(fs, fmap, counter), counter
-
-    plan = fcfs_plan(*key)
-    padded = pad_same(fmap, geom.s1, geom.s2).data
-    flat = plan.prefix_table(padded, fs.weights)
+        return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
+    plan = fcfs_plan(*_plan_key(fs, fmap))
+    geom = fs.geom
+    flat = plan.prefix_table(pad_same(fmap, geom.s1, geom.s2).data, fs.weights)
     slice_sums = flat[plan.width :][plan.index] - flat[plan.index]
     out = np.zeros(geom.c_out * fmap.d1 * fmap.d2, dtype=flat.dtype)
     for per_slice in slice_sums.reshape(geom.s2, -1):  # fixed order: bit-stable
         out += per_slice
     counter = MultCounter(plan.multiplies, plan.additions, plan.lookups)
-    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out), counter
+    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out), RunReport("fcfs", None, counter)
+
+
+def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
+    """Convolve via diagonal integral lines; exact, not approximate.
+
+    Equals naive_conv up to floating reassociation (the prefix sums regroup
+    the same products). convolve(fs, fmap, "fcfs") with loud fallbacks:
+    raises for s2 == 1 and for an empty map, and warns before running the
+    reference engine when the filter stride is not channel-aligned.
+    """
+    _plan_key(fs, fmap)
+    if fcfs_fallback(fs.geom, fs.layout) is Fallback.UNALIGNED_STRIDE:
+        warnings.warn(
+            f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
+            "diagonal offsets scatter across channel residues, computing with "
+            "the reference engine instead",
+            stacklevel=2,
+        )
+    out, report = convolve(fs, fmap)
+    return out, report.counts
+
+
+def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:
+    """Reference multiplies over fcfs products plus lookups, the accounting
+    of the closed-form prediction."""
+    return Fraction(naive.multiplies, fast.multiplies + fast.lookups)
 
 
 @dataclass(frozen=True)
 class AccelerationReport:
     """Side-by-side multiply accounting of both engines on one input.
 
-    measured_ratio charges the integral-line path its materialized products
-    plus the s2 per-output-element lookups (the same accounting the
-    closed-form prediction uses); `predicted` is that closed form. The two
-    are reported separately because the closed form undercounts the first
-    stage (see the module docstring).
+    measured_ratio is measured_ratio(naive, fcfs); `predicted` is the closed
+    form. The two are reported separately because the closed form
+    undercounts the first stage (see the module docstring).
     """
 
     naive: MultCounter
@@ -250,13 +280,11 @@ class AccelerationReport:
 
 def measured_acceleration(fs: FilterSummary, fmap: FeatureMap) -> AccelerationReport:
     """Run both engines with instrumentation and compare multiply counts."""
-    naive_counter = MultCounter()
-    naive_conv(fs, fmap, naive_counter)
+    _, naive = convolve(fs, fmap, "naive")
     _, fast_counter = fcfs_conv(fs, fmap)
-    denom = fast_counter.multiplies + fast_counter.lookups
     return AccelerationReport(
-        naive=naive_counter,
+        naive=naive.counts,
         fcfs=fast_counter,
-        measured_ratio=Fraction(naive_counter.multiplies, denom),
+        measured_ratio=measured_ratio(naive.counts, fast_counter),
         predicted=predicted_acceleration(fs.geom, fs.layout, fmap.d1, fmap.d2),
     )

@@ -38,7 +38,6 @@ __all__ = [
     "read_model",
     "dump_model",
     "load_model",
-    "write_arch",
     "read_arch",
     "dump_arch",
     "parse_arch",
@@ -327,10 +326,6 @@ def dump_arch(arch: ArchSpec) -> str:
             raise FormatError(f"unknown layer spec {layer!r}")
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def write_arch(path, arch: ArchSpec) -> None:
-    Path(path).write_text(dump_arch(arch), encoding="utf-8")
 
 
 def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:

@@ -15,15 +15,17 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateStrideError, InvalidRatioError
+from .errors import DegenerateStrideError, InvalidRatioError, ShapeMismatchError
 
 __all__ = [
     "StridePolicy",
+    "Fallback",
     "ConvGeometry",
     "Layout",
     "ParamCount",
     "PredictedAcceleration",
     "derive_layout",
+    "fcfs_fallback",
     "count_params",
     "predicted_acceleration",
 ]
@@ -71,7 +73,7 @@ class ConvGeometry:
         for name in ("c_in", "s1", "s2", "c_out"):
             value = operator.index(getattr(self, name))
             if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise ShapeMismatchError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
         ratio = Fraction(self.ratio)
         if ratio < 1:
@@ -145,6 +147,24 @@ def derive_layout(geom: ConvGeometry) -> Layout:
     )
 
 
+class Fallback(enum.Enum):
+    """Why the integral-line engine cannot run a layer."""
+
+    S2_IS_1 = "s2_is_1"
+    UNALIGNED_STRIDE = "unaligned_stride"
+
+
+def fcfs_fallback(geom: ConvGeometry, layout: Layout) -> Fallback | None:
+    """None if the integral-line engine can run the layer, else why not: one
+    filter column shares nothing, and a filter stride off a multiple of c_in
+    scatters the diagonals across channel residues."""
+    if geom.s2 == 1:
+        return Fallback.S2_IS_1
+    if layout.stride % geom.c_in:
+        return Fallback.UNALIGNED_STRIDE
+    return None
+
+
 @dataclass(frozen=True)
 class ParamCount:
     """Parameter tally of one layer under the shared-weight layout.
@@ -197,12 +217,12 @@ def predicted_acceleration(
     geom: ConvGeometry, layout: Layout, d1: int, d2: int
 ) -> PredictedAcceleration:
     if d1 < 1 or d2 < 1:
-        raise ValueError(f"spatial size must be >= 1, got {d1}x{d2}")
+        raise ShapeMismatchError(f"spatial size must be >= 1, got {d1}x{d2}")
     naive = geom.c_out * d1 * d2 * geom.filter_len
     fcfs = geom.c_in * d1 * d2 * layout.slices + geom.c_out * d1 * d2 * geom.s2
     return PredictedAcceleration(
         naive_mults=naive,
         fcfs_mults=fcfs,
         ratio=Fraction(naive) / fcfs,
-        accelerable=geom.s2 > 1,
+        accelerable=fcfs_fallback(geom, layout) is not Fallback.S2_IS_1,
     )

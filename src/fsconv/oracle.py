@@ -16,7 +16,7 @@ from .counters import MultCounter
 from .errors import ShapeMismatchError
 from .tensors import FeatureMap, FilterSummary, extract_filter, wrap
 
-__all__ = ["ConvOutput", "pad_same", "naive_conv"]
+__all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "rel_dev"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,17 @@ def pad_same(fmap: FeatureMap, s1: int, s2: int) -> FeatureMap:
     return FeatureMap(c_in, p1, p2, np.ascontiguousarray(padded.transpose(2, 1, 0)).ravel())
 
 
+def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
+    """Refuse a map whose channel count is not the layer's c_in, or that is
+    empty; both engines run this check first."""
+    if fmap.c_in != fs.geom.c_in:
+        raise ShapeMismatchError(
+            f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}"
+        )
+    if fmap.d1 < 1 or fmap.d2 < 1:
+        raise ShapeMismatchError(f"feature map is {fmap.d1}x{fmap.d2}; both sizes must be >= 1")
+
+
 def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None = None) -> ConvOutput:
     """Same-padding cross-correlation of every filter with the feature map.
 
@@ -65,11 +76,8 @@ def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None 
     counter is given it is advanced by K multiplies and K-1 additions per
     output element.
     """
+    check_conv_input(fs, fmap)
     geom = fs.geom
-    if fmap.c_in != geom.c_in:
-        raise ShapeMismatchError(
-            f"feature map has {fmap.c_in} channels, layer expects {geom.c_in}"
-        )
     d1, d2 = fmap.d1, fmap.d2
     k = geom.filter_len
     padded = wrap(pad_same(fmap, geom.s1, geom.s2))
@@ -87,3 +95,13 @@ def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None 
                 counter.multiplies += geom.c_out * k
                 counter.additions += geom.c_out * (k - 1)
     return ConvOutput(geom.c_out, d1, d2, np.ascontiguousarray(out.transpose(2, 1, 0)).ravel())
+
+
+def rel_dev(actual, reference) -> float:
+    """Max absolute deviation normalized by the reference's max magnitude
+    (unnormalized when the reference is all zeros)."""
+    a = np.asarray(actual)
+    b = np.asarray(reference)
+    scale = float(np.max(np.abs(b))) if b.size else 0.0
+    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+    return diff if scale == 0.0 else diff / scale

@@ -1,33 +1,10 @@
-"""Shared helpers: randomized geometries, instances and deviation metrics."""
+"""Randomized geometries and instances shared by the test modules."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from fsconv import ConvGeometry, FeatureMap, FilterSummary, StridePolicy
-
-
-def central_diff(f, x, step, tol=1e-6):
-    """Central difference and the denominator for a `tol`-relative check.
-
-    FD noise scales like eps*|f|/step; components below that resolution are
-    measured against the floor, everything resolvable is compared at `tol`
-    relative.
-    """
-    hi = f(x + step)
-    lo = f(x - step)
-    fd = (hi - lo) / (2.0 * step)
-    noise = 64.0 * np.finfo(np.float64).eps * max(abs(hi), abs(lo)) / step
-    return fd, max(abs(fd), noise / tol)
-
-
-def rel_dev(actual, reference) -> float:
-    """Max absolute deviation normalized by the reference's max magnitude."""
-    a = np.asarray(actual)
-    b = np.asarray(reference)
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
-    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
-    return diff if scale == 0.0 else diff / scale
 
 
 def random_fast_geometry(

@@ -22,6 +22,7 @@ from fsconv import (
     ModelLayer,
     MultCounter,
     StridePolicy,
+    central_diff,
     dequantize,
     derive_layout,
     dump_arch,
@@ -41,11 +42,10 @@ from fsconv import (
     quantize,
     quantize_affine_layer,
     quantized_affine_forward,
+    rel_dev,
 )
 from fsconv.cli import main
 from fsconv.dfs import _extract_in_cell
-
-from conftest import central_diff, rel_dev
 
 
 @contextlib.contextmanager

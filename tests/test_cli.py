@@ -1,5 +1,7 @@
 """The command-line surface, invoked in-process and parsed from stdout."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fsconv import (
     FilterSummary,
     ModelLayer,
     StridePolicy,
+    dump_model,
     init_alphas,
     naive_conv,
     unwrap,
@@ -95,6 +98,7 @@ class TestPlan:
         assert code == 0
         layers = records_of(records, "layer")
         assert layers[0]["error"] == "degenerate_stride"
+        assert (layers[0]["r"], layers[0]["policy"]) == ("4", "slice")
         assert "error" not in layers[1]
 
     def test_missing_ratio_is_input_error(self, capsys, tmp_path):
@@ -103,6 +107,13 @@ class TestPlan:
         code, _, err = run(capsys, "plan", arch)
         assert code == 2
         assert "ratio" in err
+
+    @pytest.mark.parametrize("ratio", ["abc", "1/0", ""])
+    def test_bad_ratio_is_input_error(self, capsys, ratio):
+        code, records, err = run(capsys, "plan", "resnet110", "--ratio", ratio)
+        assert code == 2
+        assert "--ratio must be a rational number" in err
+        assert records_of(records, "total") == []
 
     def test_s2_one_not_reported_as_acceleration(self, capsys, tmp_path):
         arch = tmp_path / "one_col.arch"
@@ -154,7 +165,46 @@ class TestConv:
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert layer["fallback"] == "1"
-        assert "fcfs_unsupported" in err
+        assert err == "warning layer=c fcfs_unsupported=s2_is_1 fallback=naive\n"
+
+    @pytest.mark.parametrize("engine", ["fcfs", "both"])
+    def test_unaligned_stride_reports_fallback(self, capsys, tmp_path, small_input, engine):
+        geom = ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC)  # stride 13, c_in 3
+        fs = FilterSummary.random(geom, seed=3, dtype=np.float32)
+        model = tmp_path / "g.fsn"
+        write_model(model, [ModelLayer("g", geom, "f32", weights=fs.weights)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a Python warning would end in a traceback
+            code, records, err = run(capsys, "conv", model, small_input[0], "--engine", engine)
+        assert code == 0
+        (layer,) = records_of(records, "layer")
+        assert layer["fallback"] == "1"
+        assert layer["fcfs_mults"] == str(4 * 36 * geom.filter_len)
+        assert layer["fcfs_lookups"] == "0"
+        assert err == "warning layer=g fcfs_unsupported=unaligned_stride fallback=naive\n"
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
+    def test_empty_input_is_input_error(self, capsys, small_model, tmp_path, engine):
+        empty = tmp_path / "empty.npy"
+        np.save(empty, np.zeros((3, 0, 4)))
+        code, records, err = run(capsys, "conv", small_model[0], empty, "--engine", engine)
+        assert code == 2
+        assert "sizes must be >= 1" in err
+        assert records_of(records, "status") == []
+        assert not (tmp_path / "empty.out.npy").exists()
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
+    def test_zero_size_header_is_input_error(self, capsys, small_model, small_input, tmp_path, engine):
+        _, geom, fs = small_model
+        blob = bytearray(dump_model([ModelLayer("z", geom, "f32", weights=fs.weights)]))
+        c_in_at = 4 + 4 + 2 + len("z")  # magic, layer count, name length, name
+        blob[c_in_at : c_in_at + 4] = (0).to_bytes(4, "little")
+        model = tmp_path / "zero.fsn"
+        model.write_bytes(bytes(blob))
+        code, records, err = run(capsys, "conv", model, small_input[0], "--engine", engine)
+        assert code == 2
+        assert err == "error: c_in must be >= 1, got 0\n"
+        assert records == []
 
     def test_corrupt_model_is_input_error(self, capsys, tmp_path, small_input):
         bad = tmp_path / "bad.fsn"
@@ -318,6 +368,28 @@ class TestBench:
         assert float(layer["plan_ms"]) > 0
         assert int(layer["plan_bytes"]) > 0
         assert float(layer["fcfs_ms"]) > 0
+
+    def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path):
+        arch = tmp_path / "skip.arch"
+        arch.write_text(
+            "ratio 2\n"
+            "layer generic kind=conv c_in=3 s1=3 s2=3 c_out=4 policy=generic\n"
+            "layer narrow kind=conv c_in=4 s1=3 s2=1 c_out=8\n"
+            "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8\n"
+        )
+        code, records, err = run(capsys, "bench", arch, "--spatial", "5", "4", "--repeat", "1")
+        assert code == 0
+        assert err == ""
+        skipped = [layer.get("skipped") for layer in records_of(records, "layer")]
+        assert skipped == ["unaligned_stride", "s2_is_1", None]
+
+    def test_bad_ratio_is_input_error(self, capsys, tmp_path):
+        arch = tmp_path / "nr.arch"
+        arch.write_text("layer c kind=conv c_in=2 s1=3 s2=3 c_out=4\n")
+        code, records, err = run(capsys, "bench", arch, "--ratio", "abc", "--repeat", "1")
+        assert code == 2
+        assert "--ratio must be a rational number, got 'abc'" in err
+        assert records_of(records, "layer") == []
 
     @pytest.mark.parametrize(
         "argv",

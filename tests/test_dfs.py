@@ -10,6 +10,7 @@ from fsconv import (
     ConvGeometry,
     FilterSummary,
     StridePolicy,
+    central_diff,
     extract_filter,
     extract_fractional,
     grad_alpha,
@@ -20,8 +21,6 @@ from fsconv import (
 )
 from fsconv.dfs import _extract_in_cell
 from fsconv.errors import FSTooShortError, NonDifferentiableWarning, OutOfRangeError
-
-from conftest import central_diff
 
 
 def ramp_summary():

@@ -6,6 +6,7 @@ touches; the engine's planned extents and multiply counts must match it
 exactly.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,21 +17,24 @@ from fsconv import (
     FcfsPlan,
     FeatureMap,
     FilterSummary,
+    Fallback,
     Layout,
     MultCounter,
     StridePolicy,
     build_integrals,
+    convolve,
     fcfs_conv,
     fcfs_plan,
     measured_acceleration,
     naive_conv,
     pad_same,
+    rel_dev,
     required_diagonals,
 )
-from fsconv.errors import ShapeMismatchError, UnsupportedGeometryError
+from fsconv.errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
 from fsconv.fcfs import PLAN_CACHE_SIZE
 
-from conftest import random_fast_geometry, random_instance, rel_dev
+from helpers import random_fast_geometry, random_instance
 
 
 def enumerate_cells(geom, layout, d1, d2):
@@ -235,12 +239,23 @@ class TestFcfsConv:
         assert np.array_equal(out.data, naive_conv(fs, fmap).data)
         assert counter.multiplies == geom.c_out * 16 * geom.filter_len
         assert counter.lookups == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # convolve falls back without a warning
+            quiet, report = convolve(fs, fmap)
+        assert (report.engine, report.fallback) == ("naive", Fallback.UNALIGNED_STRIDE)
+        assert report.counts == counter
+        assert np.array_equal(quiet.data, out.data)
 
     def test_s2_one_raises(self):
         geom = ConvGeometry(2, 3, 1, 4, 2)
         fs = FilterSummary.random(geom, seed=16)
+        fmap = FeatureMap.random(2, 3, 3, seed=17)
         with pytest.raises(UnsupportedGeometryError):
-            fcfs_conv(fs, FeatureMap.random(2, 3, 3, seed=17))
+            fcfs_conv(fs, fmap)
+        out, report = convolve(fs, fmap)
+        assert (report.engine, report.fallback) == ("naive", Fallback.S2_IS_1)
+        assert report.counts.multiplies == geom.c_out * 9 * geom.filter_len
+        assert np.array_equal(out.data, naive_conv(fs, fmap).data)
 
     @pytest.mark.parametrize("d1, d2", [(0, 3), (3, 0), (0, 0)])
     def test_empty_map_raises_typed_error(self, d1, d2):
@@ -277,6 +292,39 @@ class TestFcfsConv:
             assert counter.multiplies == sum(
                 hi - lo for runs in plan.values() for lo, hi in runs
             )
+
+
+class TestConvolve:
+    def test_each_engine_runs_where_supported(self):
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            fs, fmap = random_instance(rng)
+            fast, counter = fcfs_conv(fs, fmap)
+            out, report = convolve(fs, fmap)
+            assert (report.engine, report.fallback) == ("fcfs", None)
+            assert np.array_equal(out.data, fast.data) and report.counts == counter
+            naive_counter = MultCounter()
+            reference = naive_conv(fs, fmap, naive_counter)
+            out, report = convolve(fs, fmap, "naive")
+            assert (report.engine, report.fallback) == ("naive", None)
+            assert np.array_equal(out.data, reference.data) and report.counts == naive_counter
+
+    def test_naive_on_s2_one_is_no_fallback(self):
+        fs = FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=28)
+        _, report = convolve(fs, FeatureMap.random(2, 3, 3, seed=29), "naive")
+        assert (report.engine, report.fallback) == ("naive", None)
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs"])
+    @pytest.mark.parametrize("geom", [ConvGeometry(2, 2, 2, 2, 1), ConvGeometry(2, 3, 1, 4, 2)])
+    def test_empty_map_refused_by_both_engines(self, engine, geom):
+        fs = FilterSummary.random(geom, seed=30)
+        with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+            convolve(fs, FeatureMap(2, 3, 0, np.zeros(0)), engine)
+
+    def test_unknown_engine_refused(self):
+        fs = FilterSummary.random(ConvGeometry(2, 2, 2, 2, 1), seed=31)
+        with pytest.raises(InvalidArgumentError, match="engine"):
+            convolve(fs, FeatureMap.random(2, 3, 3, seed=32), "both")
 
 
 class TestPlanCache:

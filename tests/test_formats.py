@@ -26,7 +26,7 @@ from fsconv import (
 )
 from fsconv.errors import FormatError
 
-from conftest import random_fast_geometry
+from helpers import random_fast_geometry
 
 
 def random_layer(rng, index):

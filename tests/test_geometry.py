@@ -7,12 +7,14 @@ import pytest
 
 from fsconv import (
     ConvGeometry,
+    Fallback,
     StridePolicy,
     count_params,
     derive_layout,
+    fcfs_fallback,
     predicted_acceleration,
 )
-from fsconv.errors import DegenerateStrideError, InvalidRatioError
+from fsconv.errors import DegenerateStrideError, InvalidRatioError, ShapeMismatchError
 
 # the recurring worked example: 64-channel 3x3 layer, 64 filters, ratio 4
 WORKED = dict(c_in=64, s1=3, s2=3, c_out=64, ratio=4)
@@ -58,8 +60,9 @@ class TestDeriveLayout:
         assert layout.length == (36 * 16 * 10) // 37
 
     def test_nonpositive_dims_rejected(self):
-        with pytest.raises(ValueError):
-            ConvGeometry(0, 1, 1, 1, 1)
+        for dims in [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, -2)]:
+            with pytest.raises(ShapeMismatchError, match="must be >= 1"):
+                ConvGeometry(*dims, 1)
 
 
 class TestCountParams:
@@ -112,8 +115,24 @@ class TestPredictedAcceleration:
 
     def test_rejects_empty_spatial(self):
         geom = ConvGeometry(1, 1, 2, 1, 1)
-        with pytest.raises(ValueError):
-            predicted_acceleration(geom, derive_layout(geom), 0, 4)
+        for d1, d2 in [(0, 4), (0, 1), (3, 0)]:
+            with pytest.raises(ShapeMismatchError):
+                predicted_acceleration(geom, derive_layout(geom), d1, d2)
+
+
+@pytest.mark.parametrize(
+    "geom, reason",
+    [
+        (ConvGeometry(**WORKED), None),
+        (ConvGeometry(**WORKED, stride_policy=StridePolicy.GENERIC), Fallback.UNALIGNED_STRIDE),
+        (ConvGeometry(4, 3, 1, 8, 2), Fallback.S2_IS_1),
+        # s2 == 1 is named first even where the stride is unaligned too
+        (ConvGeometry(3, 3, 1, 4, 2, StridePolicy.GENERIC), Fallback.S2_IS_1),
+        (ConvGeometry(4, 1, 2, 8, 8, StridePolicy.GENERIC), None),  # stride 0
+    ],
+)
+def test_fcfs_fallback_policy(geom, reason):
+    assert fcfs_fallback(geom, derive_layout(geom)) is reason
 
 
 class TestLayoutProperties:

@@ -11,12 +11,13 @@ from fsconv import (
     StridePolicy,
     naive_conv,
     pad_same,
+    rel_dev,
     unwrap,
     wrap,
 )
 from fsconv.errors import ShapeMismatchError
 
-from conftest import random_fast_geometry, rel_dev
+from helpers import random_fast_geometry
 
 
 class TestPadSame:
@@ -84,6 +85,12 @@ class TestNaiveConv:
         fs = FilterSummary.random(geom)
         with pytest.raises(ShapeMismatchError):
             naive_conv(fs, FeatureMap.random(3, 2, 2))
+
+    @pytest.mark.parametrize("d1, d2", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_map_rejected(self, d1, d2):
+        fs = FilterSummary.random(ConvGeometry(2, 3, 3, 2, 1))
+        with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+            naive_conv(fs, FeatureMap(2, d1, d2, np.zeros(0)), MultCounter())
 
 
 class TestOracleProperties:

@@ -19,7 +19,7 @@ from fsconv import (
 )
 from fsconv.errors import OutOfRangeError, ShapeMismatchError
 
-from conftest import random_fast_geometry
+from helpers import random_fast_geometry
 
 
 class TestUnwrapIndex:

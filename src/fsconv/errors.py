@@ -17,6 +17,10 @@ class ShapeMismatchError(FilterSummaryError, ValueError):
     """Array or layer shapes do not agree with the declared geometry."""
 
 
+class InvalidDtypeError(FilterSummaryError, ValueError):
+    """Input map whose values are not real numbers: complex, string or object."""
+
+
 class OutOfRangeError(FilterSummaryError, IndexError):
     """Index or location outside its valid box."""
 
@@ -27,6 +31,10 @@ class UnsupportedGeometryError(FilterSummaryError, ValueError):
 
 class EmptyInputError(FilterSummaryError, ValueError):
     """Quantization of an empty weight vector."""
+
+
+class InvalidGridError(FilterSummaryError, ValueError):
+    """Quantization grid endpoints that are not finite, or with w_max below w_min."""
 
 
 class FSTooShortError(FilterSummaryError, ValueError):

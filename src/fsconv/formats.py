@@ -204,7 +204,10 @@ def load_model(data: bytes) -> list[ModelLayer]:
     layers = []
     for _ in range(n_layers):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"layer name is not valid UTF-8: {exc}") from exc
         c_in, s1, s2, c_out, r_num, r_den = r.unpack("<IIIIQQ")
         policy_code, dtype_code, has_alpha, _pad = r.unpack("<BBBB")
         if policy_code not in _CODE_POLICY:
@@ -347,7 +350,7 @@ def _parse_int(kv: dict[str, str], key: str, lineno: int) -> int:
         value = int(kv.pop(key))
     except ValueError as exc:
         raise FormatError(f"line {lineno}: bad integer for {key}") from exc
-    if value < 1 and key != "bias":
+    if value < 1:
         raise FormatError(f"line {lineno}: {key} must be >= 1")
     return value
 
@@ -409,8 +412,10 @@ def parse_arch(text: str) -> ArchSpec:
             elif kind == "fc":
                 fan_in = _parse_int(kv, "in", lineno)
                 fan_out = _parse_int(kv, "out", lineno)
-                bias = bool(int(kv.pop("bias", "1")))
-                layer = DenseSpec(name, fan_in, fan_out, bias)
+                bias = kv.pop("bias", "1")
+                if bias not in ("0", "1"):
+                    raise FormatError(f"line {lineno}: bias must be 0 or 1, got {bias!r}")
+                layer = DenseSpec(name, fan_in, fan_out, bias == "1")
             else:
                 raise FormatError(f"line {lineno}: kind must be conv/bn/fc")
             if kv:

@@ -1,9 +1,10 @@
 """Reference convolution: one inner product per (filter, output position).
 
-This is the ground truth the fast path is checked against. It is a plain
-stride-1, same-padding cross-correlation with no bias, computed patch by
-patch; every output element costs exactly K multiplies, so an instrumented
-run over a (d1, d2) map totals c_out*d1*d2*K.
+This is the ground truth the fast path is checked against: a plain stride-1,
+same-padding cross-correlation with no bias, computed as one matrix product of
+two read-only strided views, the filter bank and the patches. Every output
+element costs exactly K multiplies, so an instrumented run over a (d1, d2) map
+totals c_out*d1*d2*K.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .counters import MultCounter
-from .errors import ShapeMismatchError
-from .tensors import FeatureMap, FilterSummary, extract_filter, wrap
+from .errors import InvalidDtypeError, ShapeMismatchError
+from .tensors import FeatureMap, FilterSummary
 
 __all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "rel_dev"]
 
@@ -44,57 +46,48 @@ class ConvOutput:
 def pad_same(fmap: FeatureMap, s1: int, s2: int) -> FeatureMap:
     """Zero-pad to spatial size (d1+s1-1, d2+s2-1), content centered with
     floor((s1-1)/2) leading rows and floor((s2-1)/2) leading columns."""
-    lead1 = (s1 - 1) // 2
-    lead2 = (s2 - 1) // 2
-    cube = wrap(fmap)
-    padded = np.pad(
-        cube,
-        ((0, 0), (lead1, s1 - 1 - lead1), (lead2, s2 - 1 - lead2)),
-        mode="constant",
-    )
-    c_in, p1, p2 = padded.shape
-    return FeatureMap(c_in, p1, p2, np.ascontiguousarray(padded.transpose(2, 1, 0)).ravel())
+    lead1, lead2 = (s1 - 1) // 2, (s2 - 1) // 2
+    columns = fmap.data.reshape(fmap.d2, fmap.d1, fmap.c_in)
+    padded = np.pad(columns, ((lead2, s2 - 1 - lead2), (lead1, s1 - 1 - lead1), (0, 0)))
+    return FeatureMap(fmap.c_in, fmap.d1 + s1 - 1, fmap.d2 + s2 - 1, padded.ravel())
 
 
 def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
-    """Refuse a map whose channel count is not the layer's c_in, or that is
-    empty; both engines run this check first."""
+    """Refuse a map whose channel count is not the layer's c_in, that is
+    empty, or that holds no real numbers; both engines run this check first."""
     if fmap.c_in != fs.geom.c_in:
         raise ShapeMismatchError(
-            f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}"
-        )
+            f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}")
     if fmap.d1 < 1 or fmap.d2 < 1:
         raise ShapeMismatchError(f"feature map is {fmap.d1}x{fmap.d2}; both sizes must be >= 1")
+    if fmap.data.dtype.kind not in "biuf":
+        raise InvalidDtypeError(f"feature map has dtype {fmap.data.dtype}; need bool, int or float")
 
 
 def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None = None) -> ConvOutput:
     """Same-padding cross-correlation of every filter with the feature map.
 
     output(o, m, n) = sum_{i,j,k} filter_o[i, j, k] * padded[i, m+j, n+k].
-    The per-output-element sum runs in channel-major order (i fastest, then
-    j, then k), so results do not depend on how callers batch the work. If a
-    counter is given it is advanced by K multiplies and K-1 additions per
-    output element.
+    Filter o is the K summary entries from o*stride on: the summary read with
+    row stride `stride`. The patch at (m, n) is s2 padded columns of c_in*s1
+    contiguous entries, in filter order; patches in (n, m) order times the
+    filters' transpose is the channel-major output, bit-identical from run to
+    run. A counter gets K multiplies and K-1 additions per output element.
     """
     check_conv_input(fs, fmap)
-    geom = fs.geom
-    d1, d2 = fmap.d1, fmap.d2
-    k = geom.filter_len
-    padded = wrap(pad_same(fmap, geom.s1, geom.s2))
-
-    # (c_out, K) matrix of unwrapped filters; rows alias the summary.
-    filters = np.stack([extract_filter(fs, o) for o in range(geom.c_out)])
-
-    out = np.empty((geom.c_out, d1, d2), dtype=np.result_type(fs.weights, fmap.data))
-    for m in range(d1):
-        for n in range(d2):
-            patch = padded[:, m : m + geom.s1, n : n + geom.s2]
-            vec = np.ascontiguousarray(patch.transpose(2, 1, 0)).ravel()
-            out[:, m, n] = filters @ vec
-            if counter is not None:
-                counter.multiplies += geom.c_out * k
-                counter.additions += geom.c_out * (k - 1)
-    return ConvOutput(geom.c_out, d1, d2, np.ascontiguousarray(out.transpose(2, 1, 0)).ravel())
+    geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, fs.weights
+    filters = as_strided(w, (geom.c_out, geom.filter_len),
+                         (fs.layout.stride * w.strides[0], w.strides[0]), writeable=False)
+    x = pad_same(fmap, geom.s1, geom.s2).data
+    cell = geom.c_in * x.strides[0]  # the c_in channels at one padded (row, column)
+    column = (d1 + geom.s1 - 1) * cell
+    patches = as_strided(x, (d2, d1, geom.s2, geom.slice_len),
+                         (column, cell, column, x.strides[0]), writeable=False)
+    out = patches.reshape(d2 * d1, geom.filter_len) @ filters.T
+    if counter is not None:
+        counter.multiplies += geom.c_out * d1 * d2 * geom.filter_len
+        counter.additions += geom.c_out * d1 * d2 * (geom.filter_len - 1)
+    return ConvOutput(geom.c_out, d1, d2, out.ravel())
 
 
 def rel_dev(actual, reference) -> float:

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .counters import MultCounter
-from .errors import EmptyInputError, ShapeMismatchError
+from .errors import EmptyInputError, InvalidGridError, ShapeMismatchError
 
 __all__ = [
     "QuantizedSummary",
@@ -42,7 +42,7 @@ class QuantizedSummary:
     """Level codes plus the per-layer grid needed to reconstruct them.
 
     codes are uint8 in [0, 2^nbits - 1] (same shape as the source array);
-    w_min / w_max are the exact grid endpoints.
+    w_min / w_max are the exact grid endpoints: finite, w_min <= w_max.
     """
 
     codes: np.ndarray
@@ -56,6 +56,10 @@ class QuantizedSummary:
         codes = np.asarray(self.codes, dtype=np.uint8)
         if codes.size and int(codes.max()) > self.levels - 1:
             raise ValueError(f"code {int(codes.max())} exceeds {self.levels - 1}")
+        if not (np.isfinite(self.w_min) and np.isfinite(self.w_max) and self.w_min <= self.w_max):
+            raise InvalidGridError(
+                f"grid must be finite with w_min <= w_max, got [{self.w_min}, {self.w_max}]"
+            )
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -83,8 +87,6 @@ def quantize(weights, nbits: int, *, w_min=None, w_max=None) -> QuantizedSummary
         raise EmptyInputError("cannot quantize an empty weight vector")
     lo = float(arr.min()) if w_min is None else float(w_min)
     hi = float(arr.max()) if w_max is None else float(w_max)
-    if hi < lo:
-        raise ValueError(f"w_max {hi} below w_min {lo}")
     levels = (1 << nbits) - 1
     if hi == lo:
         codes = np.zeros(arr.shape, dtype=np.uint8)

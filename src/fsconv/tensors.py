@@ -85,7 +85,9 @@ class FilterSummary:
 
     `weights` has layout.phys_length entries; the slots past the nominal
     length are the padding that keeps the last filter in bounds and are
-    ordinary trainable values. Filter views returned by extract_filter /
+    ordinary trainable values. A layout whose stride would put a filter
+    outside the summary is refused, since the reference engine reads the
+    filters through a strided view. Filter views returned by extract_filter /
     filter_as_3d alias this array, so mutating the summary is reflected in
     previously extracted filters.
     """
@@ -99,6 +101,11 @@ class FilterSummary:
         if w.shape != (self.layout.phys_length,):
             raise ShapeMismatchError(
                 f"summary has shape {w.shape}, expected ({self.layout.phys_length},)"
+            )
+        last_end = (self.geom.c_out - 1) * self.layout.stride + self.geom.filter_len
+        if self.layout.stride < 0 or last_end > w.shape[0]:
+            raise ShapeMismatchError(
+                f"filter stride {self.layout.stride} puts the last filter outside the summary"
             )
         object.__setattr__(self, "weights", w)
 

@@ -1,10 +1,20 @@
 """Randomized geometries and instances shared by the test modules."""
 
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
 
-from fsconv import ConvGeometry, FeatureMap, FilterSummary, StridePolicy
+from fsconv import (
+    ConvGeometry,
+    FeatureMap,
+    FilterSummary,
+    ModelLayer,
+    StridePolicy,
+    dump_model,
+    quantize,
+)
 
 
 def random_fast_geometry(
@@ -38,3 +48,15 @@ def random_instance(rng, *, d=(2, 12), dtype=np.float64, **geometry_kw):
         geom.c_in, d1, d2, seed=int(rng.integers(2**31)), dtype=dtype
     )
     return fs, fmap
+
+
+def q8_model_with_grid(w_min, w_max) -> bytes:
+    """A one-layer q8 model whose payload claims these grid endpoints, with a
+    valid checksum."""
+    geom = ConvGeometry(1, 1, 2, 1, 1)
+    q = quantize(FilterSummary.random(geom, seed=8).weights, 8)
+    blob = bytearray(dump_model([ModelLayer("q", geom, "q8", quant=q)]))
+    start = 4 + 4 + 2 + 1 + 32 + 4  # magic, count, name length, name, geometry, flags
+    blob[start : start + 16] = struct.pack("<dd", w_min, w_max)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[start:-4])))
+    return bytes(blob)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fsconv.fcfs
 from fsconv import (
     ConvGeometry,
     FilterSummary,
@@ -17,6 +18,8 @@ from fsconv import (
     write_model,
 )
 from fsconv.cli import main
+
+from helpers import q8_model_with_grid
 
 
 def run(capsys, *argv):
@@ -101,6 +104,15 @@ class TestPlan:
         assert (layers[0]["r"], layers[0]["policy"]) == ("4", "slice")
         assert "error" not in layers[1]
 
+    @pytest.mark.parametrize("bias", ["abc", "2"])
+    def test_bad_bias_is_input_error(self, capsys, tmp_path, bias):
+        arch = tmp_path / "fc.arch"
+        arch.write_text(f"layer f kind=fc in=4 out=2 bias={bias}\n")
+        code, records, err = run(capsys, "plan", arch)
+        assert code == 2
+        assert err == f"error: line 1: bias must be 0 or 1, got '{bias}'\n"
+        assert records == []
+
     def test_missing_ratio_is_input_error(self, capsys, tmp_path):
         arch = tmp_path / "nr.arch"
         arch.write_text("layer c kind=conv c_in=2 s1=3 s2=3 c_out=4\n")
@@ -182,6 +194,70 @@ class TestConv:
         assert layer["fcfs_mults"] == str(4 * 36 * geom.filter_len)
         assert layer["fcfs_lookups"] == "0"
         assert err == "warning layer=g fcfs_unsupported=unaligned_stride fallback=naive\n"
+
+    def test_both_runs_the_reference_once_per_fallback_layer(self, capsys, tmp_path, monkeypatch):
+        generic = ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC)  # stride 13, c_in 3
+        aligned = ConvGeometry(4, 3, 3, 3, 2)
+        model = tmp_path / "m.fsn"
+        write_model(model, [
+            ModelLayer("g", generic, "f32", weights=FilterSummary.random(generic, seed=3).weights),
+            ModelLayer("a", aligned, "f32", weights=FilterSummary.random(aligned, seed=4).weights),
+        ])
+        inp = tmp_path / "i.npy"
+        np.save(inp, np.random.default_rng(5).uniform(-1, 1, (3, 5, 4)))
+        calls = []
+        real = fsconv.fcfs.naive_conv
+        monkeypatch.setattr(fsconv.fcfs, "naive_conv", lambda *a: calls.append(1) or real(*a))
+        code, records, err = run(capsys, "conv", model, inp, "--engine", "both")
+        assert code == 0
+        assert len(calls) == 2  # "g" once, as the fallback that is also the reference; "a" once
+        g_row, a_row = records_of(records, "layer")
+        mults = str(4 * 20 * generic.filter_len)
+        assert g_row == dict(name="g", engine="both", dev="0", naive_mults=mults,
+                             fcfs_mults=mults, fcfs_lookups="0", fallback="1")
+        assert a_row["fallback"] == "0"
+        assert err == "warning layer=g fcfs_unsupported=unaligned_stride fallback=naive\n"
+        fallback_out = np.load(tmp_path / "i.out.npy")
+        run(capsys, "conv", model, inp, "--engine", "naive")
+        assert np.array_equal(np.load(tmp_path / "i.out.npy"), fallback_out)
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
+    @pytest.mark.parametrize("values", [
+        np.full((3, 6, 6), 1 + 2j),
+        np.full((3, 6, 6), "abc"),
+        np.full((3, 6, 6), None, dtype=object),
+    ], ids=["complex", "string", "object"])
+    def test_non_real_input_is_input_error(self, capsys, small_model, tmp_path, engine, values):
+        inp = tmp_path / "odd.npy"
+        np.save(inp, values)
+        code, records, err = run(capsys, "conv", small_model[0], inp, "--engine", engine)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert records_of(records, "status") == []
+        assert not (tmp_path / "odd.out.npy").exists()
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
+    @pytest.mark.parametrize("values", [True, 7, np.float32(0.5)], ids=["bool", "int", "f32"])
+    def test_real_input_dtypes_accepted(self, capsys, small_model, tmp_path, engine, values):
+        inp = tmp_path / "real.npy"
+        np.save(inp, np.full((3, 6, 6), values))
+        code, records, _ = run(capsys, "conv", small_model[0], inp, "--engine", engine)
+        assert code == 0
+        assert records_of(records, "status") == [{"ok": "1"}]
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
+    def test_bad_layer_name_or_grid_is_input_error(self, capsys, tmp_path, small_input, engine):
+        blob = bytearray(q8_model_with_grid(1.0, -1.0))
+        bad_grid = tmp_path / "grid.fsn"
+        bad_grid.write_bytes(bytes(blob))
+        blob[10:11] = b"\xff"  # the one-letter name
+        bad_name = tmp_path / "name.fsn"
+        bad_name.write_bytes(bytes(blob))
+        for model, message in [(bad_grid, "w_min <= w_max, got [1.0, -1.0]"), (bad_name, "UTF-8")]:
+            code, records, err = run(capsys, "conv", model, small_input[0], "--engine", engine)
+            assert code == 2
+            assert err.startswith("error: ") and message in err
+            assert records == []
 
     @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
     def test_empty_input_is_input_error(self, capsys, small_model, tmp_path, engine):

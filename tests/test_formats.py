@@ -24,9 +24,9 @@ from fsconv import (
     read_model,
     write_model,
 )
-from fsconv.errors import FormatError
+from fsconv.errors import FormatError, InvalidGridError
 
-from helpers import random_fast_geometry
+from helpers import q8_model_with_grid, random_fast_geometry
 
 
 def random_layer(rng, index):
@@ -103,6 +103,20 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match="truncated"):
             load_model(blob[:-3])
 
+    def test_invalid_utf8_name_rejected(self):
+        geom = ConvGeometry(1, 1, 2, 1, 1)
+        fs = FilterSummary.random(geom, seed=7)
+        blob = bytearray(dump_model([ModelLayer("ab", geom, "f32", weights=fs.weights)]))
+        blob[10:12] = b"\xff\xfe"  # the name follows magic, layer count and name length
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_model(bytes(blob))
+
+    @pytest.mark.parametrize("grid", [(1.0, -1.0), (float("nan"), 1.0), (0.0, float("inf"))])
+    def test_bad_grid_endpoints_rejected(self, grid):
+        blob = q8_model_with_grid(*grid)
+        with pytest.raises(InvalidGridError, match="grid must be finite with w_min <= w_max"):
+            load_model(blob)
+
     def test_layer_validation(self):
         geom = ConvGeometry(1, 1, 2, 1, 1)
         with pytest.raises(FormatError):
@@ -171,11 +185,20 @@ class TestArchRoundTrip:
             "ratio 4 5",
             "weird directive",
             "layer a kind=bn channels=4\nlayer a kind=bn channels=4",
+            "layer f kind=fc in=4 out=2 bias=abc",
+            "layer f kind=fc in=4 out=2 bias=2",
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             parse_arch(text)
+
+    def test_bias_zero_round_trips(self):
+        text = "layer f kind=fc in=4 out=2 bias=0\n"
+        (layer,) = parse_arch(text).layers
+        assert layer.bias is False
+        assert layer.params == 8
+        assert dump_arch(parse_arch(text)) == text
 
 
 class TestBundledArch:

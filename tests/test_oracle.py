@@ -9,13 +9,14 @@ from fsconv import (
     FilterSummary,
     MultCounter,
     StridePolicy,
+    filter_as_3d,
     naive_conv,
     pad_same,
     rel_dev,
     unwrap,
     wrap,
 )
-from fsconv.errors import ShapeMismatchError
+from fsconv.errors import DegenerateStrideError, InvalidDtypeError, ShapeMismatchError
 
 from helpers import random_fast_geometry
 
@@ -131,3 +132,57 @@ class TestOracleProperties:
             counter = MultCounter()
             naive_conv(fs, fmap, counter)
             assert counter.multiplies == geom.c_out * d1 * d2 * geom.filter_len
+
+
+def literal_conv(fs, fmap):
+    """output(o, m, n) = sum_{i,j,k} filter_o[i, j, k] * padded[i, m+j, n+k],
+    in float64 from the 3D filters and the 3D map, with no strided views."""
+    g = fs.geom
+    lead1, lead2 = (g.s1 - 1) // 2, (g.s2 - 1) // 2
+    padded = np.pad(wrap(fmap).astype(np.float64),
+                    ((0, 0), (lead1, g.s1 - 1 - lead1), (lead2, g.s2 - 1 - lead2)))
+    filters = np.stack([filter_as_3d(fs, o) for o in range(g.c_out)]).astype(np.float64)
+    windows = np.array([[padded[:, m : m + g.s1, n : n + g.s2] for n in range(fmap.d2)]
+                        for m in range(fmap.d1)])
+    return np.einsum("oijk,mnijk->omn", filters, windows)
+
+
+class TestLiteralDefinition:
+    @pytest.mark.parametrize("w_dtype, x_dtype, tol", [
+        (np.float64, np.float64, 1e-12),
+        (np.float32, np.float32, 1e-5),
+        (np.float32, np.float64, 1e-12),
+    ])
+    def test_matches_the_formula(self, w_dtype, x_dtype, tol):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for case in range(90):
+            policy = list(StridePolicy)[case % 3]
+            try:
+                geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 4), s2=(1, 4),
+                                            c_out=(1, 8), policy=policy)
+                fs = FilterSummary.random(geom, seed=case, dtype=w_dtype)
+            except DegenerateStrideError:
+                continue
+            d1, d2 = (1, 1) if case % 5 == 0 else rng.integers(1, 7, size=2)
+            fmap = FeatureMap.random(geom.c_in, int(d1), int(d2), seed=case + 1, dtype=x_dtype)
+            out = naive_conv(fs, fmap)
+            assert out.data.dtype == np.result_type(w_dtype, x_dtype)
+            assert rel_dev(out.as_3d(), literal_conv(fs, fmap)) <= tol
+            seen |= {policy, ("stride 0", fs.layout.stride == 0), ("s2 1", geom.s2 == 1),
+                     ("1x1", fmap.d1 * fmap.d2 == 1)}
+        assert seen >= set(StridePolicy) | {("stride 0", True), ("s2 1", True), ("1x1", True)}
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])
+    def test_real_map_dtypes_accepted(self, dtype):
+        fs = FilterSummary.random(ConvGeometry(2, 3, 2, 3, 2))
+        values = np.random.default_rng(12).integers(0, 2, 2 * 4 * 5)
+        fmap = FeatureMap(2, 4, 5, values.astype(dtype))
+        assert rel_dev(naive_conv(fs, fmap).as_3d(), literal_conv(fs, fmap)) <= 1e-12
+
+    @pytest.mark.parametrize("values", [np.full(8, 1j), np.full(8, "a"), np.full(8, None)],
+                             ids=["complex", "string", "object"])
+    def test_non_real_map_refused(self, values):
+        fs = FilterSummary.random(ConvGeometry(2, 1, 2, 2, 1))
+        with pytest.raises(InvalidDtypeError, match="need bool, int or float"):
+            naive_conv(fs, FeatureMap(2, 2, 2, values))

@@ -7,13 +7,14 @@ import pytest
 
 from fsconv import (
     MultCounter,
+    QuantizedSummary,
     dequantize,
     effective_params,
     quantize,
     quantize_affine_layer,
     quantized_affine_forward,
 )
-from fsconv.errors import EmptyInputError, ShapeMismatchError
+from fsconv.errors import EmptyInputError, FilterSummaryError, InvalidGridError, ShapeMismatchError
 
 
 class TestQuantize:
@@ -78,6 +79,20 @@ class TestQuantize:
             quantize(np.array([]), 8)
         with pytest.raises(ValueError):
             quantize(np.ones(3), 6)
+
+    @pytest.mark.parametrize(
+        "w_min, w_max",
+        [(1.0, -1.0), (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 0.0)],
+    )
+    def test_grid_must_be_finite_and_ordered(self, w_min, w_max):
+        with pytest.raises(InvalidGridError) as info:
+            QuantizedSummary(np.zeros(3, dtype=np.uint8), 8, w_min, w_max)
+        assert isinstance(info.value, FilterSummaryError)
+        assert isinstance(info.value, ValueError)
+
+    def test_inverted_shared_grid_refused(self):
+        with pytest.raises(InvalidGridError):
+            quantize(np.zeros(3), 8, w_min=1.0, w_max=-1.0)
 
     def test_shape_preserved(self):
         q = quantize(np.zeros((3, 4)), 8)

@@ -9,6 +9,7 @@ from fsconv import (
     ConvGeometry,
     FeatureMap,
     FilterSummary,
+    Layout,
     StridePolicy,
     derive_layout,
     extract_filter,
@@ -99,6 +100,13 @@ class TestExtractFilter:
         fs.weights[1] = 99.0
         assert seg[1] == 99.0
         assert extract_filter(fs, 1)[0] == 99.0
+
+    @pytest.mark.parametrize("stride", [-1, 2])
+    def test_layout_must_keep_every_filter_inside(self, stride):
+        geom = ConvGeometry(1, 3, 1, 3, Fraction(9, 5), StridePolicy.GENERIC)  # stride 1, phys 5
+        layout = Layout(5, stride, Fraction(5, 3), 5)
+        with pytest.raises(ShapeMismatchError, match="last filter outside the summary"):
+            FilterSummary(geom, layout, np.arange(5.0))
 
     def test_index_validation(self):
         geom = ConvGeometry(1, 3, 1, 3, Fraction(9, 5))

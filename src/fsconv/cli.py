@@ -9,6 +9,7 @@ tokens, one record per line); diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -54,7 +55,7 @@ from .geometry import (
     predicted_acceleration,
 )
 from .oracle import rel_dev
-from .quant import effective_params, quantize
+from .quant import BIT_WIDTHS, effective_params, quantize
 from .tensors import FeatureMap, FilterSummary, unwrap
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
@@ -72,6 +73,13 @@ def _emit(record: str, stream=None, **fields) -> None:
     """One record to stdout, or to `stream` (stderr for warnings)."""
     tokens = [record] + [f"{k}={_fmt(v)}" for k, v in fields.items()]
     print(" ".join(tokens), file=stream)
+
+
+def _check_option(name: str, value, low, strict: bool = False) -> None:
+    """Refuse a numeric option below `low` (or at it, when `strict`), NaN or infinite."""
+    if not (low < value < math.inf if strict else low <= value < math.inf):
+        op = ">" if strict else ">="
+        raise InvalidArgumentError(f"{name} must be {op} {low} and finite, got {value}")
 
 
 def _resolve_arch(name: str) -> Path:
@@ -187,6 +195,7 @@ def _load_input(path) -> np.ndarray:
 
 
 def cmd_conv(args) -> int:
+    _check_option("--tolerance", args.tolerance, 0)
     layers = read_model(args.model)
     if not layers:
         raise FormatError("model has no layers")
@@ -204,7 +213,7 @@ def cmd_conv(args) -> int:
         fields = dict(name=layer.name, engine=args.engine)
         if args.engine == "both":
             fields["dev"] = rel_dev(runs["fcfs"][0].data, output.data)
-            if fields["dev"] > args.tolerance:
+            if not fields["dev"] <= args.tolerance:  # a NaN deviation fails too
                 status = FAIL
         if "naive" in runs:
             fields["naive_mults"] = runs["naive"][1].counts.multiplies
@@ -242,24 +251,21 @@ def cmd_quantize(args) -> int:
         float_total += phys
         if layer.dtype != "f32":
             _emit("warning", stream=sys.stderr, layer=layer.name, already_quantized=layer.dtype)
-            new_layers.append(layer)
-            sizes.append((phys, layer.quant.nbits))
             _emit("layer", name=layer.name, skipped=layer.dtype)
-            continue
-        q = quantize(layer.weights, args.bits)
-        sizes.append((phys, args.bits))
-        new_layers.append(
-            ModelLayer(layer.name, layer.geom, f"q{args.bits}", quant=q, alphas=layer.alphas)
-        )
-        _emit(
-            "layer",
-            name=layer.name,
-            tau=q.tau,
-            w_min=q.w_min,
-            w_max=q.w_max,
-            float_params=phys,
-            effective_params=effective_params([(phys, args.bits)]),
-        )
+        else:
+            q = quantize(layer.weights, args.bits)
+            layer = ModelLayer(layer.name, layer.geom, f"q{q.nbits}", quant=q, alphas=layer.alphas)
+            _emit(
+                "layer",
+                name=layer.name,
+                tau=q.tau,
+                w_min=q.w_min,
+                w_max=q.w_max,
+                float_params=phys,
+                effective_params=effective_params([(phys, args.bits)]),
+            )
+        new_layers.append(layer)
+        sizes.append((phys, layer.quant.nbits))
     write_model(out_path, new_layers)
     effective_total = effective_params(sizes)
     _emit("total", float_params=float_total, effective_params=effective_total,
@@ -272,6 +278,10 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_option("--seed", args.seed, 0)
+    _check_option("--points", args.points, 1)
+    _check_option("--tolerance", args.tolerance, 0, strict=True)
+    _check_option("--step", args.step, 0, strict=True)
     layers = read_model(args.model)
     rng = np.random.default_rng(args.seed)
     _emit("gradcheck", model=args.model, seed=args.seed, points=args.points,
@@ -358,10 +368,9 @@ def cmd_bench(args) -> int:
     arch_path = _resolve_arch(args.arch)
     arch = read_arch(arch_path)
     d1, d2 = args.spatial
-    if d1 < 1 or d2 < 1:
-        raise InvalidArgumentError(f"--spatial must be >= 1, got {d1} {d2}")
-    if args.repeat < 1:
-        raise InvalidArgumentError(f"--repeat must be >= 1, got {args.repeat}")
+    _check_option("--spatial", min(d1, d2), 1)
+    _check_option("--repeat", args.repeat, 1)
+    _check_option("--seed", args.seed, 0)
     _emit("bench", file=arch_path, spatial=f"{d1}x{d2}", repeat=args.repeat, seed=args.seed)
     for index, layer in enumerate(arch.layers):
         if not isinstance(layer, ConvSpec):
@@ -432,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     quant = sub.add_parser("quantize", help="linear-quantize every layer of a model")
     quant.add_argument("model")
-    quant.add_argument("--bits", type=int, choices=(4, 8), default=8)
+    quant.add_argument("--bits", type=int, choices=BIT_WIDTHS, default=8)
     quant.add_argument("--output", help="quantized model path")
     quant.set_defaults(func=cmd_quantize)
 

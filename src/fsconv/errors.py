@@ -34,7 +34,8 @@ class EmptyInputError(FilterSummaryError, ValueError):
 
 
 class InvalidGridError(FilterSummaryError, ValueError):
-    """Quantization grid endpoints that are not finite, or with w_max below w_min."""
+    """Unusable quantization grid: an unsupported bit width, endpoints not finite
+    or with w_max below w_min, weights not finite, or codes above the top level."""
 
 
 class FSTooShortError(FilterSummaryError, ValueError):

@@ -3,8 +3,10 @@
 Model files ("FSN1") hold one record per layer: geometry, stride policy, a
 payload that is either raw float32 weights or packed n-bit codes with their
 grid endpoints, an optional per-filter alpha vector, and a CRC32 over the
-payload bytes. Everything is little-endian and the writer is canonical, so
-read-then-write reproduces a file byte for byte.
+payload bytes. Everything is little-endian. A file loads only if it is
+canonical: reserved byte 0, alpha flag 0 or 1, the ratio in lowest terms and
+zero unused bits in the last q4 byte. So every file that loads is written
+again byte for byte.
 
 Architecture files are human-writable text: one `layer` line per layer with
 key=value fields, plus optional `ratio` / `policy` defaults at the top.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeMismatchError
 from .geometry import ConvGeometry, Layout, StridePolicy, derive_layout
-from .quant import QuantizedSummary
+from .quant import QuantizedSummary, dequantize
 from .tensors import FilterSummary
 
 __all__ = [
@@ -52,6 +54,9 @@ _POLICY_CODE = {
     StridePolicy.CHANNEL_ALIGNED: 2,
 }
 _CODE_POLICY = {v: k for k, v in _POLICY_CODE.items()}
+# c_in, s1, s2, c_out, ratio numerator and denominator, policy, dtype, alpha flag, reserved
+_HEADER = struct.Struct("<IIIIQQBBBB")
+_GRID = struct.Struct("<dd")  # w_min, w_max of a quantized payload
 
 
 @dataclass
@@ -68,35 +73,22 @@ class ModelLayer:
     def __post_init__(self):
         if self.dtype not in _DTYPES:
             raise FormatError(f"unknown layer dtype {self.dtype!r}")
-        phys = self.layout.phys_length
-        if self.dtype == "f32":
-            if self.weights is None or self.quant is not None:
-                raise FormatError("f32 layers carry `weights` and no `quant`")
+        if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float32)
-            if self.weights.shape != (phys,):
-                raise ShapeMismatchError(
-                    f"layer {self.name!r}: payload {self.weights.shape} != ({phys},)"
-                )
-        else:
-            if self.quant is None or self.weights is not None:
-                raise FormatError("quantized layers carry `quant` and no `weights`")
-            expected_bits = 8 if self.dtype == "q8" else 4
-            if self.quant.nbits != expected_bits:
-                raise FormatError(
-                    f"layer {self.name!r}: dtype {self.dtype} but codes are "
-                    f"{self.quant.nbits}-bit"
-                )
-            if self.quant.codes.shape != (phys,):
-                raise ShapeMismatchError(
-                    f"layer {self.name!r}: codes {self.quant.codes.shape} != ({phys},)"
-                )
+        carried = [] if self.weights is None else [(32, self.weights.shape)]
+        if self.quant is not None:
+            carried.append((self.quant.nbits, self.quant.codes.shape))
+        declared = (int(self.dtype[1:]), (self.layout.phys_length,))  # 32, 8 or 4 bits
+        if carried != [declared]:
+            raise FormatError(
+                f"layer {self.name!r}: a {self.dtype} layer carries one payload of "
+                f"{declared[0]}-bit values, shape {declared[1]}; got (bits, shape) {carried}"
+            )
         if self.alphas is not None:
             self.alphas = np.asarray(self.alphas, dtype=np.float64)
             if self.alphas.shape != (self.geom.c_out,):
-                raise ShapeMismatchError(
-                    f"layer {self.name!r}: alphas {self.alphas.shape} != "
-                    f"({self.geom.c_out},)"
-                )
+                shape = f"{self.alphas.shape} != ({self.geom.c_out},)"
+                raise ShapeMismatchError(f"layer {self.name!r}: alphas {shape}")
 
     @property
     def layout(self) -> Layout:
@@ -104,38 +96,52 @@ class ModelLayer:
 
     def summary(self) -> FilterSummary:
         """Materialize a FilterSummary (dequantized for q8/q4 layers)."""
-        from .quant import dequantize
-
-        if self.dtype == "f32":
-            return FilterSummary(self.geom, self.layout, self.weights)
-        return FilterSummary(self.geom, self.layout, dequantize(self.quant))
+        weights = self.weights if self.dtype == "f32" else dequantize(self.quant)
+        return FilterSummary(self.geom, self.layout, weights)
 
 
-def _pack_nibbles(codes: np.ndarray) -> bytes:
-    padded = codes
-    if codes.size % 2:
-        padded = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
-    pairs = padded.reshape(-1, 2)
-    return (pairs[:, 0] | (pairs[:, 1] << 4)).astype(np.uint8).tobytes()
+def _header(layer: ModelLayer) -> bytes:
+    """The fixed-size part of a layer record: geometry, policy, dtype, alpha
+    flag and a zero reserved byte. The reader compares what it read with this
+    re-encoding, so only headers the writer produces load."""
+    g = layer.geom
+    return _HEADER.pack(
+        g.c_in, g.s1, g.s2, g.c_out, g.ratio.numerator, g.ratio.denominator,
+        _POLICY_CODE[g.stride_policy], _DTYPES.index(layer.dtype), int(layer.alphas is not None), 0,
+    )
 
 
-def _unpack_nibbles(raw: bytes, count: int) -> np.ndarray:
+def _pack(codes: np.ndarray, nbits: int) -> bytes:
+    """Pack n-bit codes 8 // nbits to a byte, the first in the low bits; the
+    unused high bits of the last byte are zero. Eight bits is the identity."""
+    per = 8 // nbits
+    packed = codes[::per].copy()
+    for i in range(1, per):
+        part = codes[i::per]
+        packed[: part.size] |= part << (i * nbits)
+    return packed.tobytes()
+
+
+def _unpack(raw: bytes, nbits: int, count: int) -> np.ndarray:
+    """Inverse of `_pack`: the first `count` codes. Refuses nonzero unused bits."""
+    per = 8 // nbits
+    unused = (-count) % per * nbits  # high bits of the last byte that hold no code
+    if unused and raw[-1] >> (8 - unused):
+        raise FormatError(f"nonzero unused bits after the last {nbits}-bit code")
     packed = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.empty(packed.size * 2, dtype=np.uint8)
-    codes[0::2] = packed & 0x0F
-    codes[1::2] = packed >> 4
-    return codes[:count].copy()
+    codes = np.empty(packed.size * per, dtype=np.uint8)
+    for i in range(per):
+        np.right_shift(packed, i * nbits, out=codes[i::per])
+    codes &= (1 << nbits) - 1
+    return codes[:count]
 
 
 def _layer_payload(layer: ModelLayer) -> bytes:
     if layer.dtype == "f32":
         body = layer.weights.astype("<f4").tobytes()
     else:
-        head = struct.pack("<dd", layer.quant.w_min, layer.quant.w_max)
-        if layer.dtype == "q8":
-            body = head + layer.quant.codes.tobytes()
-        else:
-            body = head + _pack_nibbles(layer.quant.codes)
+        q = layer.quant
+        body = _GRID.pack(q.w_min, q.w_max) + _pack(q.codes, q.nbits)
     if layer.alphas is not None:
         body += layer.alphas.astype("<f8").tobytes()
     return body
@@ -149,27 +155,7 @@ def dump_model(layers: list[ModelLayer]) -> bytes:
         name = layer.name.encode("utf-8")
         out.write(struct.pack("<H", len(name)))
         out.write(name)
-        g = layer.geom
-        out.write(
-            struct.pack(
-                "<IIIIQQ",
-                g.c_in,
-                g.s1,
-                g.s2,
-                g.c_out,
-                g.ratio.numerator,
-                g.ratio.denominator,
-            )
-        )
-        out.write(
-            struct.pack(
-                "<BBBB",
-                _POLICY_CODE[g.stride_policy],
-                _DTYPES.index(layer.dtype),
-                0 if layer.alphas is None else 1,
-                0,
-            )
-        )
+        out.write(_header(layer))
         payload = _layer_payload(layer)
         out.write(payload)
         out.write(struct.pack("<I", zlib.crc32(payload)))
@@ -208,17 +194,15 @@ def load_model(data: bytes) -> list[ModelLayer]:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"layer name is not valid UTF-8: {exc}") from exc
-        c_in, s1, s2, c_out, r_num, r_den = r.unpack("<IIIIQQ")
-        policy_code, dtype_code, has_alpha, _pad = r.unpack("<BBBB")
+        header = r.take(_HEADER.size)
+        *sizes, r_num, r_den, policy_code, dtype_code, has_alpha, _ = _HEADER.unpack(header)
         if policy_code not in _CODE_POLICY:
             raise FormatError(f"layer {name!r}: unknown stride policy {policy_code}")
         if dtype_code >= len(_DTYPES):
             raise FormatError(f"layer {name!r}: unknown dtype code {dtype_code}")
         if r_den == 0:
             raise FormatError(f"layer {name!r}: zero ratio denominator")
-        geom = ConvGeometry(
-            c_in, s1, s2, c_out, Fraction(r_num, r_den), _CODE_POLICY[policy_code]
-        )
+        geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _CODE_POLICY[policy_code])
         phys = derive_layout(geom).phys_length
         dtype = _DTYPES[dtype_code]
         start = r.pos
@@ -226,23 +210,19 @@ def load_model(data: bytes) -> list[ModelLayer]:
         if dtype == "f32":
             weights = np.frombuffer(r.take(phys * 4), dtype="<f4").copy()
         else:
-            w_min, w_max = r.unpack("<dd")
-            if dtype == "q8":
-                codes = np.frombuffer(r.take(phys), dtype=np.uint8).copy()
-                quant = QuantizedSummary(codes, 8, w_min, w_max)
-            else:
-                codes = _unpack_nibbles(r.take((phys + 1) // 2), phys)
-                quant = QuantizedSummary(codes, 4, w_min, w_max)
-        alphas = None
-        if has_alpha:
-            alphas = np.frombuffer(r.take(c_out * 8), dtype="<f8").copy()
+            nbits = int(dtype[1:])
+            w_min, w_max = r.unpack(_GRID.format)
+            codes = _unpack(r.take((phys * nbits + 7) // 8), nbits, phys)
+            quant = QuantizedSummary(codes, nbits, w_min, w_max)
+        alphas = np.frombuffer(r.take(geom.c_out * 8), dtype="<f8").copy() if has_alpha else None
         payload = data[start : r.pos]
         (crc,) = r.unpack("<I")
         if crc != zlib.crc32(payload):
             raise FormatError(f"layer {name!r}: payload checksum mismatch")
-        layers.append(
-            ModelLayer(name, geom, dtype, weights=weights, quant=quant, alphas=alphas)
-        )
+        layer = ModelLayer(name, geom, dtype, weights=weights, quant=quant, alphas=alphas)
+        if _header(layer) != header:  # nonzero reserved byte, alpha flag > 1, unreduced ratio
+            raise FormatError(f"layer {name!r}: header is not in canonical form")
+        layers.append(layer)
     if r.pos != len(data):
         raise FormatError(f"{len(data) - r.pos} trailing bytes after last layer")
     return layers

@@ -16,6 +16,7 @@ input sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -34,7 +35,15 @@ __all__ = [
     "effective_params",
 ]
 
-_WEIGHT_FRACTION = {8: Fraction(1, 4), 4: Fraction(1, 8)}
+BIT_WIDTHS = (4, 8)  # the supported code widths; a q<n> model layer stores n-bit codes
+
+
+def _check_grid(nbits: int, w_min: float = 0.0, w_max: float = 0.0) -> None:
+    """Refuse a width not in BIT_WIDTHS, and endpoints not finite or inverted."""
+    if nbits not in BIT_WIDTHS:
+        raise InvalidGridError(f"nbits must be one of {BIT_WIDTHS}, got {nbits}")
+    if not (math.isfinite(w_min) and math.isfinite(w_max) and w_min <= w_max):
+        raise InvalidGridError(f"grid must be finite with w_min <= w_max, got [{w_min}, {w_max}]")
 
 
 @dataclass(frozen=True)
@@ -51,20 +60,15 @@ class QuantizedSummary:
     w_max: float
 
     def __post_init__(self):
-        if self.nbits not in _WEIGHT_FRACTION:
-            raise ValueError(f"nbits must be 4 or 8, got {self.nbits}")
+        _check_grid(self.nbits, self.w_min, self.w_max)
         codes = np.asarray(self.codes, dtype=np.uint8)
         if codes.size and int(codes.max()) > self.levels - 1:
-            raise ValueError(f"code {int(codes.max())} exceeds {self.levels - 1}")
-        if not (np.isfinite(self.w_min) and np.isfinite(self.w_max) and self.w_min <= self.w_max):
-            raise InvalidGridError(
-                f"grid must be finite with w_min <= w_max, got [{self.w_min}, {self.w_max}]"
-            )
+            raise InvalidGridError(f"code {int(codes.max())} exceeds {self.levels - 1}")
         object.__setattr__(self, "codes", codes)
 
     @property
     def levels(self) -> int:
-        return (1 << self.nbits) - 1 + 1
+        return 1 << self.nbits
 
     @property
     def tau(self) -> float:
@@ -78,15 +82,18 @@ def quantize(weights, nbits: int, *, w_min=None, w_max=None) -> QuantizedSummary
     The grid endpoints default to the exact extrema of the input; pass
     w_min/w_max to place several arrays (e.g. a weight matrix and its bias)
     on one shared layer grid. Ties between levels round half away from zero.
-    A constant input yields tau = 0 with all codes 0.
+    A constant input yields tau = 0 with all codes 0. Weights that are not
+    finite, and an invalid grid, are refused before any code is computed.
     """
-    if nbits not in _WEIGHT_FRACTION:
-        raise ValueError(f"nbits must be 4 or 8, got {nbits}")
     arr = np.asarray(weights, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInputError("cannot quantize an empty weight vector")
-    lo = float(arr.min()) if w_min is None else float(w_min)
-    hi = float(arr.max()) if w_max is None else float(w_max)
+    lo, hi = float(arr.min()), float(arr.max())  # NaN if any weight is NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidGridError("cannot quantize weights that are not finite")
+    lo = lo if w_min is None else float(w_min)
+    hi = hi if w_max is None else float(w_max)
+    _check_grid(nbits, lo, hi)
     levels = (1 << nbits) - 1
     if hi == lo:
         codes = np.zeros(arr.shape, dtype=np.uint8)
@@ -133,7 +140,7 @@ def quantized_affine_forward(
     matrix.
     """
     if (q_w.nbits, q_w.w_min, q_w.w_max) != (q_b.nbits, q_b.w_min, q_b.w_max):
-        raise ValueError(
+        raise InvalidGridError(
             "weight and bias must share one layer grid "
             f"(got {(q_w.w_min, q_w.w_max, q_w.nbits)} vs "
             f"{(q_b.w_min, q_b.w_max, q_b.nbits)}); quantize them together"
@@ -167,11 +174,10 @@ def effective_params(layers: Iterable[tuple[int, Optional[int]]]) -> Fraction:
     total = Fraction(0)
     for count, nbits in layers:
         if count < 0:
-            raise ValueError(f"negative layer size {count}")
+            raise ShapeMismatchError(f"negative layer size {count}")
         if nbits is None:
             total += count
-        elif nbits in _WEIGHT_FRACTION:
-            total += count * _WEIGHT_FRACTION[nbits] + 2
         else:
-            raise ValueError(f"nbits must be 4, 8 or None, got {nbits}")
+            _check_grid(nbits)
+            total += Fraction(count * nbits, 32) + 2
     return total

@@ -282,6 +282,25 @@ class TestConv:
         assert err == "error: c_in must be >= 1, got 0\n"
         assert records == []
 
+    @pytest.mark.parametrize("where", ["input", "weight"])
+    def test_nan_deviation_fails(self, capsys, small_model, small_input, tmp_path, where):
+        model, geom, fs = small_model
+        tensor = small_input[1].copy()
+        if where == "input":
+            tensor[1, 2, 3] = np.nan
+        else:
+            weights = fs.weights.copy()
+            weights[5] = np.nan
+            model = tmp_path / "nan.fsn"
+            write_model(model, [ModelLayer("c1", geom, "f32", weights=weights)])
+        inp = tmp_path / "nan.npy"
+        np.save(inp, tensor)
+        code, records, _ = run(capsys, "conv", model, inp, "--engine", "both")
+        assert code == 1
+        (layer,) = records_of(records, "layer")
+        assert layer["dev"] == "nan"
+        assert records_of(records, "status") == [{"ok": "0"}]
+
     def test_corrupt_model_is_input_error(self, capsys, tmp_path, small_input):
         bad = tmp_path / "bad.fsn"
         bad.write_bytes(b"not a model at all")
@@ -353,6 +372,23 @@ class TestQuantizeCmd:
 
         (layer,) = read_model(qpath)
         assert np.array_equal(layer.summary().weights, np.full(phys, 0.5))
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_input_error(self, capsys, small_model, tmp_path, value):
+        _, geom, fs = small_model
+        weights = fs.weights.copy()
+        weights[3] = value
+        model = tmp_path / "bad.fsn"
+        write_model(model, [ModelLayer("c1", geom, "f32", weights=weights)])
+        out = tmp_path / "bad.q8.fsn"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the typed error
+            code, records, err = run(capsys, "quantize", model, "--output", out)
+        assert code == 2
+        assert err == "error: cannot quantize weights that are not finite\n"
+        assert records_of(records, "status") == []
+        assert not out.exists()
 
 
 class TestGradcheck:
@@ -483,5 +519,35 @@ class TestBench:
         code, records, err = run(capsys, "bench", arch, *argv)
         assert code == 2
         assert "must be >= 1" in err
+        assert records_of(records, "status") == []
+        assert records_of(records, "layer") == []
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "command, argv, message",
+        [
+            ("gradcheck", ("--step", "0"), "--step must be > 0"),
+            ("gradcheck", ("--step", "inf"), "--step must be > 0"),
+            ("gradcheck", ("--tolerance", "0"), "--tolerance must be > 0"),
+            ("gradcheck", ("--points", "0"), "--points must be >= 1"),
+            ("gradcheck", ("--points", "-3"), "--points must be >= 1"),
+            ("gradcheck", ("--seed", "-1"), "--seed must be >= 0"),
+            ("bench", ("--seed", "-5"), "--seed must be >= 0"),
+            ("conv", ("--tolerance", "nan"), "--tolerance must be >= 0"),
+            ("conv", ("--tolerance=-1e-5",), "--tolerance must be >= 0"),
+        ],
+    )
+    def test_out_of_range_refused(self, capsys, small_model, small_input, tmp_path, command, argv,
+                                  message):
+        arch = tmp_path / "bench.arch"
+        arch.write_text("layer c kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n")
+        inputs = {"gradcheck": [small_model[0]], "bench": [arch],
+                  "conv": [small_model[0], small_input[0]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, records, err = run(capsys, command, *inputs[command], *argv)
+        assert code == 2
+        assert err.startswith(f"error: {message} and finite, got ")
         assert records_of(records, "status") == []
         assert records_of(records, "layer") == []

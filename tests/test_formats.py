@@ -1,9 +1,13 @@
 """Model container and architecture text format: round trips and rejection."""
 
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsconv import (
     ArchSpec,
@@ -24,7 +28,7 @@ from fsconv import (
     read_model,
     write_model,
 )
-from fsconv.errors import FormatError, InvalidGridError
+from fsconv.errors import FilterSummaryError, FormatError, InvalidGridError
 
 from helpers import q8_model_with_grid, random_fast_geometry
 
@@ -123,6 +127,126 @@ class TestModelRoundTrip:
             ModelLayer("c", geom, "f32")  # no payload
         with pytest.raises(FormatError):
             ModelLayer("c", geom, "q8", weights=np.zeros(2, dtype=np.float32))
+        q4 = quantize(np.zeros(2), 4)
+        with pytest.raises(FormatError, match="a q8 layer carries one payload of 8-bit values"):
+            ModelLayer("c", geom, "q8", quant=q4)
+        with pytest.raises(FormatError, match="one payload"):
+            ModelLayer("c", geom, "f32", weights=np.zeros(2, dtype=np.float32), quant=q4)
+        with pytest.raises(FormatError, match=r"shape \(2,\); got \(bits, shape\) \[\(32, \(3,\)\)\]"):
+            ModelLayer("c", geom, "f32", weights=np.zeros(3, dtype=np.float32))
+
+
+# Records of every dtype use this geometry; its 63 q4 codes leave the last byte half used.
+CANON_GEOM = ConvGeometry(3, 3, 3, 4, 2)  # phys 63
+HEADER_AT = 4 + 4 + 2 + 1  # magic, layer count, name length, the one-letter name
+HEADER_SIZE = 36  # c_in s1 s2 c_out (u32), ratio (2 x u64), policy dtype alpha-flag reserved (u8)
+
+
+def one_layer(dtype, with_alphas=True):
+    weights = FilterSummary.random(CANON_GEOM, seed=11, dtype=np.float32).weights
+    alphas = np.linspace(-1.0, 1.0, CANON_GEOM.c_out) if with_alphas else None
+    if dtype == "f32":
+        return ModelLayer("c", CANON_GEOM, "f32", weights=weights, alphas=alphas)
+    q = quantize(weights, int(dtype[1:]))
+    return ModelLayer("c", CANON_GEOM, dtype, quant=q, alphas=alphas)
+
+
+def with_fresh_crc(blob: bytearray) -> bytes:
+    """A one-layer blob whose checksum matches its (edited) payload again."""
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[HEADER_AT + HEADER_SIZE : -4])))
+    return bytes(blob)
+
+
+def reserved_byte(blob):
+    blob[HEADER_AT + 35] = 1
+
+
+def alpha_flag_two(blob):
+    blob[HEADER_AT + 34] = 2
+
+
+def ratio_six_thirds(blob):  # 6/3 == 2, the stored ratio, but not in lowest terms
+    blob[HEADER_AT + 16 : HEADER_AT + 32] = struct.pack("<QQ", 6, 3)
+
+
+def q4_pad_nibble(blob):  # the high nibble of the last code byte, before the alphas
+    blob[-4 - 8 * CANON_GEOM.c_out - 1] |= 0xF0
+
+
+class TestCanonicalOnly:
+    """A file loads only if writing it again gives the same bytes."""
+
+    @pytest.mark.parametrize(
+        "edit, dtype, message",
+        [
+            (reserved_byte, "f32", "canonical"),
+            (alpha_flag_two, "q8", "canonical"),
+            (ratio_six_thirds, "f32", "canonical"),
+            (q4_pad_nibble, "q4", "unused bits"),
+        ],
+        ids=["reserved_byte", "alpha_flag", "ratio_6_3", "q4_pad_nibble"],
+    )
+    def test_non_canonical_record_refused(self, edit, dtype, message):
+        blob = bytearray(dump_model([one_layer(dtype)]))
+        assert dump_model(load_model(bytes(blob))) == blob
+        edit(blob)
+        with pytest.raises(FormatError, match=message):
+            load_model(with_fresh_crc(blob))
+
+
+FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None)
+
+
+def payload_spans(layers):
+    """(start, end) of each record's CRC-covered payload in dump_model(layers)."""
+    spans = []
+    for i, layer in enumerate(layers):
+        start = len(dump_model(layers[:i])) + 2 + len(layer.name.encode()) + HEADER_SIZE
+        spans.append((start, len(dump_model(layers[: i + 1])) - 4))
+    return spans
+
+
+BASE_MODELS = [
+    (dump_model(layers), payload_spans(layers))
+    for layers in (
+        [one_layer("f32"), one_layer("q8", False), one_layer("q4")],
+        [one_layer("q4", False), one_layer("f32", False)],
+        [one_layer("q8")],
+    )
+]
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A base model with a byte or two replaced, most often in a header (which
+    no checksum covers), then possibly given valid checksums and truncated."""
+    blob, spans = draw(st.sampled_from(BASE_MODELS))
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 2))):
+        start, _ = draw(st.sampled_from(spans))
+        at = draw(
+            st.integers(start - 4, start - 1)  # policy, dtype, alpha flag, reserved
+            | st.integers(start - HEADER_SIZE, start - 1)
+            | st.integers(0, len(blob) - 1)
+        )
+        blob[at] = draw(st.integers(0, 255))
+    if draw(st.booleans()):  # keep every checksum valid, as a careful forger would
+        for start, end in spans:
+            blob[end : end + 4] = struct.pack("<I", zlib.crc32(bytes(blob[start:end])))
+    if draw(st.integers(0, 3)) == 0:
+        del blob[draw(st.integers(0, len(blob))) :]
+    return bytes(blob)
+
+
+class TestModelFuzz:
+    @FUZZ
+    @given(mutated_blobs())
+    def test_mutated_blob_is_refused_or_canonical(self, blob):
+        try:
+            layers = load_model(blob)
+        except FilterSummaryError:
+            return
+        assert dump_model(layers) == blob
 
 
 class TestArchRoundTrip:
@@ -215,3 +339,37 @@ class TestBundledArch:
     def test_unknown_name(self):
         with pytest.raises(FileNotFoundError):
             bundled_arch("nope")
+
+
+LAYER_SIZES = {"conv": ("c_in", "s1", "s2", "c_out"), "bn": ("channels",), "fc": ("in", "out")}
+ARCH_VALUE = st.sampled_from(["1", "2", "16", "0", "-1", "x", "", "3/2", "1/2", "2.5", "1/0",
+                              "nan", "conv", "bn", "fc", "generic", "slice", "channel", "#"])
+ARCH_KEY = st.sampled_from(["kind", "c_in", "s2", "r", "policy", "channels", "out", "bias", "x"])
+
+
+@st.composite
+def arch_lines(draw):
+    """A well-formed layer, `ratio` or `policy` line, sometimes followed by
+    tokens drawn from valid and invalid keys and values."""
+    head = draw(st.sampled_from(["conv", "bn", "fc", "ratio", "policy"]))
+    if head == "ratio":
+        line = [f"ratio {draw(st.sampled_from(['2', '3/2', '4.5']))}"]
+    elif head == "policy":
+        line = [f"policy {draw(st.sampled_from([p.value for p in StridePolicy]))}"]
+    else:
+        line = [f"layer {draw(st.sampled_from('abcde'))} kind={head}"]
+        line += [f"{key}={draw(st.integers(1, 64))}" for key in LAYER_SIZES[head]]
+    token = st.builds("{}={}".format, ARCH_KEY, ARCH_VALUE) | ARCH_VALUE
+    noise = draw(st.lists(token, max_size=2)) if draw(st.booleans()) else []
+    return " ".join(line + noise)
+
+
+class TestArchFuzz:
+    @FUZZ
+    @given(st.lists(arch_lines(), max_size=4).map("\n".join))
+    def test_text_is_refused_or_round_trips(self, text):
+        try:
+            arch = parse_arch(text)
+        except FormatError:
+            return
+        assert parse_arch(dump_arch(arch)) == arch

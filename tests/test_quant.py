@@ -1,5 +1,6 @@
 """Linear weight grids, reconstruction bounds and the coded affine path."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,35 @@ class TestQuantize:
         with pytest.raises(InvalidGridError):
             quantize(np.zeros(3), 8, w_min=1.0, w_max=-1.0)
 
+    @pytest.mark.parametrize("nbits", [0, 2, 6, 16])
+    def test_unsupported_width_is_a_grid_error(self, nbits):
+        with pytest.raises(InvalidGridError, match=f"nbits must be one of \\(4, 8\\), got {nbits}"):
+            quantize(np.ones(3), nbits)
+        with pytest.raises(InvalidGridError, match="nbits must be one of"):
+            QuantizedSummary(np.zeros(3, dtype=np.uint8), nbits, 0.0, 1.0)
+        with pytest.raises(InvalidGridError, match="nbits must be one of"):
+            effective_params([(10, nbits)])
+
+    def test_code_above_the_grid_is_a_grid_error(self):
+        with pytest.raises(InvalidGridError, match="code 16 exceeds 15"):
+            QuantizedSummary(np.array([0, 16], dtype=np.uint8), 4, 0.0, 1.0)
+
+    @pytest.mark.parametrize("grid", [{}, {"w_min": -1.0, "w_max": 1.0}], ids=["own", "shared"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_refused_before_any_code(self, grid, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match="not finite"):
+                quantize(np.array([0.0, value, 1.0]), 8, **grid)
+            with pytest.raises(InvalidGridError, match="finite"):  # the bias or the shared grid
+                quantize_affine_layer(np.eye(2), np.array([0.0, value]), 4)
+
+    def test_bad_shared_grid_refused_before_any_code(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match="grid must be finite"):
+                quantize(np.ones(3), 8, w_min=np.nan, w_max=1.0)
+
     def test_shape_preserved(self):
         q = quantize(np.zeros((3, 4)), 8)
         assert q.codes.shape == (3, 4)
@@ -141,7 +171,7 @@ class TestQuantizedAffineForward:
     def test_mismatched_grids_rejected(self):
         q_w = quantize(np.eye(2), 8)
         q_b = quantize(np.array([5.0, 6.0]), 8)
-        with pytest.raises(ValueError, match="share one layer grid"):
+        with pytest.raises(InvalidGridError, match="share one layer grid"):
             quantized_affine_forward(q_w, q_b, np.ones(2))
 
     def test_shape_validation(self):

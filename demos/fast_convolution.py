@@ -2,10 +2,12 @@
 """Exact convolution from diagonal prefix sums, multiply for multiply.
 
 The shared summary means overlapping filters keep re-multiplying the same
-weights against the same feature values. Materializing each needed product
-once (on the diagonals of the conceptual feature x weight product matrix)
-and prefix-summing turns every slice inner product into one subtraction.
-The result is identical to the brute-force path; only the count changes.
+weights against the same feature values. Computing each needed channel-cell
+product once (a cell is the c_in values at one padded position, or c_in
+consecutive summary weights) and prefix-summing along the diagonals of the
+cell product matrix turns every slice inner product into one subtraction.
+The result equals the brute-force path up to rounding; only the count
+changes.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from fsconv import (
     MultCounter,
     StridePolicy,
     fcfs_conv,
+    fcfs_plan,
     measured_acceleration,
     naive_conv,
     required_diagonals,
@@ -41,10 +44,13 @@ print(f"integral engine:  {fast_counter.multiplies:>8} multiplies "
 
 print()
 print("=== where the products actually live ===")
-plan = required_diagonals(fs, fmap)
-extents = sum(hi - lo for runs in plan.values() for lo, hi in runs)
-print(f"{len(plan)} diagonals materialized, {extents} entries total")
-print(f"(equal to the multiply count: {extents == fast_counter.multiplies})")
+runs = required_diagonals(fs, fmap)
+extents = sum(hi - lo for spans in runs.values() for lo, hi in spans)
+plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
+print(f"slices read {extents} element products on {len(runs)} diagonals: the floor")
+print(f"(equal to plan.needed: {extents == plan.needed})")
+print(f"stage 1 runs {len(plan.bands)} banded matrix products, "
+      f"{fast_counter.multiplies} multiplies ({fast_counter.multiplies / plan.needed:.3f}x the floor)")
 
 print()
 print("=== measured vs predicted on the classic 64x64 3x3 layer ===")
@@ -57,12 +63,12 @@ print(f"integral multiplies: {report.fcfs.multiplies} + {report.fcfs.lookups} lo
 print(f"measured ratio:  {float(report.measured_ratio):.2f}")
 print(f"predicted ratio: {float(report.predicted.ratio):.2f}")
 closed = geom.c_in * 16 * 16 * fs.layout.slices
-print(f"stage-1 products: {report.fcfs.multiplies} measured, "
+floor = fcfs_plan(geom, fs.layout, 16, 16).needed
+print(f"stage-1 products: {report.fcfs.multiplies} executed, {floor} needed, "
       f"{float(closed):.0f} in the closed form ({float(report.fcfs.multiplies / closed):.2f}x)")
-print("the closed form assumes each padded-map row meets one slice residue;")
-print("patch starts actually occupy all s1 residues and the runs cross the")
-print("padding rows, so stage 1 measures 3.3-4.2x the closed form on the")
-print("ResNet-110 shapes and the measured ratio lands near the compression")
+print("the closed form assumes each padded position meets one slice residue;")
+print("every padded position actually meets all s1 residues, and a whole band")
+print("of summary cells, so the measured ratio lands near the compression")
 print("ratio instead of ratio*s1.")
 
 print()

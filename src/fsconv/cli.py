@@ -401,6 +401,7 @@ def cmd_bench(args) -> int:
             name=layer.name,
             naive_mults=naive.counts.multiplies,
             fcfs_mults=report.counts.multiplies,
+            fcfs_floor=plan.needed,
             fcfs_lookups=report.counts.lookups,
             measured=measured_ratio(naive.counts, report.counts),
             predicted=predicted_acceleration(geom, layout, d1, d2).ratio,

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FSTooShortError, NonDifferentiableWarning, OutOfRangeError
+from .errors import FSTooShortError, NonDifferentiableWarning, OutOfRangeError, ShapeMismatchError
 from .tensors import FilterSummary
 
 __all__ = [
@@ -97,7 +97,7 @@ def grad_alpha(fs: FilterSummary, alpha: float, upstream) -> float:
     upstream = np.asarray(upstream, dtype=np.float64)
     k = fs.geom.filter_len
     if upstream.shape != (k,):
-        raise ValueError(f"upstream must have shape ({k},), got {upstream.shape}")
+        raise ShapeMismatchError(f"upstream must have shape ({k},), got {upstream.shape}")
     loc = locate(alpha, fs.layout.length, k)
     cell = _check_loc(fs, loc)
     if loc == cell:
@@ -120,7 +120,7 @@ def grad_summary(fs: FilterSummary, loc: float, upstream) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     k = fs.geom.filter_len
     if upstream.shape != (k,):
-        raise ValueError(f"upstream must have shape ({k},), got {upstream.shape}")
+        raise ShapeMismatchError(f"upstream must have shape ({k},), got {upstream.shape}")
     cell = _check_loc(fs, loc)
     w_right = loc - cell
     grad = np.zeros(fs.layout.phys_length, dtype=np.float64)

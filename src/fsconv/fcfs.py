@@ -1,28 +1,17 @@
-"""Exact convolution from diagonal prefix sums of the product matrix.
+"""Exact convolution from diagonal prefix sums of channel-cell products.
 
-Conceptually there is a matrix A with A[x, y] = padded_map[x] * summary[y].
-Every slice inner product the convolution needs (a patch column against the
-matching filter column, both runs of c_in*s1 elements) is the sum of one
-diagonal segment of A. Which segments those are depends only on the layer
-shape and the map size, so a cached FcfsPlan per (geometry, layout, d1, d2)
-holds them, merged into diagonal runs and grouped by length, together with
-the exact operation counts. Execution has three stages: stage 1 materializes
-every run, one multiply per entry (weights shared between overlapping
-filters and patches are multiplied once); stage 2 prefix-sums each run on
-its own; stage 3 reads every slice inner product as one subtraction of two
-prefix values and adds the s2 slice results per output, in slice order.
+A cell is the c_in values at one padded position, or c_in consecutive
+summary weights. Under a channel-aligned filter stride each slice inner
+product sums s1 consecutive entries on one diagonal of the cell products
+G[r, q] = x_cell[r] . w_cell[q]. A cached FcfsPlan per (geometry, layout,
+d1, d2) holds all that does not depend on the data. Stage 1 computes G as
+at most 2*s2-1 banded matrix products; stage 2 prefix-sums its diagonals in
+a skewed table; stage 3 subtracts two entries per slice and adds the s2
+slices per output in order: bit-identical at a fixed BLAS thread count.
 
-Stage 1 exceeds the closed form's c_in*d1*d2*slices products, since patch
-starts occupy all s1 row residues and runs cross the padding rows: 3.3-4.2x
-on the six ResNet-110 shapes at 32/16/8 (705,280 against 196,608 products
-for 16->16 at 32x32). In numpy, execution still trails the BLAS-backed
-reference engine in wall clock.
-
-Diagonals are keyed by offset = row - column. geometry.fcfs_fallback is the
-one rule for which layers this engine runs. convolve(fs, fmap, engine) is
-the entry point: asked for "fcfs" on a layer the rule refuses, it runs the
-reference engine and its RunReport names the reason. fcfs_conv raises for
-s2 == 1 and warns before falling back for an unaligned stride.
+geometry.fcfs_fallback is the one rule for which layers this engine runs.
+convolve is the entry point; fcfs_conv raises for s2 == 1 and warns before
+falling back for an unaligned stride.
 """
 
 from __future__ import annotations
@@ -31,137 +20,107 @@ import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .counters import MultCounter
 from .errors import InvalidArgumentError, UnsupportedGeometryError
-from .geometry import (
-    ConvGeometry,
-    Fallback,
-    Layout,
-    PredictedAcceleration,
-    fcfs_fallback,
-    predicted_acceleration,
-)
+from .geometry import ConvGeometry, Fallback, Layout, PredictedAcceleration
+from .geometry import fcfs_fallback, predicted_acceleration
 from .oracle import ConvOutput, check_conv_input, naive_conv, pad_same
 from .tensors import FeatureMap, FilterSummary
 
 __all__ = [
-    "PLAN_CACHE_SIZE",
-    "FcfsPlan",
-    "fcfs_plan",
-    "RunReport",
-    "convolve",
-    "AccelerationReport",
-    "required_diagonals",
-    "build_integrals",
-    "fcfs_conv",
-    "measured_ratio",
-    "measured_acceleration",
+    "PLAN_CACHE_SIZE", "FcfsPlan", "fcfs_plan", "RunReport", "convolve", "AccelerationReport",
+    "required_diagonals", "build_integrals", "fcfs_conv", "measured_ratio", "measured_acceleration",
 ]
 
 PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
-_CHUNK = 1 << 16  # table entries per stage-1/2 step, bounds the temporaries
-
-
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """int32 copy of non-negative indices when they fit, else unchanged."""
-    return values.astype(np.int32) if values.size == 0 or values.max() < 2**31 else values
 
 
 @dataclass(frozen=True, eq=False)
 class FcfsPlan:
     """Everything fcfs_conv needs that does not depend on the data.
 
-    groups  (length, rows, cols) per run length, ascending: the padded-map
-            and summary starts of the runs. The flat prefix table holds the
-            runs in this order, each as length+1 exclusive prefix sums.
-    index   table position of each slice pair's lower prefix value, shape
-            (s2, d2, d1, c_out): per slice, the output's channel-major order
+    cells, summary  P padded cells, Q summary cells up to the last one read.
+                    Table entry Q + r + q*(P+Q) sums G over the cells before
+                    (r, q) on their diagonal; the table is (Q+1) x (P+Q+1).
+    bands           (r0, r1, q0, q1) per stage-1 product G[r0:r1, q0:q1]
+    index           each slice pair's lower table entry, shape (s2, d2, d1,
+                    c_out); the upper one is `step` further on
     multiplies, additions, lookups: the exact counts of one execution.
+    needed          c_in times the cells any slice reads: the floor under
+                    `multiplies`, which also counts the bands' unread cells.
     """
 
-    width: int
-    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    cells: int
+    summary: int
+    bands: tuple[tuple[int, int, int, int], ...]
     index: np.ndarray
-    table_size: int
+    step: int
     multiplies: int
     additions: int
     lookups: int
+    needed: int
 
     @classmethod
     def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "FcfsPlan":
         """Plan one layer at one map size, uncached. Slice k of filter i at
-        output (m, n) pairs the padded-map run starting at
-        a = (n+k)*c_in*p1 + m*c_in with the summary run starting at
-        b = i*stride + k*c_in*s1, both of length c_in*s1."""
-        width = geom.slice_len
-        p1 = d1 + geom.s1 - 1
-        k, n, m, i = np.ogrid[: geom.s2, :d2, :d1, : geom.c_out]
-        a = (n + k) * (geom.c_in * p1) + m * geom.c_in
-        b = i * layout.stride + k * width
-        # (offset, column) as one key; 0 <= b < span keeps the order
-        # lexicographic. Since b + width <= phys_length < span, keys more
-        # than width apart never share a run, within or across diagonals.
-        span = layout.phys_length + 1
-        keys = (a - b) * span + b
-        ordered = np.sort(keys, axis=None)
-        breaks = np.flatnonzero(np.diff(ordered) > width) + 1
-        first = ordered[np.r_[0, breaks]]
-        lengths = ordered[np.r_[breaks - 1, -1]] + width - first
-        cols = first % span
-        rows = first // span + cols
-
-        by_length = np.argsort(lengths, kind="stable")
-        slots = lengths[by_length] + 1
-        base = np.empty_like(slots)
-        base[by_length] = np.cumsum(slots) - slots
-        run = np.searchsorted(first, keys, side="right") - 1
-        index = _narrow(base[run] + (keys - first[run]))
-
-        lengths, rows, cols = lengths[by_length], _narrow(rows[by_length]), _narrow(cols[by_length])
-        for shared in (index, rows, cols):  # one cached plan serves every caller
-            shared.flags.writeable = False
-        bounds = np.r_[0, np.flatnonzero(np.diff(lengths)) + 1, lengths.size]
-        groups = tuple((int(lengths[lo]), rows[lo:hi], cols[lo:hi]) for lo, hi in pairwise(bounds))
-        multiplies = int(lengths.sum())
-        # stage 2 adds length-1 per run; stage 3 one per slice pair and s2-1 per output
-        additions = multiplies - lengths.size + keys.size + (geom.s2 - 1) * (keys.size // geom.s2)
-        return cls(width, groups, index, int(slots.sum()), multiplies, additions, keys.size)
+        output (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m with
+        the s1 summary cells from q = i*stride/c_in + k*s1."""
+        s1, s2, c_in = geom.s1, geom.s2, geom.c_in
+        p1, shift = d1 + s1 - 1, layout.stride // c_in
+        last = (geom.c_out - 1) * shift  # first cell of the last filter
+        cells, summary = p1 * (d2 + s2 - 1), last + s1 * s2
+        spans: dict[tuple[int, int], list[int]] = {}
+        for j in range(d2 + s2 - 1):  # map column j meets slices k = j-d2+1 .. j
+            band = (s1 * max(0, j - d2 + 1), last + s1 * (min(s2 - 1, j) + 1))
+            spans.setdefault(band, [j * p1, 0])[1] = (j + 1) * p1
+        bands = tuple((r0, r1, q0, q1) for (q0, q1), (r0, r1) in spans.items())
+        computed = sum((r1 - r0) * (q1 - q0) for r0, r1, q0, q1 in bands)
+        # Consecutive bands' diagonals r - q overlap, so together they run
+        # from 1 - (last + s1) in column 0 to P - 1 - s1*(s2-1) in the last.
+        diagonals = cells + last + s1 * (2 - s2) - 1
+        row = cells + summary + 1
+        k, n, m, i = np.ogrid[:s2, :d2, :d1, : geom.c_out]
+        index = summary + (n + k) * p1 + m + (i * shift + k * s1) * (row - 1)
+        index.flags.writeable = False  # one cached plan serves every caller
+        # stage 1 sums c_in products per cell; stage 2 adds each cell after
+        # the first on its diagonal; stage 3 one per slice pair, s2-1 per output
+        additions = c_in * computed - diagonals + index.size + index[1:].size
+        needed = c_in * int(_reads(index, summary, row, s1).sum())
+        return cls(cells, summary, bands, index, s1 * row, c_in * computed, additions,
+                   index.size, needed)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the plan's index arrays."""
-        return self.index.nbytes + sum(r.nbytes + c.nbytes for _, r, c in self.groups)
-
-    def diagonals(self) -> dict[int, list[tuple[int, int]]]:
-        """The runs as offset -> sorted [start, stop) column runs."""
-        runs: dict[int, list[tuple[int, int]]] = {}
-        for off, lo, hi in sorted(
-            (r - c, c, c + n) for n, rows, cols in self.groups
-            for r, c in zip(rows.tolist(), cols.tolist())
-        ):
-            runs.setdefault(off, []).append((lo, hi))
-        return runs
+        """Bytes held by the plan's index array."""
+        return self.index.nbytes
 
     def prefix_table(self, padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Stages 1 and 2: the flat table of per-run exclusive prefix sums."""
-        flat = np.empty(self.table_size, np.result_type(padded, weights))
-        pos = 0
-        for length, rows, cols in self.groups:
-            block = flat[pos : pos + rows.size * (length + 1)].reshape(rows.size, length + 1)
-            block[:, 0] = 0
-            x = sliding_window_view(padded, length)
-            w = sliding_window_view(weights, length)
-            step = max(1, _CHUNK // length)
-            for lo in range(0, rows.size, step):
-                products = x[rows[lo : lo + step]] * w[cols[lo : lo + step]]
-                np.cumsum(products, axis=1, out=block[lo : lo + step, 1:])
-            pos += block.size
+        """Stages 1 and 2: the flat table of diagonal prefix sums of G."""
+        dtype = np.result_type(padded, weights)
+        x = padded.astype(dtype, copy=False).reshape(self.cells, -1)
+        w = weights[: self.summary * x.shape[1]].astype(dtype, copy=False).reshape(self.summary, -1)
+        row = self.cells + self.summary + 1
+        table = np.zeros((self.summary + 1, row), dtype)
+        flat = table.ravel()
+        skew = (row - 1) * flat.itemsize, flat.itemsize  # G[r, q] at row q+1, column Q+r-q
+        for r0, r1, q0, q1 in self.bands:
+            start = row + self.summary + r0 + q0 * (row - 1)
+            as_strided(flat[start:], (q1 - q0, r1 - r0), skew)[...] = w[q0:q1] @ x[r0:r1].T
+        for above, below in zip(table, table[1:]):  # down each diagonal, row by row
+            below += above
         return flat
+
+
+def _reads(index: np.ndarray, summary: int, row: int, s1: int) -> np.ndarray:
+    """The cells any slice reads, as a (Q, P+Q+1) mask: row q, column Q+r-q."""
+    mask = np.zeros((summary, row), bool)
+    for t in range(s1):
+        mask.reshape(-1)[index + t * row] = True  # a view; .flat is ~6x slower
+    return mask
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -175,36 +134,31 @@ def _plan_key(fs: FilterSummary, fmap: FeatureMap) -> tuple:
     """The plan key of a valid input; raises for s2 == 1 and for a map
     check_conv_input refuses."""
     if fcfs_fallback(fs.geom, fs.layout) is Fallback.S2_IS_1:
-        raise UnsupportedGeometryError(
-            "the integral-line path only pays off for s2 > 1; "
-            "use the reference engine for s2 == 1 layers"
-        )
+        raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "
+                                       "use the reference engine for s2 == 1 layers")
     check_conv_input(fs, fmap)
     return fs.geom, fs.layout, fmap.d1, fmap.d2
 
 
 def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tuple[int, int]]]:
-    """Exact set of diagonal offsets with the column extents they need.
+    """The element products any slice reads: offset (row - column) ->
+    sorted disjoint [start, stop) column runs of padded_map[x] * summary[y].
+    They total FcfsPlan.needed."""
+    plan, c_in = fcfs_plan(*_plan_key(fs, fmap)), fs.geom.c_in
+    reads = _reads(plan.index, plan.summary, plan.cells + plan.summary + 1, fs.geom.s1)
+    edges = np.diff(reads.T.astype(np.int8), axis=1, prepend=0, append=0)  # along q
+    starts, stops = np.argwhere(edges == 1).tolist(), np.argwhere(edges == -1)[:, 1].tolist()
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for (d, lo), hi in zip(starts, stops):
+        runs.setdefault(c_in * (d - plan.summary), []).append((c_in * lo, c_in * hi))
+    return runs
 
-    Maps offset -> sorted disjoint [start, stop) column runs, the union of
-    the length-(c_in*s1) segments of every slice pair. Nothing outside these
-    runs is ever multiplied. A view of the cached plan's runs.
-    """
-    return fcfs_plan(*_plan_key(fs, fmap)).diagonals()
 
-
-def build_integrals(
-    fs: FilterSummary, fmap: FeatureMap, diagonals: dict, counter: MultCounter | None = None
-) -> np.ndarray:
-    """Stages 1 and 2 on this input: the cached plan's flat prefix table
-    (see FcfsPlan). `diagonals` is not read; the plan already holds them. A
-    counter, if given, gets the stage-1 multiplies and stage-2 additions."""
+def build_integrals(fs: FilterSummary, fmap: FeatureMap, diagonals=None) -> np.ndarray:
+    """Stages 1 and 2 on this input: the cached plan's table (see FcfsPlan).
+    `diagonals` is not read."""
     plan = fcfs_plan(*_plan_key(fs, fmap))
-    table = plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
-    if counter is not None:
-        counter.multiplies += plan.multiplies
-        counter.additions += plan.multiplies - sum(r.size for _, r, _ in plan.groups)
-    return table
+    return plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
 
 
 @dataclass(frozen=True)
@@ -229,7 +183,7 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
     plan = fcfs_plan(*_plan_key(fs, fmap))
     geom = fs.geom
     flat = plan.prefix_table(pad_same(fmap, geom.s1, geom.s2).data, fs.weights)
-    slice_sums = flat[plan.width :][plan.index] - flat[plan.index]
+    slice_sums = flat[plan.step :][plan.index] - flat[plan.index]
     out = np.zeros(geom.c_out * fmap.d1 * fmap.d2, dtype=flat.dtype)
     for per_slice in slice_sums.reshape(geom.s2, -1):  # fixed order: bit-stable
         out += per_slice
@@ -238,21 +192,15 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """Convolve via diagonal integral lines; exact, not approximate.
-
-    Equals naive_conv up to floating reassociation (the prefix sums regroup
-    the same products). convolve(fs, fmap, "fcfs") with loud fallbacks:
-    raises for s2 == 1 and for an empty map, and warns before running the
-    reference engine when the filter stride is not channel-aligned.
-    """
+    """convolve(fs, fmap, "fcfs") with loud fallbacks: raises for s2 == 1
+    and for an empty map, and warns before running the reference engine
+    when the filter stride is not channel-aligned. Equals naive_conv up to
+    floating reassociation (the prefix sums regroup the same products)."""
     _plan_key(fs, fmap)
     if fcfs_fallback(fs.geom, fs.layout) is Fallback.UNALIGNED_STRIDE:
-        warnings.warn(
-            f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
-            "diagonal offsets scatter across channel residues, computing with "
-            "the reference engine instead",
-            stacklevel=2,
-        )
+        warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
+                      "diagonal offsets scatter across channel residues, computing with "
+                      "the reference engine instead", stacklevel=2)
     out, report = convolve(fs, fmap)
     return out, report.counts
 
@@ -265,12 +213,9 @@ def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:
 
 @dataclass(frozen=True)
 class AccelerationReport:
-    """Side-by-side multiply accounting of both engines on one input.
-
-    measured_ratio is measured_ratio(naive, fcfs); `predicted` is the closed
-    form. The two are reported separately because the closed form
-    undercounts the first stage (see the module docstring).
-    """
+    """Side-by-side multiply accounting of both engines on one input:
+    measured_ratio(naive, fcfs) and the closed form, which counts only
+    c_in*d1*d2*slices stage-1 products (see PredictedAcceleration)."""
 
     naive: MultCounter
     fcfs: MultCounter
@@ -280,11 +225,6 @@ class AccelerationReport:
 
 def measured_acceleration(fs: FilterSummary, fmap: FeatureMap) -> AccelerationReport:
     """Run both engines with instrumentation and compare multiply counts."""
-    _, naive = convolve(fs, fmap, "naive")
-    _, fast_counter = fcfs_conv(fs, fmap)
-    return AccelerationReport(
-        naive=naive.counts,
-        fcfs=fast_counter,
-        measured_ratio=measured_ratio(naive.counts, fast_counter),
-        predicted=predicted_acceleration(fs.geom, fs.layout, fmap.d1, fmap.d2),
-    )
+    naive, fast = convolve(fs, fmap, "naive")[1].counts, fcfs_conv(fs, fmap)[1]
+    predicted = predicted_acceleration(fs.geom, fs.layout, fmap.d1, fmap.d2)
+    return AccelerationReport(naive, fast, measured_ratio(naive, fast), predicted)

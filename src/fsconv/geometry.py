@@ -11,6 +11,7 @@ the parameters and multiplies implied by that layout.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,8 @@ __all__ = [
     "count_params",
     "predicted_acceleration",
 ]
+
+LAYOUT_CACHE_SIZE = 256  # layouts kept by derive_layout; ResNet-110 has 6 conv shapes
 
 
 class StridePolicy(enum.Enum):
@@ -111,8 +114,10 @@ class Layout:
     phys_length: int
 
 
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def derive_layout(geom: ConvGeometry) -> Layout:
-    """Derive the summary layout for a layer shape.
+    """Derive the summary layout for a layer shape, memoized per geometry
+    (a refused geometry is not cached).
 
     Raises InvalidRatioError when the summary would be shorter than one
     filter, and DegenerateStrideError when SLICE_ALIGNED rounds the stride
@@ -137,7 +142,9 @@ def derive_layout(geom: ConvGeometry) -> Layout:
             )
     else:
         stride = (generic // geom.c_in) * geom.c_in
-    assert stride <= k, "filters must overlap or touch when ratio >= 1"
+    # Every policy rounds the generic stride down, and ratio >= 1 gives
+    # length <= K*c_out, so stride <= (K*c_out - 1) // c_out = K - 1:
+    # consecutive filters always share at least one weight.
     phys_length = max(length, (geom.c_out - 1) * stride + k)
     return Layout(
         length=length,

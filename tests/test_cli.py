@@ -470,6 +470,9 @@ class TestBench:
         assert int(layer["naive_mults"]) == 9_437_184
         assert abs(float(layer["predicted"]) - 11.294) < 1e-2
         assert float(layer["measured"]) >= 3.2
+        # executed products, and the floor: one per element pair a slice reads
+        assert int(layer["fcfs_mults"]) == 2_778_624
+        assert int(layer["fcfs_floor"]) == 2_751_488
 
     def test_plan_reported_apart_from_execution(self, capsys, tmp_path):
         arch = tmp_path / "bench.arch"

@@ -20,7 +20,12 @@ from fsconv import (
     locate_grad,
 )
 from fsconv.dfs import _extract_in_cell
-from fsconv.errors import FSTooShortError, NonDifferentiableWarning, OutOfRangeError
+from fsconv.errors import (
+    FSTooShortError,
+    NonDifferentiableWarning,
+    OutOfRangeError,
+    ShapeMismatchError,
+)
 
 
 def ramp_summary():
@@ -128,6 +133,10 @@ class TestGradAlpha:
         expected = 2.0 * locate_grad(alpha, 5, 2)
         assert grad_alpha(fs, alpha, np.ones(2)) == pytest.approx(expected, rel=1e-12)
 
+    def test_wrong_upstream_shape_is_typed(self):
+        with pytest.raises(ShapeMismatchError, match=r"upstream must have shape \(2,\)"):
+            grad_alpha(ramp_summary(), 0.2, np.ones(3))
+
     def test_matches_central_differences(self):
         rng = np.random.default_rng(4)
         fs = random_summary(5)
@@ -162,6 +171,10 @@ class TestGradSummary:
         fs = ramp_summary()
         g = grad_summary(fs, 1.0, np.array([2.0, 5.0]))
         assert np.array_equal(g, [0.0, 2.0, 5.0, 0.0, 0.0])
+
+    def test_wrong_upstream_shape_is_typed(self):
+        with pytest.raises(ShapeMismatchError, match=r"upstream must have shape \(2,\)"):
+            grad_summary(ramp_summary(), 1.0, np.ones((2, 1)))
 
     def test_weights_sum_to_one_per_upstream_entry(self):
         fs = random_summary(6)

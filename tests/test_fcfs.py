@@ -1,9 +1,10 @@
 """The diagonal integral-line engine against the brute-force reference.
 
-The enumeration oracle below re-derives, with plain loops and none of the
-engine's vectorization, every (diagonal offset, column) cell a convolution
-touches; the engine's planned extents and multiply counts must match it
-exactly.
+The enumeration oracles below re-derive, with plain loops and none of the
+engine's vectorization, every (diagonal offset, column) element product a
+convolution reads, and every channel-cell product stage 1 computes. The
+plan's needed set and floor must match the first exactly, its executed
+counts the second.
 """
 
 import warnings
@@ -53,18 +54,41 @@ def enumerate_cells(geom, layout, d1, d2):
     return cells
 
 
-def enumerate_counts(geom, cells, d1, d2):
-    """Oracle: (multiplies, additions, lookups) implied by the cell set. Each
-    maximal run of consecutive cells on one diagonal is prefix-summed once."""
-    runs = sum((off, y - 1) not in cells for off, y in cells)
+def enumerate_banded(geom, layout, d1, d2):
+    """Oracle: the (padded cell, summary cell) products stage 1 computes.
+    Every padded cell of map column j meets every summary cell from the
+    first to the last one a slice at column j reads."""
+    banded = set()
+    p1 = d1 + geom.s1 - 1
+    for j in range(d2 + geom.s2 - 1):
+        read = set()
+        for i in range(geom.c_out):
+            for k in range(geom.s2):
+                if 0 <= j - k < d2:
+                    for t in range(geom.s1):
+                        read.add((i * layout.stride + k * geom.slice_len) // geom.c_in + t)
+        for row in range(p1):
+            for q in range(min(read), max(read) + 1):
+                banded.add((j * p1 + row, q))
+    return banded
+
+
+def banded_counts(geom, banded, d1, d2):
+    """Oracle: (multiplies, additions, lookups) of one execution. A cell
+    product is c_in multiplies and c_in-1 additions; each diagonal's prefix
+    sum adds every computed cell after its first; stage 3 subtracts once
+    per slice pair and adds s2-1 slices per output."""
+    diagonals = len({r - q for r, q in banded})
     lookups = geom.s2 * geom.c_out * d1 * d2
-    additions = len(cells) - runs + lookups + (geom.s2 - 1) * geom.c_out * d1 * d2
-    return len(cells), additions, lookups
+    additions = (
+        geom.c_in * len(banded) - diagonals + lookups + (geom.s2 - 1) * geom.c_out * d1 * d2
+    )
+    return geom.c_in * len(banded), additions, lookups
 
 
 def slice_starts(fs, plan_index, d1):
-    """Padded-map and summary start of every slice pair, in the plan's
-    (s2, d2, d1, c_out) index order."""
+    """Padded-map and summary element start of every slice pair, in the
+    plan's (s2, d2, d1, c_out) index order."""
     geom = fs.geom
     k, n, m, i = np.indices(plan_index.shape)
     a = (n + k) * geom.c_in * (d1 + geom.s1 - 1) + m * geom.c_in
@@ -108,8 +132,11 @@ class TestRequiredDiagonals:
             cells = enumerate_cells(geom, fs.layout, d1, d2)
             assert plan_cells(plan) == cells
             planned = fcfs_plan(geom, fs.layout, d1, d2)
+            assert planned.needed == len(cells)
             counts = (planned.multiplies, planned.additions, planned.lookups)
-            assert counts == enumerate_counts(geom, cells, d1, d2)
+            banded = enumerate_banded(geom, fs.layout, d1, d2)
+            assert counts == banded_counts(geom, banded, d1, d2)
+            assert planned.multiplies >= planned.needed
             for runs in plan.values():  # runs disjoint, sorted, non-touching
                 for (lo1, hi1), (lo2, hi2) in zip(runs, runs[1:]):
                     assert lo1 < hi1 < lo2 < hi2
@@ -139,22 +166,28 @@ class TestRequiredDiagonals:
 
 
 class TestBuildIntegrals:
-    """Stages 1 and 2: the plan's flat table of exclusive prefix sums."""
+    """Stages 1 and 2: the plan's table of diagonal prefix sums of the cell
+    products G[r, q] = x_cell[r] . w_cell[q]."""
 
     def test_hand_case(self):
         # one 1x1x2 filter [1, 2] on the 1x2 map [3, 4] (padded [3, 4, 0]):
-        # diagonal 0 holds products [3*1, 4*2] -> prefix sums [3, 11], and
-        # diagonal 1 holds [4*1, 0*2] -> [4, 4]; each run leads with a zero
+        # P = 3 padded cells, Q = 2 summary cells; map columns 0, 1, 2 read
+        # summary cells [0, 1), [0, 2), [1, 2). G holds 3*1, 4*1, 4*2, 0*2.
+        # Row q of the 3 x 6 table holds, at column Q + r - q, the sum of G
+        # over the cells before (r, q) on their diagonal.
         geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
         fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
-        counter = MultCounter()
-        table = build_integrals(fs, fmap, required_diagonals(fs, fmap), counter)
-        assert np.array_equal(table, [0.0, 3.0, 11.0, 0.0, 4.0, 4.0])
-        assert counter.multiplies == 4
-        assert counter.additions == 2
+        table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
+        assert np.array_equal(
+            table.reshape(3, 6), [[0, 0, 0, 0, 0, 0], [0, 0, 3, 4, 0, 0], [0, 0, 11, 4, 0, 0]]
+        )
         plan = fcfs_plan(geom, fs.layout, 1, 2)
-        reads = table[plan.width :][plan.index] - table[plan.index]
+        assert plan.bands == ((0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 1, 2))
+        # 4 products; 2 prefix additions (diagonals 0 and 1 hold two cells
+        # each), 4 lookups and 2 slice additions
+        assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (4, 8, 4, 4)
+        reads = table[plan.step :][plan.index] - table[plan.index]
         assert np.array_equal(reads.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
 
@@ -164,36 +197,37 @@ class TestBuildIntegrals:
         fs = FilterSummary(geom, template.layout, np.zeros_like(template.weights))
         fmap = FeatureMap.random(2, 3, 3, seed=8)
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
-        assert table.size == fcfs_plan(geom, fs.layout, 3, 3).table_size > 0
+        plan = fcfs_plan(geom, fs.layout, 3, 3)
+        assert table.size == (plan.summary + 1) * (plan.cells + plan.summary + 1) > 0
         assert not table.any()
 
     def test_telescoping_matches_direct_dot(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
-            plan = fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            geom = fs.geom
+            plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
             table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
-            padded = pad_same(fmap, fs.geom.s1, fs.geom.s2).data
-            width = plan.width
+            padded = pad_same(fmap, geom.s1, geom.s2).data
+            width = geom.slice_len
             # every stage-3 read is the slice pair's inner product
-            reads = (table[width:][plan.index] - table[plan.index]).ravel()
+            reads = (table[plan.step :][plan.index] - table[plan.index]).ravel()
             for read, a, b in zip(reads, *slice_starts(fs, plan.index, fmap.d1)):
                 direct = float(padded[a : a + width] @ fs.weights[b : b + width])
                 assert abs(read - direct) <= 1e-12 * max(1.0, abs(direct))
-            # and any segment of any run telescopes to its direct dot product
-            pos = 0
-            for length, rows, cols in plan.groups:
-                for j in rng.integers(rows.size, size=5):
-                    lo = int(rng.integers(length + 1))
-                    hi = int(rng.integers(lo, length + 1))
-                    row = pos + int(j) * (length + 1)
-                    direct = float(
-                        padded[rows[j] + lo : rows[j] + hi] @ fs.weights[cols[j] + lo : cols[j] + hi]
-                    )
-                    got = table[row + hi] - table[row + lo]
-                    assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
-                pos += rows.size * (length + 1)
-            assert pos == table.size
+            # and any segment of any diagonal telescopes to the sum of the
+            # cell products stage 1 computed on it; the rest of G stays 0
+            banded = enumerate_banded(geom, fs.layout, fmap.d1, fmap.d2)
+            x = padded.reshape(plan.cells, geom.c_in)
+            w = fs.weights[: plan.summary * geom.c_in].reshape(plan.summary, geom.c_in)
+            grid = table.reshape(plan.summary + 1, plan.cells + plan.summary + 1)
+            for column in rng.integers(grid.shape[1], size=20):
+                lo = int(rng.integers(plan.summary + 1))
+                hi = int(rng.integers(lo, plan.summary + 1))
+                cells = [(column - plan.summary + q, q) for q in range(lo, hi)]
+                direct = sum(float(x[r] @ w[q]) for r, q in cells if (r, q) in banded)
+                got = grid[hi, column] - grid[lo, column]
+                assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 class TestFcfsConv:
@@ -282,16 +316,17 @@ class TestFcfsConv:
         assert counter1 == counter2
 
     def test_multiply_count_is_minimal(self):
+        # the floor: `needed` is the minimal multiply count, one product per
+        # element pair some slice reads; the executed count sits on or above it
         rng = np.random.default_rng(21)
         for _ in range(15):
             fs, fmap = random_instance(rng, c_in=(1, 5), s1=(1, 3), s2=(2, 3), c_out=(1, 8), d=(1, 5))
             _, counter = fcfs_conv(fs, fmap)
+            plan = fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
             cells = enumerate_cells(fs.geom, fs.layout, fmap.d1, fmap.d2)
-            assert counter.multiplies == len(cells)
-            plan = required_diagonals(fs, fmap)
-            assert counter.multiplies == sum(
-                hi - lo for runs in plan.values() for lo, hi in runs
-            )
+            assert plan.needed == len(cells) <= counter.multiplies == plan.multiplies
+            runs = required_diagonals(fs, fmap)
+            assert plan.needed == sum(hi - lo for extents in runs.values() for lo, hi in extents)
 
 
 class TestConvolve:
@@ -361,8 +396,9 @@ class TestPlanCache:
         assert fresh.nbytes == cached.nbytes > 0
         with pytest.raises(ValueError):
             cached.index[0] = 0
-        with pytest.raises(ValueError):
-            cached.groups[0][1][0] = 0
+        assert fresh.bands == cached.bands and isinstance(cached.bands, tuple)
+        assert (fresh.multiplies, fresh.additions, fresh.needed) == (
+            cached.multiplies, cached.additions, cached.needed)
 
     def test_cache_size_stays_bounded(self):
         geom = ConvGeometry(1, 1, 2, 2, 1)

@@ -19,6 +19,7 @@ from fsconv import (
     ModelLayer,
     StridePolicy,
     bundled_arch,
+    derive_layout,
     dump_arch,
     dump_model,
     load_model,
@@ -134,6 +135,15 @@ class TestModelRoundTrip:
             ModelLayer("c", geom, "f32", weights=np.zeros(2, dtype=np.float32), quant=q4)
         with pytest.raises(FormatError, match=r"shape \(2,\); got \(bits, shape\) \[\(32, \(3,\)\)\]"):
             ModelLayer("c", geom, "f32", weights=np.zeros(3, dtype=np.float32))
+
+    def test_layout_is_derived_once_per_geometry(self):
+        layer = ModelLayer("c", CANON_GEOM, "f32", weights=np.zeros(63, dtype=np.float32))
+        first = layer.layout
+        before = derive_layout.cache_info()
+        for _ in range(5):
+            assert layer.layout is first
+        after = derive_layout.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
 
 
 # Records of every dtype use this geometry; its 63 q4 codes leave the last byte half used.

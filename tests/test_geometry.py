@@ -15,6 +15,7 @@ from fsconv import (
     predicted_acceleration,
 )
 from fsconv.errors import DegenerateStrideError, InvalidRatioError, ShapeMismatchError
+from fsconv.geometry import LAYOUT_CACHE_SIZE
 
 # the recurring worked example: 64-channel 3x3 layer, 64 filters, ratio 4
 WORKED = dict(c_in=64, s1=3, s2=3, c_out=64, ratio=4)
@@ -201,3 +202,35 @@ class TestLayoutProperties:
             generic = (layout.length - 1) // geom.c_out
             assert layout.stride % geom.c_in == 0
             assert layout.stride <= generic
+
+    @pytest.mark.parametrize("policy", list(StridePolicy))
+    def test_filters_always_share_a_weight(self, policy):
+        # derive_layout relies on stride <= K - 1 without checking it; the
+        # tightest cases are ratio 1 and a single filter
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            c_out = int(rng.integers(1, 33))
+            ratio = Fraction(1.0 + float(rng.random()) * (c_out - 1.0))
+            if rng.random() < 0.3:
+                ratio = Fraction(1)
+            geom = ConvGeometry(
+                int(rng.integers(1, 17)), int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                c_out, ratio, policy,
+            )
+            try:
+                layout = derive_layout(geom)
+            except (DegenerateStrideError, InvalidRatioError):
+                continue
+            assert layout.stride <= geom.filter_len - 1
+
+    def test_layout_cached_per_geometry_and_refusals_not_cached(self):
+        geom = ConvGeometry(**WORKED)
+        assert derive_layout(geom) is derive_layout(ConvGeometry(**WORKED))
+        degenerate = ConvGeometry(**WORKED, stride_policy=StridePolicy.SLICE_ALIGNED)
+        before = derive_layout.cache_info()
+        for _ in range(2):
+            with pytest.raises(DegenerateStrideError):
+                derive_layout(degenerate)
+        after = derive_layout.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (0, 2)
+        assert after.maxsize == LAYOUT_CACHE_SIZE

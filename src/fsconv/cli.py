@@ -409,7 +409,7 @@ def cmd_bench(args) -> int:
             fcfs_ms=fcfs_ms,
             dev=rel_dev(fast.data, reference.data),
             plan_ms=plan_ms,
-            plan_bytes=plan.nbytes,
+            work_bytes=plan.nbytes(fast.data.itemsize),
         )
     _emit("status", ok=1)
     return OK

@@ -3,26 +3,24 @@
 A cell is the c_in values at one padded position, or c_in consecutive
 summary weights. Under a channel-aligned filter stride each slice inner
 product sums s1 consecutive entries on one diagonal of the cell products
-G[r, q] = x_cell[r] . w_cell[q]. A cached FcfsPlan per (geometry, layout,
-d1, d2) holds all that does not depend on the data. Stage 1 computes G as
-at most 2*s2-1 banded matrix products; stage 2 prefix-sums its diagonals in
-a skewed table; stage 3 subtracts two entries per slice and adds the s2
-slices per output in order: bit-identical at a fixed BLAS thread count.
+G[r, q] = x_cell[r] . w_cell[q]. A cached FcfsPlan holds sizes, bands,
+strides and counts. Stage 1: BLAS writes G band by band into a skewed table
+whose columns are its diagonals; stage 2 prefix-sums the columns; stage 3
+subtracts two strided views of the table and adds the s2 slices per output
+in order: bit-identical at a fixed BLAS thread count.
 
 geometry.fcfs_fallback is the one rule for which layers this engine runs.
-convolve is the entry point; fcfs_conv raises for s2 == 1 and warns before
-falling back for an unaligned stride.
+convolve is the entry point; fcfs_conv raises or warns where it falls back.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .counters import MultCounter
 from .errors import InvalidArgumentError, UnsupportedGeometryError
@@ -39,7 +37,7 @@ __all__ = [
 PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FcfsPlan:
     """Everything fcfs_conv needs that does not depend on the data.
 
@@ -47,8 +45,7 @@ class FcfsPlan:
                     Table entry Q + r + q*(P+Q) sums G over the cells before
                     (r, q) on their diagonal; the table is (Q+1) x (P+Q+1).
     bands           (r0, r1, q0, q1) per stage-1 product G[r0:r1, q0:q1]
-    index           each slice pair's lower table entry, shape (s2, d2, d1,
-                    c_out); the upper one is `step` further on
+    shape, strides  the (s2, d2, d1, c_out) lattice of slice pairs (see view)
     multiplies, additions, lookups: the exact counts of one execution.
     needed          c_in times the cells any slice reads: the floor under
                     `multiplies`, which also counts the bands' unread cells.
@@ -57,7 +54,8 @@ class FcfsPlan:
     cells: int
     summary: int
     bands: tuple[tuple[int, int, int, int], ...]
-    index: np.ndarray
+    shape: tuple[int, int, int, int]
+    strides: tuple[int, int, int, int]
     step: int
     multiplies: int
     additions: int
@@ -83,20 +81,18 @@ class FcfsPlan:
         # from 1 - (last + s1) in column 0 to P - 1 - s1*(s2-1) in the last.
         diagonals = cells + last + s1 * (2 - s2) - 1
         row = cells + summary + 1
-        k, n, m, i = np.ogrid[:s2, :d2, :d1, : geom.c_out]
-        index = summary + (n + k) * p1 + m + (i * shift + k * s1) * (row - 1)
-        index.flags.writeable = False  # one cached plan serves every caller
+        strides = (p1 + s1 * (row - 1), p1, 1, shift * (row - 1))  # (k, n, m, i)
+        lookups = s2 * d2 * d1 * geom.c_out
         # stage 1 sums c_in products per cell; stage 2 adds each cell after
         # the first on its diagonal; stage 3 one per slice pair, s2-1 per output
-        additions = c_in * computed - diagonals + index.size + index[1:].size
-        needed = c_in * int(_reads(index, summary, row, s1).sum())
-        return cls(cells, summary, bands, index, s1 * row, c_in * computed, additions,
-                   index.size, needed)
+        additions = c_in * computed - diagonals + lookups + lookups // s2 * (s2 - 1)
+        plan = cls(cells, summary, bands, (s2, d2, d1, geom.c_out), strides, s1 * row,
+                   c_in * computed, additions, lookups, needed=0)
+        return replace(plan, needed=c_in * int(_reads(plan).sum()))
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the plan's index array."""
-        return self.index.nbytes
+    def nbytes(self, itemsize: int) -> int:
+        """Bytes one execution allocates beyond the padded map and output."""
+        return itemsize * ((self.summary + 1) * (self.cells + self.summary + 1) + self.lookups)
 
     def prefix_table(self, padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Stages 1 and 2: the flat table of diagonal prefix sums of G."""
@@ -106,33 +102,43 @@ class FcfsPlan:
         row = self.cells + self.summary + 1
         table = np.zeros((self.summary + 1, row), dtype)
         flat = table.ravel()
-        skew = (row - 1) * flat.itemsize, flat.itemsize  # G[r, q] at row q+1, column Q+r-q
-        for r0, r1, q0, q1 in self.bands:
-            start = row + self.summary + r0 + q0 * (row - 1)
-            as_strided(flat[start:], (q1 - q0, r1 - r0), skew)[...] = w[q0:q1] @ x[r0:r1].T
+        size = flat.itemsize
+        for r0, r1, q0, q1 in self.bands:  # BLAS writes G[r, q] at row q+1, column Q+r-q
+            start = (row + self.summary + r0 + q0 * (row - 1)) * size
+            skew = np.ndarray((q1 - q0, r1 - r0), dtype, flat, start, ((row - 1) * size, size))
+            np.matmul(w[q0:q1], x[r0:r1].T, out=skew)
         for above, below in zip(table, table[1:]):  # down each diagonal, row by row
             below += above
         return flat
 
+    def view(self, flat: np.ndarray, start: int, writeable=False) -> np.ndarray:
+        """The (s2, d2, d1, c_out) entries of the contiguous `flat` from `start`
+        on at the plan's strides: each slice pair's lower table entry from Q,
+        its upper from Q + step. numpy refuses a view that leaves `flat`."""
+        size = flat.itemsize
+        strides = [s * size for s in self.strides]
+        view = np.ndarray(self.shape, flat.dtype, flat, start * size, strides)
+        view.flags.writeable = writeable
+        return view
 
-def _reads(index: np.ndarray, summary: int, row: int, s1: int) -> np.ndarray:
+
+def _reads(plan: FcfsPlan) -> np.ndarray:
     """The cells any slice reads, as a (Q, P+Q+1) mask: row q, column Q+r-q."""
-    mask = np.zeros((summary, row), bool)
-    for t in range(s1):
-        mask.reshape(-1)[index + t * row] = True  # a view; .flat is ~6x slower
-    return mask
+    row = plan.cells + plan.summary + 1
+    mask = np.zeros(plan.summary * row, bool)
+    for start in range(plan.summary, plan.summary + plan.step, row):  # a slice's s1 cells
+        plan.view(mask, start, writeable=True)[...] = True
+    return mask.reshape(plan.summary, row)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
-    """The cached plan for one key. The layout is part of the key: a summary
-    may carry any layout, not only derive_layout(geom)."""
+    """The cached plan for one key; a summary may carry any layout, so it is part of the key."""
     return FcfsPlan.build(geom, layout, d1, d2)
 
 
 def _plan_key(fs: FilterSummary, fmap: FeatureMap) -> tuple:
-    """The plan key of a valid input; raises for s2 == 1 and for a map
-    check_conv_input refuses."""
+    """The plan key of a valid input; raises for s2 == 1 and any map check_conv_input refuses."""
     if fcfs_fallback(fs.geom, fs.layout) is Fallback.S2_IS_1:
         raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "
                                        "use the reference engine for s2 == 1 layers")
@@ -141,12 +147,10 @@ def _plan_key(fs: FilterSummary, fmap: FeatureMap) -> tuple:
 
 
 def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tuple[int, int]]]:
-    """The element products any slice reads: offset (row - column) ->
-    sorted disjoint [start, stop) column runs of padded_map[x] * summary[y].
-    They total FcfsPlan.needed."""
+    """The element products any slice reads, FcfsPlan.needed in all: offset (row - column)
+    -> sorted disjoint [start, stop) column runs of padded_map[x] * summary[y]."""
     plan, c_in = fcfs_plan(*_plan_key(fs, fmap)), fs.geom.c_in
-    reads = _reads(plan.index, plan.summary, plan.cells + plan.summary + 1, fs.geom.s1)
-    edges = np.diff(reads.T.astype(np.int8), axis=1, prepend=0, append=0)  # along q
+    edges = np.diff(_reads(plan).T.astype(np.int8), axis=1, prepend=0, append=0)  # along q
     starts, stops = np.argwhere(edges == 1).tolist(), np.argwhere(edges == -1)[:, 1].tolist()
     runs: dict[int, list[tuple[int, int]]] = {}
     for (d, lo), hi in zip(starts, stops):
@@ -155,8 +159,7 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
 
 
 def build_integrals(fs: FilterSummary, fmap: FeatureMap, diagonals=None) -> np.ndarray:
-    """Stages 1 and 2 on this input: the cached plan's table (see FcfsPlan).
-    `diagonals` is not read."""
+    """Stages 1 and 2 on this input (see FcfsPlan); `diagonals` is not read."""
     plan = fcfs_plan(*_plan_key(fs, fmap))
     return plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
 
@@ -180,15 +183,14 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
     if engine == "naive" or fallback is not None:
         counter = MultCounter()
         return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
-    plan = fcfs_plan(*_plan_key(fs, fmap))
-    geom = fs.geom
+    plan, geom = fcfs_plan(*_plan_key(fs, fmap)), fs.geom
     flat = plan.prefix_table(pad_same(fmap, geom.s1, geom.s2).data, fs.weights)
-    slice_sums = flat[plan.step :][plan.index] - flat[plan.index]
-    out = np.zeros(geom.c_out * fmap.d1 * fmap.d2, dtype=flat.dtype)
-    for per_slice in slice_sums.reshape(geom.s2, -1):  # fixed order: bit-stable
-        out += per_slice
+    lower, upper = plan.view(flat, plan.summary), plan.view(flat, plan.summary + plan.step)
+    out = np.zeros(plan.shape[1:], lower.dtype)  # (d2, d1, c_out): the channel-major output
+    for per_slice in upper - lower:  # fixed order: bit-stable; not reshaped, as numpy
+        out += per_slice  # lays the difference out in (k, i, n, m) order
     counter = MultCounter(plan.multiplies, plan.additions, plan.lookups)
-    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out), RunReport("fcfs", None, counter)
+    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), RunReport("fcfs", None, counter)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
@@ -206,16 +208,14 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
 
 
 def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:
-    """Reference multiplies over fcfs products plus lookups, the accounting
-    of the closed-form prediction."""
+    """Reference multiplies over fcfs products plus lookups, as the closed form counts."""
     return Fraction(naive.multiplies, fast.multiplies + fast.lookups)
 
 
 @dataclass(frozen=True)
 class AccelerationReport:
-    """Side-by-side multiply accounting of both engines on one input:
-    measured_ratio(naive, fcfs) and the closed form, which counts only
-    c_in*d1*d2*slices stage-1 products (see PredictedAcceleration)."""
+    """Both engines' multiply accounting on one input: measured_ratio(naive, fcfs) and
+    the closed form, which counts c_in*d1*d2*slices stage-1 products (PredictedAcceleration)."""
 
     naive: MultCounter
     fcfs: MultCounter

@@ -47,8 +47,8 @@ def pad_same(fmap: FeatureMap, s1: int, s2: int) -> FeatureMap:
     """Zero-pad to spatial size (d1+s1-1, d2+s2-1), content centered with
     floor((s1-1)/2) leading rows and floor((s2-1)/2) leading columns."""
     lead1, lead2 = (s1 - 1) // 2, (s2 - 1) // 2
-    columns = fmap.data.reshape(fmap.d2, fmap.d1, fmap.c_in)
-    padded = np.pad(columns, ((lead2, s2 - 1 - lead2), (lead1, s1 - 1 - lead1), (0, 0)))
+    padded = np.zeros((fmap.d2 + s2 - 1, fmap.d1 + s1 - 1, fmap.c_in), fmap.data.dtype)
+    padded[lead2 : lead2 + fmap.d2, lead1 : lead1 + fmap.d1] = fmap.data.reshape(fmap.d2, fmap.d1, -1)
     return FeatureMap(fmap.c_in, fmap.d1 + s1 - 1, fmap.d2 + s2 - 1, padded.ravel())
 
 

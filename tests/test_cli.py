@@ -481,7 +481,10 @@ class TestBench:
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert float(layer["plan_ms"]) > 0
-        assert int(layer["plan_bytes"]) > 0
+        # one f64 execution allocates the (Q+1) x (P+Q+1) table and s2 slice
+        # sums per output: P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary
+        # cells (channel-aligned stride 16), 3*8*6*5 slice pairs
+        assert int(layer["work_bytes"]) == 8 * (38 * 94 + 720)
         assert float(layer["fcfs_ms"]) > 0
 
     def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path):

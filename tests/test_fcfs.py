@@ -7,7 +7,9 @@ plan's needed set and floor must match the first exactly, its executed
 counts the second.
 """
 
+import tracemalloc
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -86,11 +88,11 @@ def banded_counts(geom, banded, d1, d2):
     return geom.c_in * len(banded), additions, lookups
 
 
-def slice_starts(fs, plan_index, d1):
+def slice_starts(fs, shape, d1):
     """Padded-map and summary element start of every slice pair, in the
-    plan's (s2, d2, d1, c_out) index order."""
+    plan's (s2, d2, d1, c_out) order."""
     geom = fs.geom
-    k, n, m, i = np.indices(plan_index.shape)
+    k, n, m, i = np.indices(shape)
     a = (n + k) * geom.c_in * (d1 + geom.s1 - 1) + m * geom.c_in
     b = i * fs.layout.stride + k * geom.slice_len
     return a.ravel(), b.ravel()
@@ -187,8 +189,9 @@ class TestBuildIntegrals:
         # 4 products; 2 prefix additions (diagonals 0 and 1 hold two cells
         # each), 4 lookups and 2 slice additions
         assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (4, 8, 4, 4)
-        reads = table[plan.step :][plan.index] - table[plan.index]
-        assert np.array_equal(reads.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
+        assert (plan.shape, plan.strides, plan.step) == ((2, 2, 1, 1), (6, 1, 1, 5), 6)
+        lower, upper = plan.view(table, plan.summary), plan.view(table, plan.summary + plan.step)
+        assert np.array_equal((upper - lower).ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
 
     def test_zero_summary_zero_integrals(self):
@@ -211,8 +214,8 @@ class TestBuildIntegrals:
             padded = pad_same(fmap, geom.s1, geom.s2).data
             width = geom.slice_len
             # every stage-3 read is the slice pair's inner product
-            reads = (table[plan.step :][plan.index] - table[plan.index]).ravel()
-            for read, a, b in zip(reads, *slice_starts(fs, plan.index, fmap.d1)):
+            lower, upper = plan.view(table, plan.summary), plan.view(table, plan.summary + plan.step)
+            for read, a, b in zip((upper - lower).ravel(), *slice_starts(fs, plan.shape, fmap.d1)):
                 direct = float(padded[a : a + width] @ fs.weights[b : b + width])
                 assert abs(read - direct) <= 1e-12 * max(1.0, abs(direct))
             # and any segment of any diagonal telescopes to the sum of the
@@ -228,6 +231,87 @@ class TestBuildIntegrals:
                 direct = sum(float(x[r] @ w[q]) for r, q in cells if (r, q) in banded)
                 got = grid[hi, column] - grid[lo, column]
                 assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+class TestStageThreeViews:
+    """Stage 3 reads the table through two strided views. They must name
+    exactly the entries an explicit index of every slice pair names."""
+
+    EDGE_CASES = [
+        (ConvGeometry(1, 1, 2, 1, 1), 1, 2),  # the hand case
+        (ConvGeometry(1, 1, 2, 3, 1), 1, 7),  # c_in = 1, s1 = 1, ratio = 1, 1xN
+        (ConvGeometry(1, 3, 3, 4, 1), 7, 1),  # c_in = 1, ratio = 1, Nx1
+        (ConvGeometry(3, 1, 4, 6, 1), 1, 1),  # s1 = 1, ratio = 1, one output
+        (ConvGeometry(2, 2, 3, 5, 5), 1, 9),  # ratio = c_out, 1xN
+        (ConvGeometry(4, 1, 2, 8, 8, StridePolicy.GENERIC), 3, 3),  # filter stride 0
+    ]
+
+    def random_cases(self, rng, count):
+        for _ in range(count):
+            geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 4), s2=(2, 4), c_out=(1, 10))
+            yield geom, int(rng.integers(1, 7)), int(rng.integers(1, 7))
+
+    def test_views_equal_explicit_index(self):
+        rng = np.random.default_rng(40)
+        for geom, d1, d2 in self.EDGE_CASES + list(self.random_cases(rng, 40)):
+            fs = FilterSummary.random(geom, seed=int(rng.integers(2**31)))
+            fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
+            plan = fcfs_plan(geom, fs.layout, d1, d2)
+            # slice k of filter i at output (m, n) starts at padded cell r and
+            # summary cell q; its lower entry is table row q, column Q + r - q
+            s1, p1, shift = geom.s1, d1 + geom.s1 - 1, fs.layout.stride // geom.c_in
+            cells = p1 * (d2 + geom.s2 - 1)
+            summary = (geom.c_out - 1) * shift + s1 * geom.s2
+            row = cells + summary + 1
+            assert (plan.cells, plan.summary, plan.step) == (cells, summary, s1 * row)
+            k, n, m, i = np.indices((geom.s2, d2, d1, geom.c_out))
+            r, q = (n + k) * p1 + m, i * shift + k * s1
+            idx = q * row + summary + r - q
+            positions = np.arange((summary + 1) * row)
+            assert np.array_equal(plan.view(positions, summary), idx)
+            assert np.array_equal(plan.view(positions, summary + plan.step), idx + s1 * row)
+            table = build_integrals(fs, fmap)
+            assert table.size == positions.size
+            lower, upper = plan.view(table, summary), plan.view(table, summary + plan.step)
+            assert lower.tobytes() == table[idx].tobytes()
+            assert upper.tobytes() == table[idx + s1 * row].tobytes()
+
+    def test_view_refuses_an_array_it_leaves(self):
+        geom = ConvGeometry(2, 3, 3, 4, 2)
+        fs = FilterSummary.random(geom, seed=43)
+        table = build_integrals(fs, FeatureMap.random(2, 4, 5, seed=44))
+        plan = fcfs_plan(geom, fs.layout, 4, 5)
+        assert plan.view(table, plan.summary + plan.step).shape == (3, 5, 4, 4)
+        with pytest.raises(ValueError):
+            plan.view(table[: plan.summary], 0)  # too short
+        with pytest.raises(ValueError):
+            plan.view(table[::2], 0)  # not contiguous
+
+    def test_warm_call_allocates_only_table_and_slice_sums(self):
+        # one f32 16->32 layer at 32x32: Q = 31*2 + 9 = 71 summary cells,
+        # P = 34*34 padded cells, 3*32*32*32 slice sums. A gathered index
+        # would push the call's peak past its bound, a copied band the
+        # peak of stages 1 and 2 past theirs.
+        geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
+        fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
+        fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
+        convolve(fs, fmap)  # plans the layer
+        plan = fcfs_plan(geom, fs.layout, 32, 32)
+        table, work_bytes = 4 * 72 * (1156 + 72), plan.nbytes(4)
+        assert work_bytes == table + 4 * 3 * 32 * 32 * 32
+        tracemalloc.start()
+        try:
+            build_integrals(fs, fmap)
+            fill_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out, _ = convolve(fs, fmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == np.float32
+        padded, output = 4 * 16 * 34 * 34, out.data.nbytes
+        assert fill_peak <= table + padded + 64 * 1024
+        assert peak <= work_bytes + padded + output + 64 * 1024
 
 
 class TestFcfsConv:
@@ -392,13 +476,14 @@ class TestPlanCache:
         assert warm_counter == cold_counter
         fresh = FcfsPlan.build(*key)
         cached = fcfs_plan(*key)
-        assert np.array_equal(fresh.index, cached.index)
-        assert fresh.nbytes == cached.nbytes > 0
-        with pytest.raises(ValueError):
-            cached.index[0] = 0
-        assert fresh.bands == cached.bands and isinstance(cached.bands, tuple)
-        assert (fresh.multiplies, fresh.additions, fresh.needed) == (
-            cached.multiplies, cached.additions, cached.needed)
+        assert fresh == cached and fresh is not cached
+        # the plan holds plain numbers and tuples, nothing a caller could mutate
+        assert all(isinstance(getattr(cached, f.name), (int, tuple)) for f in fields(cached))
+        assert fresh.nbytes(8) == cached.nbytes(8) > 0
+        table = build_integrals(fs, fmap)
+        for start in (cached.summary, cached.summary + cached.step):
+            with pytest.raises(ValueError):
+                cached.view(table, start)[0] = 0
 
     def test_cache_size_stays_bounded(self):
         geom = ConvGeometry(1, 1, 2, 2, 1)

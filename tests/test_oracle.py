@@ -50,6 +50,19 @@ class TestPadSame:
         assert not pad_same(fmap, 3, 3).data.any()
 
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
+    def test_int_and_bool_keep_dtype_and_match_np_pad(self, dtype):
+        rng = np.random.default_rng(3)
+        cube = rng.integers(0, 2 if dtype is np.bool_ else 100, (3, 4, 5)).astype(dtype)
+        for s1, s2 in [(2, 4), (4, 2), (2, 2)]:
+            padded = pad_same(unwrap(cube), s1, s2)
+            assert padded.data.dtype == dtype
+            lead1, lead2 = (s1 - 1) // 2, (s2 - 1) // 2
+            expected = np.pad(cube, ((0, 0), (lead1, s1 - 1 - lead1), (lead2, s2 - 1 - lead2)))
+            assert expected.dtype == dtype
+            assert np.array_equal(wrap(padded), expected)
+
+
 class TestNaiveConv:
     def test_identity_kernel(self):
         geom = ConvGeometry(1, 1, 1, 1, 1)

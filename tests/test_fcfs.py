@@ -27,6 +27,7 @@ from fsconv import (
     build_integrals,
     convolve,
     fcfs_conv,
+    fcfs_fallback,
     fcfs_plan,
     measured_acceleration,
     naive_conv,
@@ -255,6 +256,7 @@ class TestStageThreeViews:
         rng = np.random.default_rng(40)
         for geom, d1, d2 in self.EDGE_CASES + list(self.random_cases(rng, 40)):
             fs = FilterSummary.random(geom, seed=int(rng.integers(2**31)))
+            assert fcfs_fallback(geom, fs.layout) is None
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
             plan = fcfs_plan(geom, fs.layout, d1, d2)
             # slice k of filter i at output (m, n) starts at padded cell r and

@@ -18,7 +18,7 @@ from fsconv import (
     FilterSummary,
     MultCounter,
     StridePolicy,
-    fcfs_conv,
+    convolve,
     fcfs_plan,
     measured_acceleration,
     naive_conv,
@@ -34,9 +34,11 @@ fmap = FeatureMap.random(8, 10, 10, seed=2)
 
 counter = MultCounter()
 reference = naive_conv(fs, fmap, counter)
-fast, fast_counter = fcfs_conv(fs, fmap)
+fast, report = convolve(fs, fmap)
+fast_counter = report.counts
 
 dev = np.max(np.abs(fast.data - reference.data)) / np.max(np.abs(reference.data))
+print(f"engine that ran: {report.engine}")
 print(f"max relative deviation: {dev:.2e}  (reassociated rounding only)")
 print(f"direct engine:    {counter.multiplies:>8} multiplies")
 print(f"integral engine:  {fast_counter.multiplies:>8} multiplies "
@@ -76,10 +78,6 @@ print("=== strides that defeat the diagonal structure fall back ===")
 geom = ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC)  # stride 13, c_in 3
 fs = FilterSummary.random(geom, seed=5)
 fmap = FeatureMap.random(3, 6, 6, seed=6)
-import warnings
-
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    out, counter = fcfs_conv(fs, fmap)
-print(f"warning raised: {caught[0].message}")
+out, report = convolve(fs, fmap)
+print(f"engine that ran: {report.engine}, because: {report.fallback.value}")
 print(f"output still exact: {np.array_equal(out.data, naive_conv(fs, fmap).data)}")

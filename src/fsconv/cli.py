@@ -323,13 +323,13 @@ def cmd_gradcheck(args) -> int:
 
             grad = grad_summary(fs64, loc, upstream)
             cell = int(np.floor(loc))
+            bumped = FilterSummary(layer.geom, layer.layout, fs64.weights.copy())
             for idx in range(cell, cell + k + 1):
                 def bumped_value(w):
-                    summary = fs64.weights.copy()
-                    summary[idx] = w
-                    return float(upstream @ extract_fractional(
-                        FilterSummary(layer.geom, layer.layout, summary), loc
-                    ))
+                    bumped.weights[idx] = w
+                    value = float(upstream @ extract_fractional(bumped, loc))
+                    bumped.weights[idx] = fs64.weights[idx]
+                    return value
 
                 fd_w, denom_w = central_diff(
                     bumped_value, float(fs64.weights[idx]), 1e-6, args.tolerance

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +47,8 @@ class FcfsPlan:
     bands           (r0, r1, q0, q1) per stage-1 product G[r0:r1, q0:q1]
     shape, strides  the (s2, d2, d1, c_out) lattice of slice pairs (see view)
     multiplies, additions, lookups: the exact counts of one execution.
-    needed          c_in times the cells any slice reads: the floor under
-                    `multiplies`, which also counts the bands' unread cells.
+    needed          c_in times the cells any slice reads, counted on first read:
+                    the floor under `multiplies`, which also counts unread cells.
     """
 
     cells: int
@@ -60,7 +60,6 @@ class FcfsPlan:
     multiplies: int
     additions: int
     lookups: int
-    needed: int
 
     @classmethod
     def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "FcfsPlan":
@@ -86,9 +85,13 @@ class FcfsPlan:
         # stage 1 sums c_in products per cell; stage 2 adds each cell after
         # the first on its diagonal; stage 3 one per slice pair, s2-1 per output
         additions = c_in * computed - diagonals + lookups + lookups // s2 * (s2 - 1)
-        plan = cls(cells, summary, bands, (s2, d2, d1, geom.c_out), strides, s1 * row,
-                   c_in * computed, additions, lookups, needed=0)
-        return replace(plan, needed=c_in * int(_reads(plan).sum()))
+        return cls(cells, summary, bands, (s2, d2, d1, geom.c_out), strides, s1 * row,
+                   c_in * computed, additions, lookups)
+
+    @functools.cached_property
+    def needed(self) -> int:  # no execution needs the floor: not a field
+        computed = sum((r1 - r0) * (q1 - q0) for r0, r1, q0, q1 in self.bands)
+        return self.multiplies // computed * int(_reads(self).sum())  # c_in products per cell
 
     def nbytes(self, itemsize: int) -> int:
         """Bytes one execution allocates beyond the padded map and output."""
@@ -183,14 +186,20 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
     if engine == "naive" or fallback is not None:
         counter = MultCounter()
         return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
-    plan, geom = fcfs_plan(*_plan_key(fs, fmap)), fs.geom
+    out, counter = _execute(fs, fmap, _plan_key(fs, fmap))
+    return out, RunReport("fcfs", None, counter)
+
+
+def _execute(fs: FilterSummary, fmap: FeatureMap, key: tuple) -> tuple[ConvOutput, MultCounter]:
+    """The three stages on an input whose plan key _plan_key returned."""
+    plan, geom = fcfs_plan(*key), fs.geom
     flat = plan.prefix_table(pad_same(fmap, geom.s1, geom.s2).data, fs.weights)
     lower, upper = plan.view(flat, plan.summary), plan.view(flat, plan.summary + plan.step)
     out = np.zeros(plan.shape[1:], lower.dtype)  # (d2, d1, c_out): the channel-major output
     for per_slice in upper - lower:  # fixed order: bit-stable; not reshaped, as numpy
         out += per_slice  # lays the difference out in (k, i, n, m) order
     counter = MultCounter(plan.multiplies, plan.additions, plan.lookups)
-    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), RunReport("fcfs", None, counter)
+    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), counter
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
@@ -198,13 +207,14 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
     and for an empty map, and warns before running the reference engine
     when the filter stride is not channel-aligned. Equals naive_conv up to
     floating reassociation (the prefix sums regroup the same products)."""
-    _plan_key(fs, fmap)
+    key = _plan_key(fs, fmap)
     if fcfs_fallback(fs.geom, fs.layout) is Fallback.UNALIGNED_STRIDE:
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-    out, report = convolve(fs, fmap)
-    return out, report.counts
+        counter = MultCounter()
+        return naive_conv(fs, fmap, counter), counter
+    return _execute(fs, fmap, key)
 
 
 def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:

@@ -84,6 +84,11 @@ class ConvGeometry:
         object.__setattr__(self, "ratio", ratio)
         if not isinstance(self.stride_policy, StridePolicy):
             object.__setattr__(self, "stride_policy", StridePolicy(self.stride_policy))
+        ints = self.c_in, self.s1, self.s2, self.c_out, *ratio.as_integer_ratio()
+        object.__setattr__(self, "_hash", hash((*ints, list(StridePolicy).index(self.stride_policy))))
+
+    def __hash__(self) -> int:  # stored for cache lookups; of ints, so alike in every process
+        return self._hash
 
     @property
     def filter_len(self) -> int:

@@ -2,9 +2,9 @@
 
 This is the ground truth the fast path is checked against: a plain stride-1,
 same-padding cross-correlation with no bias, computed as one matrix product of
-two read-only strided views, the filter bank and the patches. Every output
-element costs exactly K multiplies, so an instrumented run over a (d1, d2) map
-totals c_out*d1*d2*K.
+the patches, a strided view of the padded map, and the filter bank. Every
+output element costs exactly K multiplies, so an instrumented run over a
+(d1, d2) map totals c_out*d1*d2*K.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .counters import MultCounter
 from .errors import InvalidDtypeError, ShapeMismatchError
@@ -68,21 +67,21 @@ def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None 
     """Same-padding cross-correlation of every filter with the feature map.
 
     output(o, m, n) = sum_{i,j,k} filter_o[i, j, k] * padded[i, m+j, n+k].
-    Filter o is the K summary entries from o*stride on: the summary read with
-    row stride `stride`. The patch at (m, n) is s2 padded columns of c_in*s1
-    contiguous entries, in filter order; patches in (n, m) order times the
-    filters' transpose is the channel-major output, bit-identical from run to
-    run. A counter gets K multiplies and K-1 additions per output element.
+    Filter o is the K summary entries from o*stride on, copied to one bank, as
+    BLAS is faster on it than on overlapping rows. The patch at (m, n) is s2
+    padded columns of c_in*s1 contiguous entries, in filter order; patches in
+    (n, m) order times the bank's transpose is the channel-major output, the
+    same bytes every run. A counter gets K multiplies, K-1 additions per output.
     """
     check_conv_input(fs, fmap)
-    geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, fs.weights
-    filters = as_strided(w, (geom.c_out, geom.filter_len),
-                         (fs.layout.stride * w.strides[0], w.strides[0]), writeable=False)
+    geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, np.ascontiguousarray(fs.weights)
+    filters = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
+                         (fs.layout.stride * w.itemsize, w.itemsize)).copy()
     x = pad_same(fmap, geom.s1, geom.s2).data
-    cell = geom.c_in * x.strides[0]  # the c_in channels at one padded (row, column)
+    cell = geom.c_in * x.itemsize  # the c_in channels at one padded (row, column)
     column = (d1 + geom.s1 - 1) * cell
-    patches = as_strided(x, (d2, d1, geom.s2, geom.slice_len),
-                         (column, cell, column, x.strides[0]), writeable=False)
+    patches = np.ndarray((d2, d1, geom.s2, geom.slice_len), x.dtype, x, 0,
+                         (column, cell, column, x.itemsize))
     out = patches.reshape(d2 * d1, geom.filter_len) @ filters.T
     if counter is not None:
         counter.multiplies += geom.c_out * d1 * d2 * geom.filter_len

@@ -5,15 +5,23 @@ import warnings
 import numpy as np
 import pytest
 
+import fsconv.cli
 import fsconv.fcfs
 from fsconv import (
     ConvGeometry,
     FilterSummary,
     ModelLayer,
     StridePolicy,
+    central_diff,
     dump_model,
+    extract_fractional,
+    grad_alpha,
+    grad_summary,
     init_alphas,
+    locate,
+    locate_grad,
     naive_conv,
+    read_model,
     unwrap,
     write_model,
 )
@@ -391,7 +399,66 @@ class TestQuantizeCmd:
         assert not out.exists()
 
 
+def gradcheck_fresh_summaries(layers, points, seed, step=1e-5, tolerance=1e-6):
+    """The gradcheck records (alpha_err, summary_err, checked, flagged) per
+    layer, with a new FilterSummary built for every summary evaluation."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for layer in layers:
+        fs64 = FilterSummary(layer.geom, layer.layout, layer.summary().weights.astype(np.float64))
+        k, length = layer.geom.filter_len, layer.layout.length
+        alphas = layer.alphas if layer.alphas is not None else init_alphas(fs64)
+        base = float(np.clip(np.mean(alphas), -3.0, 3.0))
+        alpha_err = summary_err = 0.0
+        checked = flagged = attempts = 0
+        while checked < points and attempts < 50 * points:
+            attempts += 1
+            alpha = base + float(rng.uniform(-4.0, 4.0))
+            loc = locate(alpha, length, k)
+            if abs(loc - round(loc)) <= max(2.0 * locate_grad(alpha, length, k) * step, 1e-9):
+                flagged += 1
+                continue
+            upstream = rng.standard_normal(k)
+            fd, denom = central_diff(
+                lambda a: float(upstream @ extract_fractional(fs64, locate(a, length, k))),
+                alpha, step, tolerance)
+            alpha_err = max(alpha_err, abs(grad_alpha(fs64, alpha, upstream) - fd) / denom)
+            grad = grad_summary(fs64, loc, upstream)
+            for idx in range(int(np.floor(loc)), int(np.floor(loc)) + k + 1):
+                def value(w):
+                    summary = fs64.weights.copy()
+                    summary[idx] = w
+                    fs = FilterSummary(layer.geom, layer.layout, summary)
+                    return float(upstream @ extract_fractional(fs, loc))
+
+                fd_w, denom_w = central_diff(value, float(fs64.weights[idx]), 1e-6, tolerance)
+                summary_err = max(summary_err, abs(grad[idx] - fd_w) / denom_w)
+            checked += 1
+        records.append((alpha_err, summary_err, checked, flagged))
+    return records
+
+
 class TestGradcheck:
+    def test_records_equal_fresh_summary_per_evaluation(self, monkeypatch, tmp_path):
+        # the command bumps and restores one working summary per point; its
+        # records must equal those of a new summary per evaluation, exactly
+        rng = np.random.default_rng(5)
+        layers = []
+        for i, dims in enumerate([(2, 3, 3, 4, 2), (4, 3, 3, 6, 3), (6, 2, 3, 8, 4)]):
+            geom = ConvGeometry(*dims)
+            weights = FilterSummary.random(geom, seed=i, dtype=np.float32).weights
+            alphas = rng.uniform(-2, 2, geom.c_out) if i else None
+            layers.append(ModelLayer(f"c{i}", geom, "f32", weights=weights, alphas=alphas))
+        model = tmp_path / "three.fsn"
+        write_model(model, layers)
+        emitted = []  # the records' raw values, before formatting
+        monkeypatch.setattr(fsconv.cli, "_emit", lambda record, **fields: emitted.append((record, fields)))
+        assert main(["gradcheck", str(model), "--points", "8", "--seed", "1"]) == 0
+        got = [(f["alpha_err"], f["summary_err"], f["checked"], f["flagged"])
+               for record, f in emitted if record == "layer"]
+        assert got == gradcheck_fresh_summaries(read_model(model), 8, 1)
+        assert all(checked == 8 for _, _, checked, _ in got)
+
     def test_passes_on_model_with_alphas(self, capsys, small_model):
         model_path, _, _ = small_model
         code, records, _ = run(capsys, "gradcheck", model_path, "--points", "40")

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fsconv.fcfs
 from fsconv import (
     ConvGeometry,
     FcfsPlan,
@@ -26,6 +27,7 @@ from fsconv import (
     StridePolicy,
     build_integrals,
     convolve,
+    derive_layout,
     fcfs_conv,
     fcfs_fallback,
     fcfs_plan,
@@ -166,6 +168,36 @@ class TestRequiredDiagonals:
         fs = FilterSummary.random(geom, seed=6)
         with pytest.raises(UnsupportedGeometryError):
             required_diagonals(fs, FeatureMap.random(2, 3, 3, seed=7))
+
+
+class TestPlanFloor:
+    def test_floor_computed_on_first_read(self):
+        rng = np.random.default_rng(46)
+        for _ in range(15):
+            fs, fmap = random_instance(rng, c_in=(1, 5), s1=(1, 3), s2=(2, 3), c_out=(1, 8), d=(1, 5))
+            plan = FcfsPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            assert "needed" not in vars(plan)
+            assert plan.needed == len(enumerate_cells(fs.geom, fs.layout, fmap.d1, fmap.d2))
+            assert "needed" in vars(plan)
+            assert plan == FcfsPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2)
+
+    def test_build_allocates_no_read_mask(self):
+        # 16->32 at 32x32: the (Q, P+Q+1) bool read mask is 71 x 1228 bytes,
+        # which only the first read of `needed` allocates
+        geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
+        layout = derive_layout(geom)
+        tracemalloc.start()
+        try:
+            plan = FcfsPlan.build(geom, layout, 32, 32)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert plan.needed > 0
+            floor_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mask = plan.summary * (plan.cells + plan.summary + 1)
+        assert mask == 71 * 1228
+        assert build_peak < mask <= floor_peak
 
 
 class TestBuildIntegrals:
@@ -392,6 +424,26 @@ class TestFcfsConv:
         fs = FilterSummary.random(geom, seed=18)
         with pytest.raises(ShapeMismatchError):
             fcfs_conv(fs, FeatureMap.random(3, 3, 3, seed=19))
+
+    def test_input_checked_once_per_call(self, monkeypatch):
+        # the fast path checks its input once, and the unaligned-stride
+        # fallback checks it before the warning (the reference engine then
+        # runs its own check)
+        calls, real = [], fsconv.fcfs.check_conv_input
+        monkeypatch.setattr(fsconv.fcfs, "check_conv_input", lambda *a: calls.append(a) or real(*a))
+        fast = FilterSummary.random(ConvGeometry(4, 3, 3, 8, 2), seed=43)
+        unaligned = FilterSummary.random(ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), seed=44)
+        for fs in (fast, unaligned):
+            for _ in range(2):
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    fcfs_conv(fs, FeatureMap.random(fs.geom.c_in, 5, 4, seed=45))
+                assert len(calls) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a refused map raises before any warning
+            with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+                fcfs_conv(unaligned, FeatureMap(3, 0, 4, np.zeros(0)))
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(20)

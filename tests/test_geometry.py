@@ -1,5 +1,7 @@
 """Layout derivation, parameter counts and the closed-form multiply model."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +66,23 @@ class TestDeriveLayout:
         for dims in [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, -2)]:
             with pytest.raises(ShapeMismatchError, match="must be >= 1"):
                 ConvGeometry(*dims, 1)
+
+
+class TestGeometryHash:
+    def test_equal_geometries_hash_equal(self):
+        as_int = ConvGeometry(4, 3, 3, 8, 2, "channel")
+        as_fraction = ConvGeometry(4, 3, 3, 8, Fraction(4, 2), StridePolicy.CHANNEL_ALIGNED)
+        assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+        assert len({as_int, as_fraction, ConvGeometry(4, 3, 3, 8, 3)}) == 2
+
+    def test_replace_and_pickle_keep_equality_and_hash(self):
+        geom = ConvGeometry(4, 3, 3, 8, Fraction(7, 2), StridePolicy.GENERIC)
+        for copy in (dataclasses.replace(geom), pickle.loads(pickle.dumps(geom))):
+            assert copy == geom and hash(copy) == hash(geom)
+        wider = dataclasses.replace(geom, c_out=9)
+        assert wider == ConvGeometry(4, 3, 3, 9, Fraction(7, 2), StridePolicy.GENERIC)
+        assert hash(wider) == hash(ConvGeometry(4, 3, 3, 9, Fraction(7, 2), StridePolicy.GENERIC))
+        assert derive_layout(wider) is derive_layout(ConvGeometry(4, 3, 3, 9, 3.5, "generic"))
 
 
 class TestCountParams:

@@ -9,6 +9,7 @@ from fsconv import (
     FilterSummary,
     MultCounter,
     StridePolicy,
+    convolve,
     filter_as_3d,
     naive_conv,
     pad_same,
@@ -185,6 +186,28 @@ class TestLiteralDefinition:
             seen |= {policy, ("stride 0", fs.layout.stride == 0), ("s2 1", geom.s2 == 1),
                      ("1x1", fmap.d1 * fmap.d2 == 1)}
         assert seen >= set(StridePolicy) | {("stride 0", True), ("s2 1", True), ("1x1", True)}
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_strided_and_read_only_summaries(self, dtype, tol):
+        # the views follow the summary's own memory, and neither engine
+        # writes to the summary or the map
+        rng = np.random.default_rng(13)
+        for case in range(12):
+            geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 4), s2=(1, 4), c_out=(1, 8))
+            dense = FilterSummary.random(geom, seed=case, dtype=dtype)
+            spread = np.zeros(3 * dense.weights.size, dtype)
+            spread[::3] = dense.weights
+            frozen = dense.weights.copy()
+            frozen.flags.writeable = False
+            fmap = FeatureMap.random(geom.c_in, 5, 4, seed=case + 1, dtype=dtype)
+            for weights in (spread[::3], frozen):
+                fs = FilterSummary(geom, dense.layout, weights)
+                before = weights.tobytes(), fmap.data.tobytes()
+                out = naive_conv(fs, fmap)
+                assert rel_dev(out.as_3d(), literal_conv(fs, fmap)) <= tol
+                assert out.data.tobytes() == naive_conv(dense, fmap).data.tobytes()
+                assert rel_dev(convolve(fs, fmap)[0].data, out.data) <= tol
+                assert (weights.tobytes(), fmap.data.tobytes()) == before
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])
     def test_real_map_dtypes_accepted(self, dtype):

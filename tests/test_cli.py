@@ -452,7 +452,7 @@ class TestGradcheck:
         model = tmp_path / "three.fsn"
         write_model(model, layers)
         emitted = []  # the records' raw values, before formatting
-        monkeypatch.setattr(fsconv.cli, "_emit", lambda record, **fields: emitted.append((record, fields)))
+        monkeypatch.setattr(fsconv.cli, "_emit", lambda record, **f: emitted.append((record, f)))
         assert main(["gradcheck", str(model), "--points", "8", "--seed", "1"]) == 0
         got = [(f["alpha_err"], f["summary_err"], f["checked"], f["flagged"])
                for record, f in emitted if record == "layer"]

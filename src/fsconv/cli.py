@@ -82,16 +82,23 @@ def _check_option(name: str, value, low, strict: bool = False) -> None:
         raise InvalidArgumentError(f"{name} must be {op} {low} and finite, got {value}")
 
 
-def _resolve_arch(name: str) -> Path:
+def _read_arch(name: str) -> tuple[Path, ArchSpec]:
+    """(path, contents) of an architecture file, or of a bundled one by bare name; not empty."""
     path = Path(name)
-    if path.exists():
-        return path
-    if path.suffix == "" and "/" not in name:
-        try:
-            return bundled_arch(name)
-        except FileNotFoundError:
-            pass
-    raise FormatError(f"architecture file {name!r} not found")
+    if not path.exists() and path.suffix == "" and "/" not in name:
+        path = bundled_arch(name)  # FileNotFoundError: no such file or bundled name
+    arch = read_arch(path)
+    if not arch.layers:
+        raise FormatError(f"architecture {name!r} has no layers")
+    return path, arch
+
+
+def _read_model(path) -> list[ModelLayer]:
+    """The layers of a model file; refuses one with none."""
+    layers = read_model(path)
+    if not layers:
+        raise FormatError(f"model {path!r} has no layers")
+    return layers
 
 
 def _conv_settings(arch: ArchSpec, layer: ConvSpec, args) -> tuple[Fraction, StridePolicy]:
@@ -121,8 +128,7 @@ def _resolve_conv(arch: ArchSpec, layer: ConvSpec, args):
 
 
 def cmd_plan(args) -> int:
-    arch_path = _resolve_arch(args.arch)
-    arch = read_arch(arch_path)
+    arch_path, arch = _read_arch(args.arch)
     _emit("plan", file=arch_path, layers=len(arch.layers))
     baseline_total = fsnet_total = 0
     for layer in arch.layers:
@@ -196,9 +202,7 @@ def _load_input(path) -> np.ndarray:
 
 def cmd_conv(args) -> int:
     _check_option("--tolerance", args.tolerance, 0)
-    layers = read_model(args.model)
-    if not layers:
-        raise FormatError("model has no layers")
+    layers = _read_model(args.model)
     current = unwrap(_load_input(args.input))
     engines = ("fcfs", "naive") if args.engine == "both" else (args.engine,)
     status = OK
@@ -230,7 +234,8 @@ def cmd_conv(args) -> int:
         _emit("layer", **fields)
         current = FeatureMap(output.c_out, output.d1, output.d2, output.data)
     out_path = args.output or str(Path(args.input).with_suffix("")) + ".out.npy"
-    np.save(out_path, output.as_3d())
+    with open(out_path, "wb") as file:  # np.save appends .npy to a path without it
+        np.save(file, output.as_3d())
     _emit("output", file=out_path, shape=f"{output.c_out}x{output.d1}x{output.d2}")
     _emit("status", ok=int(status == OK))
     return status
@@ -240,7 +245,7 @@ def cmd_conv(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    layers = read_model(args.model)
+    layers = _read_model(args.model)
     out_path = args.output or str(Path(args.model).with_suffix("")) + f".q{args.bits}.fsn"
     _emit("quantize", model=args.model, bits=args.bits, output=out_path)
     new_layers = []
@@ -282,7 +287,7 @@ def cmd_gradcheck(args) -> int:
     _check_option("--points", args.points, 1)
     _check_option("--tolerance", args.tolerance, 0, strict=True)
     _check_option("--step", args.step, 0, strict=True)
-    layers = read_model(args.model)
+    layers = _read_model(args.model)
     rng = np.random.default_rng(args.seed)
     _emit("gradcheck", model=args.model, seed=args.seed, points=args.points,
           tolerance=args.tolerance, step=args.step)
@@ -365,8 +370,7 @@ def _time_best(fn, repeat: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    arch_path = _resolve_arch(args.arch)
-    arch = read_arch(arch_path)
+    arch_path, arch = _read_arch(args.arch)
     d1, d2 = args.spatial
     _check_option("--spatial", min(d1, d2), 1)
     _check_option("--repeat", args.repeat, 1)
@@ -383,9 +387,6 @@ def cmd_bench(args) -> int:
         fallback = fcfs_fallback(geom, layout)
         if fallback is not None:
             _emit("layer", name=layer.name, skipped=fallback.value)
-            continue
-        if d1 == 1 and d2 == 1 and geom.s1 == 1:
-            _emit("layer", name=layer.name, skipped="trivial_1x1_output")
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
         fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
@@ -470,7 +471,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FilterSummaryError, FileNotFoundError) as exc:
+    except (FilterSummaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -26,7 +26,7 @@ class OutOfRangeError(FilterSummaryError, IndexError):
 
 
 class UnsupportedGeometryError(FilterSummaryError, ValueError):
-    """Geometry the fast convolution path cannot handle (second kernel size 1)."""
+    """A layer the integral-line engine does not run: one fcfs_fallback refuses."""
 
 
 class EmptyInputError(FilterSummaryError, ValueError):

@@ -9,8 +9,9 @@ whose columns are its diagonals; stage 2 prefix-sums the columns; stage 3
 subtracts two strided views of the table and adds the s2 slices per output
 in order: bit-identical at a fixed BLAS thread count.
 
-geometry.fcfs_fallback is the one rule for which layers this engine runs.
-convolve is the entry point; fcfs_conv raises or warns where it falls back.
+geometry.fcfs_fallback is the one rule for which layers this engine runs;
+FcfsPlan.build refuses the rest. convolve is the entry point and the one run
+of stages 1-3; fcfs_conv raises or warns where it falls back, then calls it.
 """
 
 from __future__ import annotations
@@ -63,18 +64,22 @@ class FcfsPlan:
 
     @classmethod
     def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "FcfsPlan":
-        """Plan one layer at one map size, uncached. Slice k of filter i at
-        output (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m with
-        the s1 summary cells from q = i*stride/c_in + k*s1."""
+        """Plan one layer at one map size, uncached; raises UnsupportedGeometryError
+        for a layer fcfs_fallback refuses. Slice k of filter i at output
+        (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m with the s1
+        summary cells from q = i*stride/c_in + k*s1."""
+        fallback = fcfs_fallback(geom, layout)
+        if fallback is not None:
+            raise UnsupportedGeometryError(f"fcfs does not run {fallback.value} layers; use naive")
         s1, s2, c_in = geom.s1, geom.s2, geom.c_in
         p1, shift = d1 + s1 - 1, layout.stride // c_in
         last = (geom.c_out - 1) * shift  # first cell of the last filter
         cells, summary = p1 * (d2 + s2 - 1), last + s1 * s2
-        spans: dict[tuple[int, int], list[int]] = {}
-        for j in range(d2 + s2 - 1):  # map column j meets slices k = j-d2+1 .. j
-            band = (s1 * max(0, j - d2 + 1), last + s1 * (min(s2 - 1, j) + 1))
-            spans.setdefault(band, [j * p1, 0])[1] = (j + 1) * p1
-        bands = tuple((r0, r1, q0, q1) for (q0, q1), (r0, r1) in spans.items())
+        # map column j meets slices k = j-d2+1 .. j: summary cells s1*max(0, j-d2+1)
+        # to last + s1*min(s2, j+1), which change at each j < s2 and each j >= d2
+        edges = sorted({*range(s2), *range(d2, d2 + s2)})
+        bands = tuple((a * p1, b * p1, s1 * max(0, a - d2 + 1), last + s1 * min(s2, a + 1))
+                      for a, b in zip(edges, edges[1:]))
         computed = sum((r1 - r0) * (q1 - q0) for r0, r1, q0, q1 in bands)
         # Consecutive bands' diagonals r - q overlap, so together they run
         # from 1 - (last + s1) in column 0 to P - 1 - s1*(s2-1) in the last.
@@ -140,19 +145,16 @@ def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
     return FcfsPlan.build(geom, layout, d1, d2)
 
 
-def _plan_key(fs: FilterSummary, fmap: FeatureMap) -> tuple:
-    """The plan key of a valid input; raises for s2 == 1 and any map check_conv_input refuses."""
-    if fcfs_fallback(fs.geom, fs.layout) is Fallback.S2_IS_1:
-        raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "
-                                       "use the reference engine for s2 == 1 layers")
+def _plan(fs: FilterSummary, fmap: FeatureMap) -> FcfsPlan:
+    """The cached plan of an input check_conv_input accepts, on a layer FcfsPlan.build accepts."""
     check_conv_input(fs, fmap)
-    return fs.geom, fs.layout, fmap.d1, fmap.d2
+    return fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
 
 
 def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tuple[int, int]]]:
     """The element products any slice reads, FcfsPlan.needed in all: offset (row - column)
     -> sorted disjoint [start, stop) column runs of padded_map[x] * summary[y]."""
-    plan, c_in = fcfs_plan(*_plan_key(fs, fmap)), fs.geom.c_in
+    plan, c_in = _plan(fs, fmap), fs.geom.c_in
     edges = np.diff(_reads(plan).T.astype(np.int8), axis=1, prepend=0, append=0)  # along q
     starts, stops = np.argwhere(edges == 1).tolist(), np.argwhere(edges == -1)[:, 1].tolist()
     runs: dict[int, list[tuple[int, int]]] = {}
@@ -163,7 +165,7 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
 
 def build_integrals(fs: FilterSummary, fmap: FeatureMap, diagonals=None) -> np.ndarray:
     """Stages 1 and 2 on this input (see FcfsPlan); `diagonals` is not read."""
-    plan = fcfs_plan(*_plan_key(fs, fmap))
+    plan = _plan(fs, fmap)
     return plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
 
 
@@ -186,20 +188,14 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
     if engine == "naive" or fallback is not None:
         counter = MultCounter()
         return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
-    out, counter = _execute(fs, fmap, _plan_key(fs, fmap))
-    return out, RunReport("fcfs", None, counter)
-
-
-def _execute(fs: FilterSummary, fmap: FeatureMap, key: tuple) -> tuple[ConvOutput, MultCounter]:
-    """The three stages on an input whose plan key _plan_key returned."""
-    plan, geom = fcfs_plan(*key), fs.geom
+    plan, geom = _plan(fs, fmap), fs.geom
     flat = plan.prefix_table(pad_same(fmap, geom.s1, geom.s2).data, fs.weights)
     lower, upper = plan.view(flat, plan.summary), plan.view(flat, plan.summary + plan.step)
     out = np.zeros(plan.shape[1:], lower.dtype)  # (d2, d1, c_out): the channel-major output
     for per_slice in upper - lower:  # fixed order: bit-stable; not reshaped, as numpy
         out += per_slice  # lays the difference out in (k, i, n, m) order
-    counter = MultCounter(plan.multiplies, plan.additions, plan.lookups)
-    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), counter
+    counts = MultCounter(plan.multiplies, plan.additions, plan.lookups)
+    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), RunReport("fcfs", None, counts)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
@@ -207,14 +203,17 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
     and for an empty map, and warns before running the reference engine
     when the filter stride is not channel-aligned. Equals naive_conv up to
     floating reassociation (the prefix sums regroup the same products)."""
-    key = _plan_key(fs, fmap)
-    if fcfs_fallback(fs.geom, fs.layout) is Fallback.UNALIGNED_STRIDE:
+    fallback = fcfs_fallback(fs.geom, fs.layout)
+    if fallback is Fallback.S2_IS_1:
+        raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "
+                                       "use the reference engine for s2 == 1 layers")
+    if fallback is Fallback.UNALIGNED_STRIDE:
+        check_conv_input(fs, fmap)
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-        counter = MultCounter()
-        return naive_conv(fs, fmap, counter), counter
-    return _execute(fs, fmap, key)
+    out, report = convolve(fs, fmap)
+    return out, report.counts
 
 
 def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:

@@ -316,6 +316,16 @@ class TestConv:
         assert code == 2
         assert "error" in err
 
+    def test_output_written_at_the_reported_path(self, capsys, small_model, small_input, tmp_path):
+        model_path, input_path = small_model[0], small_input[0]
+        out, reference = tmp_path / "result.bin", tmp_path / "naive.npy"
+        code, records, _ = run(capsys, "conv", model_path, input_path, "--output", out)
+        assert code == 0
+        assert records_of(records, "output")[0]["file"] == str(out)
+        run(capsys, "conv", model_path, input_path, "--engine", "naive", "--output", reference)
+        assert np.array_equal(np.load(out), np.load(reference))
+        assert not (tmp_path / "result.bin.npy").exists()
+
     def test_chained_layers(self, capsys, tmp_path):
         g1 = ConvGeometry(2, 3, 3, 4, 2)
         g2 = ConvGeometry(4, 3, 3, 3, 2)
@@ -568,6 +578,17 @@ class TestBench:
         skipped = [layer.get("skipped") for layer in records_of(records, "layer")]
         assert skipped == ["unaligned_stride", "s2_is_1", None]
 
+    def test_one_by_one_output_is_benched(self, capsys, tmp_path):
+        # s1 = 1 on a 1x1 map: fcfs_fallback accepts the layer, so it runs
+        arch = tmp_path / "one.arch"
+        arch.write_text("layer c kind=conv c_in=4 s1=1 s2=3 c_out=8 r=2\n")
+        code, records, _ = run(capsys, "bench", arch, "--spatial", "1", "1", "--repeat", "1")
+        assert code == 0
+        (layer,) = records_of(records, "layer")
+        assert "skipped" not in layer
+        assert int(layer["fcfs_lookups"]) == 3 * 8
+        assert float(layer["dev"]) <= 1e-12
+
     def test_bad_ratio_is_input_error(self, capsys, tmp_path):
         arch = tmp_path / "nr.arch"
         arch.write_text("layer c kind=conv c_in=2 s1=3 s2=3 c_out=4\n")
@@ -624,3 +645,46 @@ class TestNumericOptions:
         assert err.startswith(f"error: {message} and finite, got ")
         assert records_of(records, "status") == []
         assert records_of(records, "layer") == []
+
+
+class TestUnreadableFiles:
+    """An empty model or architecture, and a path that cannot be read or
+    written, end in one `error:` line and exit 2, with nothing written."""
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_empty_arch_refused(self, capsys, tmp_path, command):
+        arch = tmp_path / "empty.arch"
+        arch.write_text("ratio 4\n")
+        code, records, err = run(capsys, command, arch)
+        assert code == 2
+        assert err == f"error: architecture {str(arch)!r} has no layers\n"
+        assert records == []
+
+    @pytest.mark.parametrize("command", ["conv", "quantize", "gradcheck"])
+    def test_empty_model_refused(self, capsys, tmp_path, small_input, command):
+        model, out = tmp_path / "empty.fsn", tmp_path / "out"
+        write_model(model, [])
+        argv = {"conv": (small_input[0], "--output", out), "quantize": ("--output", out),
+                "gradcheck": ()}[command]
+        code, records, err = run(capsys, command, model, *argv)
+        assert code == 2
+        assert err == f"error: model {str(model)!r} has no layers\n"
+        assert records == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "conv", "quantize"])
+    def test_directory_is_input_error(self, capsys, tmp_path, small_model, small_input, command):
+        argv = {"plan": (tmp_path,), "conv": (tmp_path, small_input[0]),
+                "quantize": (small_model[0], "--output", tmp_path)}[command]
+        code, records, err = run(capsys, command, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert records_of(records, "status") == []
+
+    @pytest.mark.parametrize("name", ["no_such_arch", "missing.arch", "sub/missing"])
+    def test_missing_arch_is_input_error(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        code, records, err = run(capsys, "plan", name)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert records == []

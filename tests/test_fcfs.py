@@ -91,6 +91,23 @@ def banded_counts(geom, banded, d1, d2):
     return geom.c_in * len(banded), additions, lookups
 
 
+def bands_by_column(geom, layout, d1, d2):
+    """Oracle: stage 1's bands, one map column at a time. Column j's padded
+    cells meet the summary cells from the first to the last one its slices
+    read; runs of columns with equal summary ranges form one band."""
+    p1, bands = d1 + geom.s1 - 1, []
+    for j in range(d2 + geom.s2 - 1):
+        read = [(i * layout.stride + k * geom.slice_len) // geom.c_in + t
+                for i in range(geom.c_out) for k in range(geom.s2) if 0 <= j - k < d2
+                for t in range(geom.s1)]
+        q0, q1 = min(read), max(read) + 1
+        if bands and bands[-1][2:] == (q0, q1):
+            bands[-1] = (bands[-1][0], (j + 1) * p1, q0, q1)
+        else:
+            bands.append((j * p1, (j + 1) * p1, q0, q1))
+    return tuple(bands)
+
+
 def slice_starts(fs, shape, d1):
     """Padded-map and summary element start of every slice pair, in the
     plan's (s2, d2, d1, c_out) order."""
@@ -168,6 +185,43 @@ class TestRequiredDiagonals:
         fs = FilterSummary.random(geom, seed=6)
         with pytest.raises(UnsupportedGeometryError):
             required_diagonals(fs, FeatureMap.random(2, 3, 3, seed=7))
+
+
+class TestPlanGuard:
+    """FcfsPlan.build refuses every layer fcfs_fallback refuses, so no stage
+    of the engine is planned for a layer the engine does not run."""
+
+    @pytest.mark.parametrize("geom, reason", [
+        (ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), "unaligned_stride"),  # stride 13
+        (ConvGeometry(2, 3, 1, 4, 2), "s2_is_1"),
+    ])
+    def test_refused_layer_has_no_plan(self, geom, reason):
+        fs = FilterSummary.random(geom, seed=47)
+        fmap = FeatureMap.random(geom.c_in, 4, 4, seed=48)
+        assert fcfs_fallback(geom, fs.layout).value == reason
+        calls = (lambda: FcfsPlan.build(geom, fs.layout, 4, 4),
+                 lambda: fcfs_plan(geom, fs.layout, 4, 4),
+                 lambda: required_diagonals(fs, fmap),
+                 lambda: build_integrals(fs, fmap))
+        for call in calls:
+            with pytest.raises(UnsupportedGeometryError, match=reason):
+                call()
+
+
+class TestBands:
+    @pytest.mark.parametrize("s2", range(2, 6))
+    def test_bands_equal_column_by_column_derivation(self, s2):
+        # d2 from 1 to 8 covers d2 < s2 - 1, where no column reads all s2 slices;
+        # ratio = c_out with c_in = 1 gives filter strides 0 and 1
+        geoms = (ConvGeometry(1, 1, s2, 3, 1), ConvGeometry(3, 2, s2, 5, 2),
+                 ConvGeometry(1, 2, s2, 6, 6), ConvGeometry(4, 3, s2, 4, 3))
+        for geom in geoms:
+            layout = derive_layout(geom)
+            assert fcfs_fallback(geom, layout) is None
+            for d1 in (1, 3):
+                for d2 in range(1, 9):
+                    plan = FcfsPlan.build(geom, layout, d1, d2)
+                    assert plan.bands == bands_by_column(geom, layout, d1, d2)
 
 
 class TestPlanFloor:

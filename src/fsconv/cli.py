@@ -9,6 +9,7 @@ tokens, one record per line); diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import enum
 import math
 import sys
 import time
@@ -34,7 +35,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidRatioError,
 )
-from .fcfs import FcfsPlan, convolve, measured_ratio
+from .fcfs import FcfsPlan, convolve, measured_acceleration
 from .formats import (
     ArchSpec,
     BatchNormSpec,
@@ -66,7 +67,7 @@ def _fmt(value) -> str:
         value = float(value)
     if isinstance(value, float):
         return f"{value:.6g}"
-    return str(value)
+    return str(value.value if isinstance(value, enum.Enum) else value)
 
 
 def _emit(record: str, stream=None, **fields) -> None:
@@ -82,15 +83,20 @@ def _check_option(name: str, value, low, strict: bool = False) -> None:
         raise InvalidArgumentError(f"{name} must be {op} {low} and finite, got {value}")
 
 
-def _read_arch(name: str) -> tuple[Path, ArchSpec]:
-    """(path, contents) of an architecture file, or of a bundled one by bare name; not empty."""
-    path = Path(name)
-    if not path.exists() and path.suffix == "" and "/" not in name:
-        path = bundled_arch(name)  # FileNotFoundError: no such file or bundled name
+def _read_arch(args) -> tuple[Path, ArchSpec, Fraction | None, StridePolicy | None]:
+    """(path, contents, ratio, policy): the architecture file, or a bundled one
+    by bare name, not empty; and --ratio and --policy, read once, before any record."""
+    path = Path(args.arch)
+    if not path.exists() and path.suffix == "" and "/" not in args.arch:
+        path = bundled_arch(args.arch)  # FileNotFoundError: no such file or bundled name
     arch = read_arch(path)
     if not arch.layers:
-        raise FormatError(f"architecture {name!r} has no layers")
-    return path, arch
+        raise FormatError(f"architecture {args.arch!r} has no layers")
+    try:
+        ratio = None if args.ratio is None else Fraction(args.ratio)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgumentError(f"--ratio must be a rational number, got {args.ratio!r}") from exc
+    return path, arch, ratio, None if args.policy is None else StridePolicy(args.policy)
 
 
 def _read_model(path) -> list[ModelLayer]:
@@ -101,34 +107,28 @@ def _read_model(path) -> list[ModelLayer]:
     return layers
 
 
-def _conv_settings(arch: ArchSpec, layer: ConvSpec, args) -> tuple[Fraction, StridePolicy]:
-    """Ratio and policy of a conv layer: from the layer, else the command
-    line, else the file's defaults; the policy falls back to channel."""
-    ratio = next((r for r in (layer.ratio, args.ratio, arch.default_ratio) if r is not None), None)
+def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
+    """(ratio, policy, geom, layout) of a conv layer: ratio and policy from the layer, else
+    the command line, else the file's defaults, else (policy only) channel. With no valid
+    layout, geom is None and layout is the reason: degenerate_stride or invalid_ratio."""
+    ratio = next((r for r in (layer.ratio, ratio, arch.default_ratio) if r is not None), None)
     if ratio is None:
         raise FormatError(f"layer {layer.name!r} has no ratio; set r= in the file or pass --ratio")
+    policy = layer.policy or policy or arch.default_policy or StridePolicy.CHANNEL_ALIGNED
     try:
-        ratio = Fraction(ratio)  # only --ratio is still text here
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgumentError(f"--ratio must be a rational number, got {ratio!r}") from exc
-    flag_policy = StridePolicy(args.policy) if args.policy is not None else None
-    policy = layer.policy or flag_policy or arch.default_policy or StridePolicy.CHANNEL_ALIGNED
-    return ratio, policy
-
-
-def _resolve_conv(arch: ArchSpec, layer: ConvSpec, args):
-    """(geom, layout) of a conv layer. Raises DegenerateStrideError or
-    InvalidRatioError for a layer that has no valid layout."""
-    ratio, policy = _conv_settings(arch, layer, args)
-    geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
-    return geom, derive_layout(geom)
+        geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
+        return ratio, policy, geom, derive_layout(geom)
+    except DegenerateStrideError:
+        return ratio, policy, None, "degenerate_stride"
+    except InvalidRatioError:
+        return ratio, policy, None, "invalid_ratio"
 
 
 # --- plan --------------------------------------------------------------------
 
 
 def cmd_plan(args) -> int:
-    arch_path, arch = _read_arch(args.arch)
+    arch_path, arch, ratio, policy = _read_arch(args)
     _emit("plan", file=arch_path, layers=len(arch.layers))
     baseline_total = fsnet_total = 0
     for layer in arch.layers:
@@ -148,39 +148,32 @@ def cmd_plan(args) -> int:
             baseline_total += layer.params
             fsnet_total += layer.params
             continue
+        layer_ratio, layer_policy, geom, layout = _resolve_conv(arch, layer, ratio, policy)
         fields = dict(name=layer.name, kind="conv", c_in=layer.c_in, s1=layer.s1, s2=layer.s2,
-                      c_out=layer.c_out)
-        try:
-            geom, layout = _resolve_conv(arch, layer, args)
-        except (DegenerateStrideError, InvalidRatioError) as exc:
-            # surfaced per layer, not fatal: the layer stays uncompressed
-            ratio, policy = _conv_settings(arch, layer, args)
-            kind = "degenerate_stride" if isinstance(exc, DegenerateStrideError) else "invalid_ratio"
-            baseline = layer.c_in * layer.s1 * layer.s2 * layer.c_out
-            fields.update(r=ratio, policy=policy.value, error=kind)
-            _emit("layer", **fields, baseline=baseline, fs=baseline)
-            baseline_total += baseline
-            fsnet_total += baseline
-            continue
-        fields.update(r=geom.ratio, policy=geom.stride_policy.value)
-        params = count_params(geom, layout)
-        fields.update(
-            K=geom.filter_len,
-            L=layout.length,
-            s=layout.stride,
-            phys=layout.phys_length,
-            baseline=params.baseline,
-            fs=params.fs,
-            cr=params.cr,
-            cr_nominal=params.cr_nominal,
-        )
-        pred = predicted_acceleration(geom, layout, 1, 1)
-        fields["accelerable"] = int(pred.accelerable)
-        if pred.accelerable:
-            fields["pred_ratio"] = pred.ratio
+                      c_out=layer.c_out, r=layer_ratio, policy=layer_policy)
+        if geom is None:  # surfaced per layer, not fatal: the layer stays uncompressed
+            baseline = fs = layer.c_in * layer.s1 * layer.s2 * layer.c_out
+            fields.update(error=layout, baseline=baseline, fs=fs)
+        else:
+            params = count_params(geom, layout)
+            baseline, fs = params.baseline, params.fs
+            fields.update(
+                K=geom.filter_len,
+                L=layout.length,
+                s=layout.stride,
+                phys=layout.phys_length,
+                baseline=baseline,
+                fs=fs,
+                cr=params.cr,
+                cr_nominal=params.cr_nominal,
+            )
+            pred = predicted_acceleration(geom, layout, 1, 1)
+            fields["accelerable"] = int(pred.accelerable)
+            if pred.accelerable:
+                fields["pred_ratio"] = pred.ratio
         _emit("layer", **fields)
-        baseline_total += params.baseline
-        fsnet_total += params.fs
+        baseline_total += baseline
+        fsnet_total += fs
     _emit(
         "total",
         baseline=baseline_total,
@@ -225,7 +218,7 @@ def cmd_conv(args) -> int:
             report = runs["fcfs"][1]
             if report.fallback is not None:
                 _emit("warning", stream=sys.stderr, layer=layer.name,
-                      fcfs_unsupported=report.fallback.value, fallback=report.engine)
+                      fcfs_unsupported=report.fallback, fallback=report.engine)
             fields.update(
                 fcfs_mults=report.counts.multiplies,
                 fcfs_lookups=report.counts.lookups,
@@ -282,6 +275,11 @@ def cmd_quantize(args) -> int:
 # --- gradcheck ----------------------------------------------------------------
 
 
+def _worst(err: float, new: float) -> float:
+    """max(err, new), except that a NaN on either side is kept: it fails the check."""
+    return err if err != err or new <= err else new
+
+
 def cmd_gradcheck(args) -> int:
     _check_option("--seed", args.seed, 0)
     _check_option("--points", args.points, 1)
@@ -324,7 +322,7 @@ def cmd_gradcheck(args) -> int:
                 args.step,
                 args.tolerance,
             )
-            alpha_err = max(alpha_err, abs(analytic - fd) / denom)
+            alpha_err = _worst(alpha_err, abs(analytic - fd) / denom)
 
             grad = grad_summary(fs64, loc, upstream)
             cell = int(np.floor(loc))
@@ -339,7 +337,7 @@ def cmd_gradcheck(args) -> int:
                 fd_w, denom_w = central_diff(
                     bumped_value, float(fs64.weights[idx]), 1e-6, args.tolerance
                 )
-                summary_err = max(summary_err, abs(grad[idx] - fd_w) / denom_w)
+                summary_err = _worst(summary_err, abs(grad[idx] - fd_w) / denom_w)
             checked += 1
         ok = alpha_err <= args.tolerance and summary_err <= args.tolerance
         if not ok:
@@ -360,58 +358,56 @@ def cmd_gradcheck(args) -> int:
 # --- bench --------------------------------------------------------------------
 
 
-def _time_best(fn, repeat: int) -> float:
+def _time_best(fn, repeat: int):
+    """(best wall time in ms, the last run's output) of `repeat` calls of fn."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        fn()
+        out = fn()
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    return best * 1e3, out
 
 
 def cmd_bench(args) -> int:
-    arch_path, arch = _read_arch(args.arch)
+    arch_path, arch, ratio, policy = _read_arch(args)
     d1, d2 = args.spatial
     _check_option("--spatial", min(d1, d2), 1)
     _check_option("--repeat", args.repeat, 1)
     _check_option("--seed", args.seed, 0)
     _emit("bench", file=arch_path, spatial=f"{d1}x{d2}", repeat=args.repeat, seed=args.seed)
+    timed = 0
     for index, layer in enumerate(arch.layers):
         if not isinstance(layer, ConvSpec):
             continue
-        try:
-            geom, layout = _resolve_conv(arch, layer, args)
-        except (DegenerateStrideError, InvalidRatioError) as exc:
-            _emit("layer", name=layer.name, skipped=type(exc).__name__)
-            continue
-        fallback = fcfs_fallback(geom, layout)
-        if fallback is not None:
-            _emit("layer", name=layer.name, skipped=fallback.value)
+        _, _, geom, layout = _resolve_conv(arch, layer, ratio, policy)
+        skipped = layout if geom is None else fcfs_fallback(geom, layout)
+        if skipped is not None:
+            _emit("layer", name=layer.name, skipped=skipped)
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
         fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
-        reference, naive = convolve(fs, fmap, "naive")
-        start = time.perf_counter()
-        plan = FcfsPlan.build(geom, layout, d1, d2)
-        plan_ms = (time.perf_counter() - start) * 1e3
-        fast, report = convolve(fs, fmap)  # caches the plan: fcfs_ms is execution
-        naive_ms = _time_best(lambda: convolve(fs, fmap, "naive"), args.repeat)
-        fcfs_ms = _time_best(lambda: convolve(fs, fmap), args.repeat)
+        plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
+        acc = measured_acceleration(fs, fmap)  # caches the plan: fcfs_ms is execution
+        naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
+        fcfs_ms, fast = _time_best(lambda: convolve(fs, fmap)[0], args.repeat)
         _emit(
             "layer",
             name=layer.name,
-            naive_mults=naive.counts.multiplies,
-            fcfs_mults=report.counts.multiplies,
+            naive_mults=acc.naive.multiplies,
+            fcfs_mults=acc.fcfs.multiplies,
             fcfs_floor=plan.needed,
-            fcfs_lookups=report.counts.lookups,
-            measured=measured_ratio(naive.counts, report.counts),
-            predicted=predicted_acceleration(geom, layout, d1, d2).ratio,
+            fcfs_lookups=acc.fcfs.lookups,
+            measured=acc.measured_ratio,
+            predicted=acc.predicted.ratio,
             naive_ms=naive_ms,
             fcfs_ms=fcfs_ms,
             dev=rel_dev(fast.data, reference.data),
             plan_ms=plan_ms,
             work_bytes=plan.nbytes(fast.data.itemsize),
         )
+        timed += 1
+    if not timed:
+        raise FormatError(f"architecture {args.arch!r} has no conv layer the fcfs engine runs")
     _emit("status", ok=1)
     return OK
 
@@ -426,11 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fsconv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    arch = argparse.ArgumentParser(add_help=False)  # what plan and bench read
+    arch.add_argument("arch", help="architecture file (or bundled name, e.g. resnet110)")
+    arch.add_argument("--ratio", help="compression ratio for layers without r=")
+    arch.add_argument("--policy", choices=[p.value for p in StridePolicy])
 
-    plan = sub.add_parser("plan", help="per-layer layout and parameter report")
-    plan.add_argument("arch", help="architecture file (or bundled name, e.g. resnet110)")
-    plan.add_argument("--ratio", help="compression ratio for layers without r=")
-    plan.add_argument("--policy", choices=[p.value for p in StridePolicy])
+    plan = sub.add_parser("plan", parents=[arch], help="per-layer layout and parameter report")
     plan.set_defaults(func=cmd_plan)
 
     conv = sub.add_parser("conv", help="run a model on an input tensor")
@@ -455,10 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--step", type=float, default=1e-5)
     grad.set_defaults(func=cmd_gradcheck)
 
-    bench = sub.add_parser("bench", help="multiply counts and wall clock, both engines")
-    bench.add_argument("arch")
-    bench.add_argument("--ratio")
-    bench.add_argument("--policy", choices=[p.value for p in StridePolicy])
+    bench = sub.add_parser("bench", parents=[arch],
+                           help="multiply counts and wall clock, both engines")
     bench.add_argument("--spatial", type=int, nargs=2, default=(16, 16), metavar=("D1", "D2"))
     bench.add_argument("--repeat", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)

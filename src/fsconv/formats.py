@@ -89,6 +89,8 @@ class ModelLayer:
             if self.alphas.shape != (self.geom.c_out,):
                 shape = f"{self.alphas.shape} != ({self.geom.c_out},)"
                 raise ShapeMismatchError(f"layer {self.name!r}: alphas {shape}")
+            if not np.isfinite(self.alphas).all():
+                raise FormatError(f"layer {self.name!r}: alphas must be finite")
 
     @property
     def layout(self) -> Layout:
@@ -407,7 +409,10 @@ def parse_arch(text: str) -> ArchSpec:
 
 
 def read_arch(path) -> ArchSpec:
-    return parse_arch(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_arch(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"architecture {str(path)!r} is not UTF-8 text: {exc}") from exc
 
 
 def bundled_arch(name: str) -> Path:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateStrideError, InvalidRatioError, ShapeMismatchError
@@ -115,7 +115,7 @@ class Layout:
 
     length: int
     stride: int
-    slices: Fraction
+    slices: Fraction = field(compare=False)  # follows from length: a plan lookup hashes no Fraction
     phys_length: int
 
 

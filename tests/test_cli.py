@@ -1,9 +1,15 @@
 """The command-line surface, invoked in-process and parsed from stdout."""
 
+import contextlib
+import io
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsconv.cli
 import fsconv.fcfs
@@ -505,6 +511,20 @@ class TestGradcheck:
         assert int(layer["flagged"]) > 0
         assert int(layer["checked"]) == 0
 
+    @pytest.mark.parametrize("nan_at", [slice(None), slice(40, 41)], ids=["all", "one"])
+    def test_nan_error_fails(self, capsys, small_model, tmp_path, nan_at):
+        # a NaN error is kept over every later finite one, and fails the check
+        _, geom, fs = small_model
+        weights = fs.weights.copy()
+        weights[nan_at] = np.nan
+        model = tmp_path / "nan.fsn"
+        write_model(model, [ModelLayer("c1", geom, "f32", weights=weights)])
+        code, records, _ = run(capsys, "gradcheck", model, "--points", "20")
+        assert code == 1
+        (layer,) = records_of(records, "layer")
+        assert (layer["summary_err"], layer["status"]) == ("nan", "fail")
+        assert records_of(records, "status") == [{"ok": "0"}]
+
     def test_too_short_summary_reported(self, capsys, tmp_path):
         geom = ConvGeometry(1, 1, 2, 1, 1)  # L = 2 = K: no fractional room
         model = tmp_path / "short.fsn"
@@ -589,6 +609,19 @@ class TestBench:
         assert int(layer["fcfs_lookups"]) == 3 * 8
         assert float(layer["dev"]) <= 1e-12
 
+    @pytest.mark.parametrize("text, skipped", [
+        ("layer bn1 kind=bn channels=16\n", []),
+        ("layer n kind=conv c_in=4 s1=3 s2=1 c_out=8 r=2\n", ["s2_is_1"]),
+    ], ids=["bn_only", "s2_is_1_only"])
+    def test_nothing_timed_is_input_error(self, capsys, tmp_path, text, skipped):
+        arch = tmp_path / "untimed.arch"
+        arch.write_text(text)
+        code, records, err = run(capsys, "bench", arch, "--repeat", "1")
+        assert code == 2
+        assert err == f"error: architecture {str(arch)!r} has no conv layer the fcfs engine runs\n"
+        assert [layer["skipped"] for layer in records_of(records, "layer")] == skipped
+        assert records_of(records, "status") == []
+
     def test_bad_ratio_is_input_error(self, capsys, tmp_path):
         arch = tmp_path / "nr.arch"
         arch.write_text("layer c kind=conv c_in=2 s1=3 s2=3 c_out=4\n")
@@ -615,6 +648,43 @@ class TestBench:
         assert "must be >= 1" in err
         assert records_of(records, "status") == []
         assert records_of(records, "layer") == []
+
+
+class TestLayerSettings:
+    """plan and bench read --ratio once and resolve a conv layer one way."""
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    @pytest.mark.parametrize("text", [
+        "layer c kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n",
+        "layer bn1 kind=bn channels=16\n",
+    ], ids=["all_set_r", "no_conv"])
+    @pytest.mark.parametrize("ratio", ["abc", "1/0"])
+    def test_malformed_ratio_refused_before_any_record(self, capsys, tmp_path, command, text,
+                                                       ratio):
+        arch = tmp_path / "a.arch"
+        arch.write_text(text)
+        code, records, err = run(capsys, command, arch, "--ratio", ratio)
+        assert code == 2
+        assert err == f"error: --ratio must be a rational number, got {ratio!r}\n"
+        assert records == []
+
+    def test_bench_skip_reasons_equal_plan_errors(self, capsys, tmp_path):
+        arch = tmp_path / "mixed.arch"
+        arch.write_text(
+            "ratio 2\n"
+            "layer deg kind=conv c_in=64 s1=3 s2=3 c_out=64 r=4 policy=slice\n"
+            "layer agg kind=conv c_in=2 s1=1 s2=2 c_out=2 r=100\n"
+            "layer low kind=conv c_in=4 s1=3 s2=3 c_out=8\n"  # takes --ratio 1/2
+            "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n"
+        )
+        code, planned, _ = run(capsys, "plan", arch, "--ratio", "1/2")
+        assert code == 0
+        code, benched, _ = run(capsys, "bench", arch, "--ratio", "1/2", "--spatial", "4", "4",
+                               "--repeat", "1")
+        assert code == 0
+        errors = [layer.get("error") for layer in records_of(planned, "layer")]
+        skipped = [layer.get("skipped") for layer in records_of(benched, "layer")]
+        assert errors == skipped == ["degenerate_stride", "invalid_ratio", "invalid_ratio", None]
 
 
 class TestNumericOptions:
@@ -681,6 +751,30 @@ class TestUnreadableFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert records_of(records, "status") == []
 
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_binary_arch_is_input_error(self, capsys, small_model, small_input, command):
+        for path in (small_model[0], small_input[0]):
+            code, records, err = run(capsys, command, path)
+            assert code == 2
+            assert err.startswith(f"error: architecture {str(path)!r} is not UTF-8 text")
+            assert err.count("\n") == 1
+            assert records == []
+
+    def test_non_finite_alpha_is_input_error(self, capsys, small_model, tmp_path):
+        _, geom, fs = small_model
+        alphas = np.zeros(geom.c_out)
+        blob = bytearray(dump_model([ModelLayer("c", geom, "f32", weights=fs.weights,
+                                                alphas=alphas)]))
+        blob[-12:-4] = struct.pack("<d", np.nan)  # the last alpha, before the checksum
+        payload_at = 4 + 4 + 2 + 1 + 36  # magic, count, name length, name, header
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[payload_at:-4])))
+        model = tmp_path / "nan_alpha.fsn"
+        model.write_bytes(bytes(blob))
+        code, records, err = run(capsys, "gradcheck", model)
+        assert code == 2
+        assert err == "error: layer 'c': alphas must be finite\n"
+        assert records == []
+
     @pytest.mark.parametrize("name", ["no_such_arch", "missing.arch", "sub/missing"])
     def test_missing_arch_is_input_error(self, capsys, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
@@ -688,3 +782,83 @@ class TestUnreadableFiles:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         assert records == []
+
+
+FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+VALUES = ["abc", "", "1/0", "nan", "inf", "-1", "0", "1", "2", "7/2"]  # option values, malformed too
+
+
+def exit_code(argv) -> int:
+    """main(argv) with its output dropped; argparse's SystemExit becomes its code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestArgvFuzz:
+    def test_main_returns_an_exit_code(self, tmp_path):
+        arch = tmp_path / "mixed.arch"
+        arch.write_text(
+            "ratio 2\n"
+            "layer c kind=conv c_in=3 s1=3 s2=3 c_out=4\n"
+            "layer bn kind=bn channels=4\n"
+            "layer n kind=conv c_in=4 s1=3 s2=1 c_out=4\n"
+        )
+        bn_only = tmp_path / "bn.arch"
+        bn_only.write_text("layer bn kind=bn channels=4\n")
+        geoms = [ConvGeometry(3, 3, 3, 4, 2), ConvGeometry(4, 3, 3, 4, 2)]
+        summaries = [FilterSummary.random(g, seed=i, dtype=np.float32) for i, g in enumerate(geoms)]
+        model = tmp_path / "model.fsn"
+        write_model(model, [ModelLayer(f"c{i}", fs.geom, "f32", weights=fs.weights,
+                                       alphas=init_alphas(fs)) for i, fs in enumerate(summaries)])
+        tensor = tmp_path / "x.npy"
+        np.save(tensor, np.random.default_rng(0).uniform(-1, 1, (3, 4, 4)))
+        binary = tmp_path / "blob.bin"
+        binary.write_bytes(bytes(range(256)))
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        files = [str(p) for p in (arch, bn_only, model, tensor, binary, directory,
+                                  tmp_path / "missing")]
+
+        def mostly(valid, anything):  # half the draws take a value the command accepts
+            return st.one_of(st.sampled_from(valid), st.sampled_from(anything))
+
+        outputs = mostly([str(tmp_path / "out.bin")],
+                         [str(directory), str(tmp_path / "missing" / "out.bin")])
+        value = st.sampled_from(VALUES)
+        small = mostly(["1", "2"], ["0", "-1", "abc"])
+        policy = st.sampled_from(["generic", "slice", "channel", "abc"])
+        commands = {  # positionals, then the options; a drawn tuple is several tokens
+            "plan": ([mostly([str(arch), "resnet110"], files)],
+                     {"--ratio": mostly(["2", "7/2"], VALUES), "--policy": policy}),
+            "conv": ([mostly([str(model)], files), mostly([str(tensor)], files)],
+                     {"--engine": st.sampled_from(["naive", "fcfs", "both", "x"]),
+                      "--tolerance": mostly(["1e-5"], VALUES), "--output": outputs}),
+            "quantize": ([mostly([str(model)], files)],
+                         {"--bits": st.sampled_from(["4", "8", "3", "abc"]), "--output": outputs}),
+            "gradcheck": ([mostly([str(model)], files)],
+                          {"--points": small, "--seed": value, "--tolerance": value,
+                           "--step": value}),
+            "bench": ([mostly([str(arch)], files)],
+                      {"--spatial": st.tuples(small, small), "--repeat": small,
+                       "--ratio": mostly(["2", "7/2"], VALUES), "--policy": policy,
+                       "--seed": value}),
+        }
+        required = {"--points", "--spatial", "--repeat"}  # small pools keep every call short
+
+        @FUZZ
+        @given(st.data())
+        def check(data):
+            command = data.draw(st.sampled_from(sorted(commands)))
+            positionals, options = commands[command]
+            argv = [command] + [data.draw(pool) for pool in positionals]
+            for option, values in options.items():
+                if option in required or data.draw(st.booleans()):
+                    drawn = data.draw(values)
+                    argv += [option, *(drawn if isinstance(drawn, tuple) else (drawn,))]
+            argv += data.draw(st.sampled_from([[]] * 8 + [["--bogus"], ["extra"]]))
+            assert exit_code(argv) in (0, 1, 2), argv
+
+        check()

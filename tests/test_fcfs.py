@@ -593,6 +593,21 @@ class TestPlanCache:
             with pytest.raises(ValueError):
                 cached.view(table, start)[0] = 0
 
+    def test_warm_lookup_hashes_no_fraction(self, monkeypatch):
+        # the geometry's hash is stored and Layout.slices is not part of the
+        # layout's, so a hit runs no Python-level Fraction.__hash__
+        geom = ConvGeometry(4, 3, 3, 8, Fraction(7, 2))
+        layout = derive_layout(geom)
+        plan = fcfs_plan(geom, layout, 6, 5)
+        hits = fcfs_plan.cache_info().hits
+
+        def refuse(self):
+            raise AssertionError("a Fraction was hashed")
+
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        assert fcfs_plan(geom, layout, 6, 5) is plan
+        assert fcfs_plan.cache_info().hits == hits + 1
+
     def test_cache_size_stays_bounded(self):
         geom = ConvGeometry(1, 1, 2, 2, 1)
         fs = FilterSummary.random(geom, seed=33)

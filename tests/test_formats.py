@@ -136,6 +136,18 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match=r"shape \(2,\); got \(bits, shape\) \[\(32, \(3,\)\)\]"):
             ModelLayer("c", geom, "f32", weights=np.zeros(3, dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alphas_refused(self, value):
+        alphas = np.linspace(-1.0, 1.0, CANON_GEOM.c_out)
+        blob = bytearray(dump_model([one_layer("f32")]))
+        blob[-12:-4] = struct.pack("<d", value)  # the last alpha, before the checksum
+        with pytest.raises(FormatError, match="alphas must be finite"):
+            load_model(with_fresh_crc(blob))
+        alphas[0] = value
+        with pytest.raises(FormatError, match="alphas must be finite"):
+            ModelLayer("c", CANON_GEOM, "f32", weights=np.zeros(63, dtype=np.float32),
+                       alphas=alphas)
+
     def test_layout_is_derived_once_per_geometry(self):
         layer = ModelLayer("c", CANON_GEOM, "f32", weights=np.zeros(63, dtype=np.float32))
         first = layer.layout

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Exact convolution from diagonal prefix sums, multiply for multiply.
+"""Exact convolution from window sums along diagonals, multiply for multiply.
 
 The shared summary means overlapping filters keep re-multiplying the same
 weights against the same feature values. Computing each needed channel-cell
 product once (a cell is the c_in values at one padded position, or c_in
-consecutive summary weights) and prefix-summing along the diagonals of the
-cell product matrix turns every slice inner product into one subtraction.
-The result equals the brute-force path up to rounding; only the count
-changes.
+consecutive summary weights) and summing windows of s1 cells along the
+diagonals of the cell product matrix turns every slice inner product into
+one lookup. The result equals the brute-force path up to rounding; only the
+count changes.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ print(f"engine that ran: {report.engine}")
 print(f"max relative deviation: {dev:.2e}  (reassociated rounding only)")
 print(f"direct engine:    {counter.multiplies:>8} multiplies")
 print(f"integral engine:  {fast_counter.multiplies:>8} multiplies "
-      f"+ {fast_counter.lookups} prefix lookups")
+      f"+ {fast_counter.lookups} window lookups")
 
 print()
 print("=== where the products actually live ===")

@@ -2,10 +2,10 @@
 
 A convolution layer's filters are overlapping segments of one shared 1D
 weight vector. This package derives and validates such layouts, runs the
-convolution exactly through diagonal prefix sums of the feature/weight
-product matrix (with instrumented multiply counts against a brute-force
-reference), quantizes the shared weights to n-bit linear grids with an
-exact integer-path inference identity, and differentiates through
+convolution exactly through window sums along the diagonals of the
+feature/weight product matrix (with instrumented multiply counts against a
+brute-force reference), quantizes the shared weights to n-bit linear grids
+with an exact integer-path inference identity, and differentiates through
 fractional filter locations.
 """
 

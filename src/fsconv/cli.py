@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import math
 import sys
 import time
@@ -83,9 +84,10 @@ def _check_option(name: str, value, low, strict: bool = False) -> None:
         raise InvalidArgumentError(f"{name} must be {op} {low} and finite, got {value}")
 
 
-def _read_arch(args) -> tuple[Path, ArchSpec, Fraction | None, StridePolicy | None]:
-    """(path, contents, ratio, policy): the architecture file, or a bundled one
-    by bare name, not empty; and --ratio and --policy, read once, before any record."""
+def _read_arch(args) -> tuple[Path, ArchSpec, list]:
+    """(path, contents, resolved): the architecture file, or a bundled one by bare
+    name, not empty, and per layer its _resolve_conv result, None if not conv. All
+    is read before any record: --ratio and --policy once, then every conv layer."""
     path = Path(args.arch)
     if not path.exists() and path.suffix == "" and "/" not in args.arch:
         path = bundled_arch(args.arch)  # FileNotFoundError: no such file or bundled name
@@ -96,7 +98,9 @@ def _read_arch(args) -> tuple[Path, ArchSpec, Fraction | None, StridePolicy | No
         ratio = None if args.ratio is None else Fraction(args.ratio)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidArgumentError(f"--ratio must be a rational number, got {args.ratio!r}") from exc
-    return path, arch, ratio, None if args.policy is None else StridePolicy(args.policy)
+    policy = None if args.policy is None else StridePolicy(args.policy)
+    return path, arch, [_resolve_conv(arch, layer, ratio, policy)
+                        if isinstance(layer, ConvSpec) else None for layer in arch.layers]
 
 
 def _read_model(path) -> list[ModelLayer]:
@@ -128,10 +132,10 @@ def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
 
 
 def cmd_plan(args) -> int:
-    arch_path, arch, ratio, policy = _read_arch(args)
+    arch_path, arch, resolved = _read_arch(args)
     _emit("plan", file=arch_path, layers=len(arch.layers))
     baseline_total = fsnet_total = 0
-    for layer in arch.layers:
+    for layer, conv in zip(arch.layers, resolved):
         if isinstance(layer, BatchNormSpec):
             _emit("layer", name=layer.name, kind="bn", params=layer.params)
         elif isinstance(layer, DenseSpec):
@@ -148,7 +152,7 @@ def cmd_plan(args) -> int:
             baseline_total += layer.params
             fsnet_total += layer.params
             continue
-        layer_ratio, layer_policy, geom, layout = _resolve_conv(arch, layer, ratio, policy)
+        layer_ratio, layer_policy, geom, layout = conv
         fields = dict(name=layer.name, kind="conv", c_in=layer.c_in, s1=layer.s1, s2=layer.s2,
                       c_out=layer.c_out, r=layer_ratio, policy=layer_policy)
         if geom is None:  # surfaced per layer, not fatal: the layer stays uncompressed
@@ -369,17 +373,17 @@ def _time_best(fn, repeat: int):
 
 
 def cmd_bench(args) -> int:
-    arch_path, arch, ratio, policy = _read_arch(args)
+    arch_path, arch, resolved = _read_arch(args)
     d1, d2 = args.spatial
     _check_option("--spatial", min(d1, d2), 1)
     _check_option("--repeat", args.repeat, 1)
     _check_option("--seed", args.seed, 0)
     _emit("bench", file=arch_path, spatial=f"{d1}x{d2}", repeat=args.repeat, seed=args.seed)
     timed = 0
-    for index, layer in enumerate(arch.layers):
-        if not isinstance(layer, ConvSpec):
+    for index, (layer, conv) in enumerate(zip(arch.layers, resolved)):
+        if conv is None:
             continue
-        _, _, geom, layout = _resolve_conv(arch, layer, ratio, policy)
+        _, _, geom, layout = conv
         skipped = layout if geom is None else fcfs_fallback(geom, layout)
         if skipped is not None:
             _emit("layer", name=layer.name, skipped=skipped)
@@ -415,6 +419,7 @@ def cmd_bench(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
+@functools.cache  # one tree per process: no option has a mutable default
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsconv",

@@ -12,7 +12,7 @@ class MultCounter:
     """Tally of the arithmetic a run actually performed.
 
     multiplies  floating-point products
-    additions   additions and subtractions (prefix sums, lookups, merges)
+    additions   additions that run (dot products, window sums, slice accumulation)
     lookups     integral-line reads in the final stage; kept separate so the
                 conventional per-output-element charge of s2 can be compared
                 against the multiply count without conflating the two

@@ -1,13 +1,12 @@
-"""Exact convolution from diagonal prefix sums of channel-cell products.
+"""Exact convolution from window sums along diagonals of channel-cell products.
 
 A cell is the c_in values at one padded position, or c_in consecutive
 summary weights. Under a channel-aligned filter stride each slice inner
-product sums s1 consecutive entries on one diagonal of the cell products
-G[r, q] = x_cell[r] . w_cell[q]. A cached FcfsPlan holds sizes, bands,
-strides and counts. Stage 1: BLAS writes G band by band into a skewed table
-whose columns are its diagonals; stage 2 prefix-sums the columns; stage 3
-subtracts two strided views of the table and adds the s2 slices per output
-in order: bit-identical at a fixed BLAS thread count.
+product sums a window of s1 consecutive entries on one diagonal of the cell
+products G[r, q] = x_cell[r] . w_cell[q]. Stage 1: BLAS writes G band by band
+into a skewed table whose columns are its diagonals; stage 2 sums s1 rows
+into each window in place; stage 3 reads one strided view of the windows and
+adds the s2 slices per output in order, bit-identical at a fixed BLAS thread count.
 
 geometry.fcfs_fallback is the one rule for which layers this engine runs;
 FcfsPlan.build refuses the rest. convolve is the entry point and the one run
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
+BLOCK_BYTES = 256 * 1024  # a stage-2 block is as many f64 rows as fit, one at least
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,10 @@ class FcfsPlan:
     """Everything fcfs_conv needs that does not depend on the data.
 
     cells, summary  P padded cells, Q summary cells up to the last one read.
-                    Table entry Q + r + q*(P+Q) sums G over the cells before
-                    (r, q) on their diagonal; the table is (Q+1) x (P+Q+1).
+                    G[r, q] goes to row q+1, column Q+r-q of a (Q+1) x (P+Q+1)
+                    table; then for q <= Q-s1 entry Q + r + q*(P+Q) becomes the
+                    window of `window` = s1 cells on a diagonal from (r, q).
+    block           rows of windows stage 2 sums at a time, in one buffer
     bands           (r0, r1, q0, q1) per stage-1 product G[r0:r1, q0:q1]
     shape, strides  the (s2, d2, d1, c_out) lattice of slice pairs (see view)
     multiplies, additions, lookups: the exact counts of one execution.
@@ -57,7 +59,8 @@ class FcfsPlan:
     bands: tuple[tuple[int, int, int, int], ...]
     shape: tuple[int, int, int, int]
     strides: tuple[int, int, int, int]
-    step: int
+    window: int
+    block: int
     multiplies: int
     additions: int
     lookups: int
@@ -68,8 +71,7 @@ class FcfsPlan:
         for a layer fcfs_fallback refuses. Slice k of filter i at output
         (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m with the s1
         summary cells from q = i*stride/c_in + k*s1."""
-        fallback = fcfs_fallback(geom, layout)
-        if fallback is not None:
+        if (fallback := fcfs_fallback(geom, layout)) is not None:
             raise UnsupportedGeometryError(f"fcfs does not run {fallback.value} layers; use naive")
         s1, s2, c_in = geom.s1, geom.s2, geom.c_in
         p1, shift = d1 + s1 - 1, layout.stride // c_in
@@ -81,16 +83,12 @@ class FcfsPlan:
         bands = tuple((a * p1, b * p1, s1 * max(0, a - d2 + 1), last + s1 * min(s2, a + 1))
                       for a, b in zip(edges, edges[1:]))
         computed = sum((r1 - r0) * (q1 - q0) for r0, r1, q0, q1 in bands)
-        # Consecutive bands' diagonals r - q overlap, so together they run
-        # from 1 - (last + s1) in column 0 to P - 1 - s1*(s2-1) in the last.
-        diagonals = cells + last + s1 * (2 - s2) - 1
-        row = cells + summary + 1
+        row, lookups = cells + summary + 1, s2 * d2 * d1 * geom.c_out
         strides = (p1 + s1 * (row - 1), p1, 1, shift * (row - 1))  # (k, n, m, i)
-        lookups = s2 * d2 * d1 * geom.c_out
-        # stage 1 sums c_in products per cell; stage 2 adds each cell after
-        # the first on its diagonal; stage 3 one per slice pair, s2-1 per output
-        additions = c_in * computed - diagonals + lookups + lookups // s2 * (s2 - 1)
-        return cls(cells, summary, bands, (s2, d2, d1, geom.c_out), strides, s1 * row,
+        windows = summary - s1 + 1  # adds: c_in-1 per cell, s1-1 per window entry, s2-1 per output
+        additions = (c_in - 1) * computed + windows * row * (s1 - 1) + lookups // s2 * (s2 - 1)
+        block = min(windows, max(1, BLOCK_BYTES // (8 * row)))
+        return cls(cells, summary, bands, (s2, d2, d1, geom.c_out), strides, s1, block,
                    c_in * computed, additions, lookups)
 
     @functools.cached_property
@@ -99,30 +97,34 @@ class FcfsPlan:
         return self.multiplies // computed * int(_reads(self).sum())  # c_in products per cell
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one execution allocates beyond the padded map and output."""
-        return itemsize * ((self.summary + 1) * (self.cells + self.summary + 1) + self.lookups)
+        """Bytes one execution allocates beyond the padded map and output: table and buffer."""
+        return itemsize * (self.cells + self.summary + 1) * (self.summary + 1 + self.block)
 
-    def prefix_table(self, padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Stages 1 and 2: the flat table of diagonal prefix sums of G."""
+    def window_table(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
+        """Pad the map, then stages 1 and 2: the flat table whose row q is window q."""
+        padded = pad_same(fmap, self.window, self.shape[0]).data
         dtype = np.result_type(padded, weights)
         x = padded.astype(dtype, copy=False).reshape(self.cells, -1)
         w = weights[: self.summary * x.shape[1]].astype(dtype, copy=False).reshape(self.summary, -1)
         row = self.cells + self.summary + 1
         table = np.zeros((self.summary + 1, row), dtype)
-        flat = table.ravel()
-        size = flat.itemsize
+        flat, size = table.ravel(), table.itemsize
         for r0, r1, q0, q1 in self.bands:  # BLAS writes G[r, q] at row q+1, column Q+r-q
             start = (row + self.summary + r0 + q0 * (row - 1)) * size
             skew = np.ndarray((q1 - q0, r1 - r0), dtype, flat, start, ((row - 1) * size, size))
             np.matmul(w[q0:q1], x[r0:r1].T, out=skew)
-        for above, below in zip(table, table[1:]):  # down each diagonal, row by row
-            below += above
+        windows, block = self.summary - self.window + 1, np.empty((self.block, row), dtype)
+        for a in range(0, windows, len(block)):  # row q is free once window q-1 exists
+            part = block[: windows - a]
+            np.copyto(part, table[a + 1 : a + 1 + len(part)])
+            for t in range(2, self.window + 1):
+                part += table[a + t : a + t + len(part)]
+            table[a : a + len(part)] = part
         return flat
 
     def view(self, flat: np.ndarray, start: int, writeable=False) -> np.ndarray:
-        """The (s2, d2, d1, c_out) entries of the contiguous `flat` from `start`
-        on at the plan's strides: each slice pair's lower table entry from Q,
-        its upper from Q + step. numpy refuses a view that leaves `flat`."""
+        """The (s2, d2, d1, c_out) entries of the contiguous `flat` from `start` at the plan's
+        strides, from Q each slice pair's window; numpy refuses a view that leaves `flat`."""
         size = flat.itemsize
         strides = [s * size for s in self.strides]
         view = np.ndarray(self.shape, flat.dtype, flat, start * size, strides)
@@ -134,7 +136,7 @@ def _reads(plan: FcfsPlan) -> np.ndarray:
     """The cells any slice reads, as a (Q, P+Q+1) mask: row q, column Q+r-q."""
     row = plan.cells + plan.summary + 1
     mask = np.zeros(plan.summary * row, bool)
-    for start in range(plan.summary, plan.summary + plan.step, row):  # a slice's s1 cells
+    for start in range(plan.summary, plan.summary + plan.window * row, row):  # a slice's s1 cells
         plan.view(mask, start, writeable=True)[...] = True
     return mask.reshape(plan.summary, row)
 
@@ -164,9 +166,8 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
 
 
 def build_integrals(fs: FilterSummary, fmap: FeatureMap, diagonals=None) -> np.ndarray:
-    """Stages 1 and 2 on this input (see FcfsPlan); `diagonals` is not read."""
-    plan = _plan(fs, fmap)
-    return plan.prefix_table(pad_same(fmap, fs.geom.s1, fs.geom.s2).data, fs.weights)
+    """Stages 1 and 2 on this input: the window table (see FcfsPlan); `diagonals` is not read."""
+    return _plan(fs, fmap).window_table(fmap, fs.weights)
 
 
 @dataclass(frozen=True)
@@ -189,20 +190,18 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
         counter = MultCounter()
         return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
     plan, geom = _plan(fs, fmap), fs.geom
-    flat = plan.prefix_table(pad_same(fmap, geom.s1, geom.s2).data, fs.weights)
-    lower, upper = plan.view(flat, plan.summary), plan.view(flat, plan.summary + plan.step)
-    out = np.zeros(plan.shape[1:], lower.dtype)  # (d2, d1, c_out): the channel-major output
-    for per_slice in upper - lower:  # fixed order: bit-stable; not reshaped, as numpy
-        out += per_slice  # lays the difference out in (k, i, n, m) order
+    windows = plan.view(plan.window_table(fmap, fs.weights), plan.summary)
+    out = np.add(windows[0], windows[1], order="C")  # (d2, d1, c_out), channel-major; s2 >= 2
+    for per_slice in windows[2:]:  # fixed order: bit-stable
+        out += per_slice
     counts = MultCounter(plan.multiplies, plan.additions, plan.lookups)
     return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), RunReport("fcfs", None, counts)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """convolve(fs, fmap, "fcfs") with loud fallbacks: raises for s2 == 1
-    and for an empty map, and warns before running the reference engine
-    when the filter stride is not channel-aligned. Equals naive_conv up to
-    floating reassociation (the prefix sums regroup the same products)."""
+    """convolve(fs, fmap, "fcfs") with loud fallbacks: raises for s2 == 1 and for an empty
+    map, and warns before running the reference engine when the filter stride is not
+    channel-aligned. Equals naive_conv up to floating reassociation of the same products."""
     fallback = fcfs_fallback(fs.geom, fs.layout)
     if fallback is Fallback.S2_IS_1:
         raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "

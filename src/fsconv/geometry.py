@@ -47,8 +47,10 @@ class StridePolicy(enum.Enum):
         would collapse all filters onto the same segment.
     CHANNEL_ALIGNED
         Largest multiple of c_in not exceeding the generic stride. Keeps the
-        fast path's diagonal set channel-aligned without the degenerate
-        behaviour of SLICE_ALIGNED. Default.
+        fast path's diagonal set channel-aligned. Default. It rounds to 0
+        whenever the generic stride is below c_in (for 16->16 3x3 at ratio
+        16, say): every filter is then the same K weights. derive_layout
+        returns that layout, where SLICE_ALIGNED raises DegenerateStrideError.
     """
 
     GENERIC = "generic"

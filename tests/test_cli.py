@@ -2,9 +2,13 @@
 
 import contextlib
 import io
+import os
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,10 +582,10 @@ class TestBench:
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert float(layer["plan_ms"]) > 0
-        # one f64 execution allocates the (Q+1) x (P+Q+1) table and s2 slice
-        # sums per output: P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary
-        # cells (channel-aligned stride 16), 3*8*6*5 slice pairs
-        assert int(layer["work_bytes"]) == 8 * (38 * 94 + 720)
+        # one f64 execution allocates the (Q+1) x (P+Q+1) table and one
+        # buffer for its Q-s1+1 windows, far below BLOCK_BYTES: P = 8*7 padded
+        # cells, Q = 7*(16/4) + 3*3 summary cells (channel-aligned stride 16)
+        assert int(layer["work_bytes"]) == 8 * (38 * 94 + 35 * 94)
         assert float(layer["fcfs_ms"]) > 0
 
     def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path):
@@ -685,6 +689,58 @@ class TestLayerSettings:
         errors = [layer.get("error") for layer in records_of(planned, "layer")]
         skipped = [layer.get("skipped") for layer in records_of(benched, "layer")]
         assert errors == skipped == ["degenerate_stride", "invalid_ratio", "invalid_ratio", None]
+
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_layer_without_ratio_refused_before_any_record(self, capsys, tmp_path, command):
+        arch = tmp_path / "nr.arch"
+        arch.write_text(
+            "layer a kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n"
+            "layer b kind=conv c_in=4 s1=3 s2=3 c_out=8\n"
+        )
+        code, records, err = run(capsys, command, arch)
+        assert code == 2
+        assert err == "error: layer 'b' has no ratio; set r= in the file or pass --ratio\n"
+        assert records == []
+
+
+class TestEntryPoint:
+    def test_reused_parser_matches_fresh_one(self, capsys, tmp_path, small_model, small_input):
+        # main builds the argparse tree once per process; calls in a row, with
+        # other commands, and options set in one call left at their defaults
+        # in the next, print what calls on a freshly built tree print
+        model, input_path = small_model[0], small_input[0]
+        argvs = [
+            ["plan", "resnet110", "--ratio", "4", "--policy", "slice"],
+            ["conv", model, input_path, "--engine", "naive"],
+            ["plan", "resnet110", "--ratio", "4"],
+            ["quantize", model, "--bits", "4", "--output", tmp_path / "q.fsn"],
+            ["conv", model, input_path],
+            ["plan", "resnet110"],
+        ]
+        fsconv.cli.build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in argvs]
+        assert fsconv.cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            fsconv.cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2]
+
+    def test_python_dash_m_equals_main(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        argv = ["plan", "resnet110", "--ratio", "4"]
+        result = subprocess.run([sys.executable, "-m", "fsconv", *argv], cwd=root, env=env,
+                                capture_output=True, text=True, timeout=120)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, "")
+        assert code == 0 and captured.out.startswith("plan ")
 
 
 class TestNumericOptions:

@@ -78,17 +78,21 @@ def enumerate_banded(geom, layout, d1, d2):
     return banded
 
 
-def banded_counts(geom, banded, d1, d2):
-    """Oracle: (multiplies, additions, lookups) of one execution. A cell
-    product is c_in multiplies and c_in-1 additions; each diagonal's prefix
-    sum adds every computed cell after its first; stage 3 subtracts once
-    per slice pair and adds s2-1 slices per output."""
-    diagonals = len({r - q for r, q in banded})
-    lookups = geom.s2 * geom.c_out * d1 * d2
-    additions = (
-        geom.c_in * len(banded) - diagonals + lookups + (geom.s2 - 1) * geom.c_out * d1 * d2
-    )
-    return geom.c_in * len(banded), additions, lookups
+def banded_counts(geom, layout, banded, d1, d2):
+    """Oracle: (multiplies, additions, lookups) of one execution, with P and
+    Q taken from the enumerated cells. A cell product is c_in multiplies and
+    c_in-1 additions. Stage 2 builds one window per summary cell from the
+    first to the last one a slice starts on, each from s1 whole table rows of
+    P+Q+1 entries, zero cells included: s1-1 adds per entry. Stage 3 looks up
+    one window per slice pair and adds the s2 of an output in s2-1 adds."""
+    padded = max(r for r, _ in banded) + 1
+    summary = max(q for _, q in banded) + 1
+    starts = {(i * layout.stride + k * geom.slice_len) // geom.c_in
+              for i in range(geom.c_out) for k in range(geom.s2)}
+    stage2 = (max(starts) + 1) * (padded + summary + 1) * (geom.s1 - 1)
+    outputs = geom.c_out * d1 * d2
+    additions = (geom.c_in - 1) * len(banded) + stage2 + (geom.s2 - 1) * outputs
+    return geom.c_in * len(banded), additions, geom.s2 * outputs
 
 
 def bands_by_column(geom, layout, d1, d2):
@@ -116,6 +120,17 @@ def slice_starts(fs, shape, d1):
     a = (n + k) * geom.c_in * (d1 + geom.s1 - 1) + m * geom.c_in
     b = i * fs.layout.stride + k * geom.slice_len
     return a.ravel(), b.ravel()
+
+
+def assert_windows_are_slice_dots(fs, fmap, plan, table):
+    """Every window the stage-3 view reads equals its slice pair's direct
+    dot product, within 1e-12 in f64."""
+    padded = pad_same(fmap, fs.geom.s1, fs.geom.s2).data
+    a, b = slice_starts(fs, plan.shape, fmap.d1)
+    span = np.arange(fs.geom.slice_len)
+    direct = np.einsum("ij,ij->i", padded[a[:, None] + span], fs.weights[b[:, None] + span])
+    read = plan.view(table, plan.summary).ravel()
+    assert np.all(np.abs(read - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
 
 def plan_cells(plan):
@@ -157,7 +172,7 @@ class TestRequiredDiagonals:
             assert planned.needed == len(cells)
             counts = (planned.multiplies, planned.additions, planned.lookups)
             banded = enumerate_banded(geom, fs.layout, d1, d2)
-            assert counts == banded_counts(geom, banded, d1, d2)
+            assert counts == banded_counts(geom, fs.layout, banded, d1, d2)
             assert planned.multiplies >= planned.needed
             for runs in plan.values():  # runs disjoint, sorted, non-touching
                 for (lo1, hi1), (lo2, hi2) in zip(runs, runs[1:]):
@@ -255,30 +270,32 @@ class TestPlanFloor:
 
 
 class TestBuildIntegrals:
-    """Stages 1 and 2: the plan's table of diagonal prefix sums of the cell
-    products G[r, q] = x_cell[r] . w_cell[q]."""
+    """Stages 1 and 2: the plan's table of the cell products G[r, q] =
+    x_cell[r] . w_cell[q], each row q <= Q - s1 then overwritten by window q,
+    the sum of rows q+1 .. q+s1."""
 
     def test_hand_case(self):
         # one 1x1x2 filter [1, 2] on the 1x2 map [3, 4] (padded [3, 4, 0]):
         # P = 3 padded cells, Q = 2 summary cells; map columns 0, 1, 2 read
         # summary cells [0, 1), [0, 2), [1, 2). G holds 3*1, 4*1, 4*2, 0*2.
-        # Row q of the 3 x 6 table holds, at column Q + r - q, the sum of G
-        # over the cells before (r, q) on their diagonal.
+        # Stage 1 puts G[r, q] in row q+1 of the 3 x 6 table, at column
+        # Q + r - q; with s1 = 1, window q is row q+1, for q = 0 and 1.
         geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
         fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
         assert np.array_equal(
-            table.reshape(3, 6), [[0, 0, 0, 0, 0, 0], [0, 0, 3, 4, 0, 0], [0, 0, 11, 4, 0, 0]]
+            table.reshape(3, 6), [[0, 0, 3, 4, 0, 0], [0, 0, 8, 0, 0, 0], [0, 0, 8, 0, 0, 0]]
         )
         plan = fcfs_plan(geom, fs.layout, 1, 2)
         assert plan.bands == ((0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 1, 2))
-        # 4 products; 2 prefix additions (diagonals 0 and 1 hold two cells
-        # each), 4 lookups and 2 slice additions
-        assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (4, 8, 4, 4)
-        assert (plan.shape, plan.strides, plan.step) == ((2, 2, 1, 1), (6, 1, 1, 5), 6)
-        lower, upper = plan.view(table, plan.summary), plan.view(table, plan.summary + plan.step)
-        assert np.array_equal((upper - lower).ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
+        # 4 products; no cell or window additions (c_in = s1 = 1), 4 lookups
+        # and 2 slice additions
+        assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (4, 2, 4, 4)
+        assert (plan.shape, plan.strides) == ((2, 2, 1, 1), (6, 1, 1, 5))
+        assert (plan.window, plan.block) == (1, 2)  # s1; both windows in one block
+        windows = plan.view(table, plan.summary)
+        assert np.array_equal(windows.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
 
     def test_zero_summary_zero_integrals(self):
@@ -291,37 +308,64 @@ class TestBuildIntegrals:
         assert table.size == (plan.summary + 1) * (plan.cells + plan.summary + 1) > 0
         assert not table.any()
 
-    def test_telescoping_matches_direct_dot(self):
+    def test_windows_match_direct_dot(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
             geom = fs.geom
             plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
             table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
-            padded = pad_same(fmap, geom.s1, geom.s2).data
-            width = geom.slice_len
-            # every stage-3 read is the slice pair's inner product
-            lower, upper = plan.view(table, plan.summary), plan.view(table, plan.summary + plan.step)
-            for read, a, b in zip((upper - lower).ravel(), *slice_starts(fs, plan.shape, fmap.d1)):
-                direct = float(padded[a : a + width] @ fs.weights[b : b + width])
-                assert abs(read - direct) <= 1e-12 * max(1.0, abs(direct))
-            # and any segment of any diagonal telescopes to the sum of the
-            # cell products stage 1 computed on it; the rest of G stays 0
+            assert_windows_are_slice_dots(fs, fmap, plan, table)
+            # any table entry: a window row sums the s1 cell products stage 1
+            # computed from (r, q) down its diagonal, a later row holds the
+            # product at (r, q-1); cells outside the bands count as 0
             banded = enumerate_banded(geom, fs.layout, fmap.d1, fmap.d2)
+            padded = pad_same(fmap, geom.s1, geom.s2).data
             x = padded.reshape(plan.cells, geom.c_in)
             w = fs.weights[: plan.summary * geom.c_in].reshape(plan.summary, geom.c_in)
             grid = table.reshape(plan.summary + 1, plan.cells + plan.summary + 1)
-            for column in rng.integers(grid.shape[1], size=20):
-                lo = int(rng.integers(plan.summary + 1))
-                hi = int(rng.integers(lo, plan.summary + 1))
-                cells = [(column - plan.summary + q, q) for q in range(lo, hi)]
-                direct = sum(float(x[r] @ w[q]) for r, q in cells if (r, q) in banded)
-                got = grid[hi, column] - grid[lo, column]
-                assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
+            for _ in range(40):
+                q, column = int(rng.integers(grid.shape[0])), int(rng.integers(grid.shape[1]))
+                window = range(q, q + geom.s1) if q <= plan.summary - geom.s1 else [q - 1]
+                cells = [(column - plan.summary + t, t) for t in window]
+                direct = sum(float(x[r] @ w[t]) for r, t in cells if (r, t) in banded)
+                assert abs(grid[q, column] - direct) <= 1e-12 * max(1.0, abs(direct))
+
+    # (c_in, s1, s2, c_out, ratio), d1, d2: s1 from 1 to 5, and one table far
+    # taller than wide (Q = 450 summary cells against P = 132 padded cells)
+    WINDOW_CASES = [
+        ((1, 4, 4, 63, 2), 8, 9),
+        ((2, 1, 3, 6, 2), 5, 4),
+        ((3, 2, 2, 9, 3), 6, 5),
+        ((1, 3, 3, 12, 2), 4, 7),
+        ((2, 5, 2, 7, 2), 3, 6),
+    ]
+
+    @pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: "s1=%d" % c[0][1])
+    def test_windows_equal_in_any_block_size(self, monkeypatch, case):
+        # one-row blocks, blocks that leave the last one partly full, and one
+        # block for all windows must give the same bytes, each window the
+        # slice pair's direct dot product
+        (c_in, s1, s2, c_out, ratio), d1, d2 = case
+        geom = ConvGeometry(c_in, s1, s2, c_out, ratio)
+        fs = FilterSummary.random(geom, seed=49)
+        fmap = FeatureMap.random(c_in, d1, d2, seed=50)
+        default = FcfsPlan.build(geom, fs.layout, d1, d2)
+        row, windows = default.cells + default.summary + 1, default.summary - s1 + 1
+        assert windows % (windows // 2 + 1) > 0  # the middle size leaves a partial block
+        tables = []
+        for rows in (1, windows // 2 + 1, windows):
+            monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 8 * row * rows)
+            plan = FcfsPlan.build(geom, fs.layout, d1, d2)
+            assert plan.block == rows
+            assert plan.nbytes(8) == 8 * row * (plan.summary + 1 + rows)
+            tables.append(plan.window_table(fmap, fs.weights))
+            assert_windows_are_slice_dots(fs, fmap, plan, tables[-1])
+        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
 
 
 class TestStageThreeViews:
-    """Stage 3 reads the table through two strided views. They must name
+    """Stage 3 reads the windows through one strided view. It must name
     exactly the entries an explicit index of every slice pair names."""
 
     EDGE_CASES = [
@@ -346,47 +390,48 @@ class TestStageThreeViews:
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
             plan = fcfs_plan(geom, fs.layout, d1, d2)
             # slice k of filter i at output (m, n) starts at padded cell r and
-            # summary cell q; its lower entry is table row q, column Q + r - q
+            # summary cell q; its window is table row q, column Q + r - q
             s1, p1, shift = geom.s1, d1 + geom.s1 - 1, fs.layout.stride // geom.c_in
             cells = p1 * (d2 + geom.s2 - 1)
             summary = (geom.c_out - 1) * shift + s1 * geom.s2
             row = cells + summary + 1
-            assert (plan.cells, plan.summary, plan.step) == (cells, summary, s1 * row)
+            assert (plan.cells, plan.summary, plan.window) == (cells, summary, s1)
             k, n, m, i = np.indices((geom.s2, d2, d1, geom.c_out))
             r, q = (n + k) * p1 + m, i * shift + k * s1
+            assert q.max() == summary - s1  # the last window row is read
             idx = q * row + summary + r - q
             positions = np.arange((summary + 1) * row)
             assert np.array_equal(plan.view(positions, summary), idx)
-            assert np.array_equal(plan.view(positions, summary + plan.step), idx + s1 * row)
             table = build_integrals(fs, fmap)
             assert table.size == positions.size
-            lower, upper = plan.view(table, summary), plan.view(table, summary + plan.step)
-            assert lower.tobytes() == table[idx].tobytes()
-            assert upper.tobytes() == table[idx + s1 * row].tobytes()
+            assert plan.view(table, summary).tobytes() == table[idx].tobytes()
 
     def test_view_refuses_an_array_it_leaves(self):
         geom = ConvGeometry(2, 3, 3, 4, 2)
         fs = FilterSummary.random(geom, seed=43)
         table = build_integrals(fs, FeatureMap.random(2, 4, 5, seed=44))
         plan = fcfs_plan(geom, fs.layout, 4, 5)
-        assert plan.view(table, plan.summary + plan.step).shape == (3, 5, 4, 4)
+        assert plan.view(table, plan.summary).shape == (3, 5, 4, 4)
         with pytest.raises(ValueError):
             plan.view(table[: plan.summary], 0)  # too short
         with pytest.raises(ValueError):
             plan.view(table[::2], 0)  # not contiguous
 
-    def test_warm_call_allocates_only_table_and_slice_sums(self):
+    def test_warm_call_allocates_only_table_and_block(self):
         # one f32 16->32 layer at 32x32: Q = 31*2 + 9 = 71 summary cells,
-        # P = 34*34 padded cells, 3*32*32*32 slice sums. A gathered index
-        # would push the call's peak past its bound, a copied band the
-        # peak of stages 1 and 2 past theirs.
+        # P = 34*34 padded cells, and a stage-2 block of 26 rows, the f64
+        # rows of 1228 entries that fit in BLOCK_BYTES. A gathered index, a
+        # slice-sum temporary (393,216 bytes) or a second table would push
+        # the call's peak past its bound, a copied band the peak of stages
+        # 1 and 2 past theirs.
         geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
         fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
         fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
         convolve(fs, fmap)  # plans the layer
         plan = fcfs_plan(geom, fs.layout, 32, 32)
         table, work_bytes = 4 * 72 * (1156 + 72), plan.nbytes(4)
-        assert work_bytes == table + 4 * 3 * 32 * 32 * 32
+        assert plan.block == 262144 // (8 * 1228) == 26
+        assert work_bytes == table + 4 * 26 * (1156 + 72)
         tracemalloc.start()
         try:
             build_integrals(fs, fmap)
@@ -398,7 +443,7 @@ class TestStageThreeViews:
             tracemalloc.stop()
         assert out.data.dtype == np.float32
         padded, output = 4 * 16 * 34 * 34, out.data.nbytes
-        assert fill_peak <= table + padded + 64 * 1024
+        assert fill_peak <= work_bytes + padded + 64 * 1024
         assert peak <= work_bytes + padded + output + 64 * 1024
 
 
@@ -589,9 +634,8 @@ class TestPlanCache:
         assert all(isinstance(getattr(cached, f.name), (int, tuple)) for f in fields(cached))
         assert fresh.nbytes(8) == cached.nbytes(8) > 0
         table = build_integrals(fs, fmap)
-        for start in (cached.summary, cached.summary + cached.step):
-            with pytest.raises(ValueError):
-                cached.view(table, start)[0] = 0
+        with pytest.raises(ValueError):
+            cached.view(table, cached.summary)[0] = 0
 
     def test_warm_lookup_hashes_no_fraction(self, monkeypatch):
         # the geometry's hash is stored and Layout.slices is not part of the

@@ -12,6 +12,7 @@ fractional filter locations.
 from .counters import MultCounter
 from .dfs import (
     central_diff,
+    check_gradients,
     extract_fractional,
     grad_alpha,
     grad_summary,

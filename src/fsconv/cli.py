@@ -3,7 +3,8 @@ quantizer, gradient checker and benchmark reporter.
 
 All reports are structured text on stdout (space-separated key=value
 tokens, one record per line); diagnostics go to stderr. Exit codes:
-0 success, 1 verification failure, 2 malformed input.
+0 success, 1 verification failure, 2 malformed input, 141 (128 + SIGPIPE)
+stdout closed before the report was written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import enum
 import functools
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -20,19 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dfs import (
-    central_diff,
-    extract_fractional,
-    grad_alpha,
-    grad_summary,
-    init_alphas,
-    locate,
-    locate_grad,
-)
+from .dfs import check_gradients
 from .errors import (
     DegenerateStrideError,
     FilterSummaryError,
     FormatError,
+    FSTooShortError,
     InvalidArgumentError,
     InvalidRatioError,
 )
@@ -60,7 +55,7 @@ from .oracle import rel_dev
 from .quant import BIT_WIDTHS, effective_params, quantize
 from .tensors import FeatureMap, FilterSummary, unwrap
 
-OK, FAIL, BAD_INPUT = 0, 1, 2
+OK, FAIL, BAD_INPUT, STDOUT_CLOSED = 0, 1, 2, 141  # 141 = 128 + SIGPIPE, as the shell reports
 
 
 def _fmt(value) -> str:
@@ -111,21 +106,30 @@ def _read_model(path) -> list[ModelLayer]:
     return layers
 
 
+def _filters_coincide(geom: ConvGeometry, layout) -> bool:
+    """Whether all c_out > 1 filters of the layout are the same K weights (stride 0)."""
+    return layout.stride == 0 and geom.c_out > 1
+
+
 def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
     """(ratio, policy, geom, layout) of a conv layer: ratio and policy from the layer, else
     the command line, else the file's defaults, else (policy only) channel. With no valid
-    layout, geom is None and layout is the reason: degenerate_stride or invalid_ratio."""
+    layout, geom is None and layout is the reason: degenerate_stride (stride 0: every
+    filter the same K weights) or invalid_ratio."""
     ratio = next((r for r in (layer.ratio, ratio, arch.default_ratio) if r is not None), None)
     if ratio is None:
         raise FormatError(f"layer {layer.name!r} has no ratio; set r= in the file or pass --ratio")
     policy = layer.policy or policy or arch.default_policy or StridePolicy.CHANNEL_ALIGNED
     try:
         geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
-        return ratio, policy, geom, derive_layout(geom)
+        layout = derive_layout(geom)
     except DegenerateStrideError:
         return ratio, policy, None, "degenerate_stride"
     except InvalidRatioError:
         return ratio, policy, None, "invalid_ratio"
+    if _filters_coincide(geom, layout):
+        return ratio, policy, None, "degenerate_stride"
+    return ratio, policy, geom, layout
 
 
 # --- plan --------------------------------------------------------------------
@@ -139,15 +143,8 @@ def cmd_plan(args) -> int:
         if isinstance(layer, BatchNormSpec):
             _emit("layer", name=layer.name, kind="bn", params=layer.params)
         elif isinstance(layer, DenseSpec):
-            _emit(
-                "layer",
-                name=layer.name,
-                kind="fc",
-                **{"in": layer.fan_in},
-                out=layer.fan_out,
-                bias=int(layer.bias),
-                params=layer.params,
-            )
+            _emit("layer", name=layer.name, kind="fc", **{"in": layer.fan_in}, out=layer.fan_out,
+                  bias=int(layer.bias), params=layer.params)
         if not isinstance(layer, ConvSpec):
             baseline_total += layer.params
             fsnet_total += layer.params
@@ -161,16 +158,9 @@ def cmd_plan(args) -> int:
         else:
             params = count_params(geom, layout)
             baseline, fs = params.baseline, params.fs
-            fields.update(
-                K=geom.filter_len,
-                L=layout.length,
-                s=layout.stride,
-                phys=layout.phys_length,
-                baseline=baseline,
-                fs=fs,
-                cr=params.cr,
-                cr_nominal=params.cr_nominal,
-            )
+            fields.update(K=geom.filter_len, L=layout.length, s=layout.stride,
+                          phys=layout.phys_length, baseline=baseline, fs=fs, cr=params.cr,
+                          cr_nominal=params.cr_nominal)
             pred = predicted_acceleration(geom, layout, 1, 1)
             fields["accelerable"] = int(pred.accelerable)
             if pred.accelerable:
@@ -178,12 +168,8 @@ def cmd_plan(args) -> int:
         _emit("layer", **fields)
         baseline_total += baseline
         fsnet_total += fs
-    _emit(
-        "total",
-        baseline=baseline_total,
-        fsnet=fsnet_total,
-        cr=Fraction(baseline_total, fsnet_total),
-    )
+    _emit("total", baseline=baseline_total, fsnet=fsnet_total,
+          cr=Fraction(baseline_total, fsnet_total))
     return OK
 
 
@@ -205,6 +191,8 @@ def cmd_conv(args) -> int:
     status = OK
     _emit("conv", model=args.model, input=args.input, engine=args.engine, tolerance=args.tolerance)
     for layer in layers:
+        if _filters_coincide(layer.geom, layer.layout):  # run exactly as it is, but not silently
+            _emit("warning", stream=sys.stderr, layer=layer.name, layout="degenerate_stride")
         fs = layer.summary()
         runs = {}
         for engine in engines:  # an fcfs run that fell back already is the naive run
@@ -279,11 +267,6 @@ def cmd_quantize(args) -> int:
 # --- gradcheck ----------------------------------------------------------------
 
 
-def _worst(err: float, new: float) -> float:
-    """max(err, new), except that a NaN on either side is kept: it fails the check."""
-    return err if err != err or new <= err else new
-
-
 def cmd_gradcheck(args) -> int:
     _check_option("--seed", args.seed, 0)
     _check_option("--points", args.points, 1)
@@ -295,66 +278,16 @@ def cmd_gradcheck(args) -> int:
           tolerance=args.tolerance, step=args.step)
     status = OK
     for layer in layers:
-        fs64 = FilterSummary(layer.geom, layer.layout, layer.summary().weights.astype(np.float64))
-        k = layer.geom.filter_len
-        length = layer.layout.length
-        if length <= k + 1:
+        try:
+            fields = check_gradients(layer.summary(), layer.alphas, rng, args.points,
+                                     args.tolerance, args.step)
+        except FSTooShortError:
             _emit("layer", name=layer.name, error="fs_too_short")
             continue
-        alphas = layer.alphas if layer.alphas is not None else init_alphas(fs64)
-        # sample around the model's operating points but inside healthy
-        # sigmoid territory (clipped init targets can sit at alpha ~ -20,
-        # where every location rounds to an integer and gets flagged)
-        base = float(np.clip(np.mean(alphas), -3.0, 3.0))
-
-        alpha_err = summary_err = 0.0
-        checked = flagged = attempts = 0
-        while checked < args.points and attempts < 50 * args.points:
-            attempts += 1
-            alpha = base + float(rng.uniform(-4.0, 4.0))
-            loc = locate(alpha, length, k)
-            # an FD step must not cross an interpolation cell boundary
-            guard = max(2.0 * locate_grad(alpha, length, k) * args.step, 1e-9)
-            if abs(loc - round(loc)) <= guard:
-                flagged += 1
-                continue
-            upstream = rng.standard_normal(k)
-            analytic = grad_alpha(fs64, alpha, upstream)
-            fd, denom = central_diff(
-                lambda a: float(upstream @ extract_fractional(fs64, locate(a, length, k))),
-                alpha,
-                args.step,
-                args.tolerance,
-            )
-            alpha_err = _worst(alpha_err, abs(analytic - fd) / denom)
-
-            grad = grad_summary(fs64, loc, upstream)
-            cell = int(np.floor(loc))
-            bumped = FilterSummary(layer.geom, layer.layout, fs64.weights.copy())
-            for idx in range(cell, cell + k + 1):
-                def bumped_value(w):
-                    bumped.weights[idx] = w
-                    value = float(upstream @ extract_fractional(bumped, loc))
-                    bumped.weights[idx] = fs64.weights[idx]
-                    return value
-
-                fd_w, denom_w = central_diff(
-                    bumped_value, float(fs64.weights[idx]), 1e-6, args.tolerance
-                )
-                summary_err = _worst(summary_err, abs(grad[idx] - fd_w) / denom_w)
-            checked += 1
-        ok = alpha_err <= args.tolerance and summary_err <= args.tolerance
+        ok = fields["alpha_err"] <= args.tolerance and fields["summary_err"] <= args.tolerance
         if not ok:
             status = FAIL
-        _emit(
-            "layer",
-            name=layer.name,
-            alpha_err=alpha_err,
-            summary_err=summary_err,
-            checked=checked,
-            flagged=flagged,
-            status="pass" if ok else "fail",
-        )
+        _emit("layer", name=layer.name, **fields, status="pass" if ok else "fail")
     _emit("status", ok=int(status == OK))
     return status
 
@@ -470,7 +403,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter shutdown
+        return status
+    except BrokenPipeError:  # stdout closed early: nothing more to say, nor at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
     except (FilterSummaryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

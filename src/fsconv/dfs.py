@@ -31,6 +31,7 @@ __all__ = [
     "grad_summary",
     "init_alphas",
     "central_diff",
+    "check_gradients",
 ]
 
 
@@ -80,11 +81,12 @@ def extract_fractional(fs: FilterSummary, loc: float) -> np.ndarray:
 
 
 def _extract_in_cell(fs: FilterSummary, loc: float, cell: int) -> np.ndarray:
-    k = fs.geom.filter_len
-    w_right = loc - cell
-    lo = fs.weights[cell : cell + k]
-    hi = fs.weights[cell + 1 : cell + 1 + k]
-    return (1.0 - w_right) * lo + w_right * hi
+    return _interpolate(fs.weights[cell : cell + fs.geom.filter_len + 1], loc - cell)
+
+
+def _interpolate(window: np.ndarray, w_right: float) -> np.ndarray:
+    """Filters of K weights from windows of K+1 along the last axis."""
+    return (1.0 - w_right) * window[..., :-1] + w_right * window[..., 1:]
 
 
 def grad_alpha(fs: FilterSummary, alpha: float, upstream) -> float:
@@ -143,12 +145,67 @@ def init_alphas(fs: FilterSummary, *, eps: float = 1e-9) -> np.ndarray:
     return np.log(frac / (1.0 - frac))
 
 
-def central_diff(f, x: float, step: float, tol: float = 1e-6) -> tuple[float, float]:
+def central_diff(f, x, step: float, tol: float = 1e-6):
     """Central difference of f at x, and the denominator for a `tol`-relative
     check: below its resolution, ~eps*|f|/step, a component is measured
-    against that floor instead of its own noise-dominated magnitude."""
+    against that floor instead of its own noise-dominated magnitude. f may
+    map an array x to an array of components, each with its own floor."""
     hi = f(x + step)
     lo = f(x - step)
     fd = (hi - lo) / (2.0 * step)
-    noise = 64.0 * np.finfo(np.float64).eps * max(abs(hi), abs(lo)) / step
-    return fd, max(abs(fd), noise / tol)
+    noise = 64.0 * np.finfo(np.float64).eps * np.maximum(np.abs(hi), np.abs(lo)) / step
+    return fd, np.maximum(np.abs(fd), noise / tol)
+
+
+def _worst(err: float, new: float) -> float:
+    """max(err, new), except that a NaN on either side is kept: it fails the check."""
+    return err if err != err or new <= err else new
+
+
+def check_gradients(fs: FilterSummary, alphas, rng, points: int, tolerance: float,
+                    step: float) -> dict:
+    """Central-difference check of grad_alpha and grad_summary on one layer.
+
+    Draws alphas around the mean of `alphas` (init_alphas when None) until
+    `points` locations are checked; a location whose alpha step could cross
+    an interpolation cell boundary is flagged instead. At each checked point
+    the K+1 summary weights the filter reads are bumped all at once, one row
+    of a (K+1) x (K+1) stack each. Returns the record's fields alpha_err,
+    summary_err (worst tolerance-relative errors, NaN kept), checked and
+    flagged. FSTooShortError, before any draw, when the summary leaves no
+    fractional room.
+    """
+    k, length = fs.geom.filter_len, fs.layout.length
+    _span(length, k)  # FSTooShortError before the first draw
+    fs = FilterSummary(fs.geom, fs.layout, fs.weights.astype(np.float64))
+    if alphas is None:
+        alphas = init_alphas(fs)
+    # sample around the model's operating points but inside healthy sigmoid
+    # territory (clipped init targets can sit at alpha ~ -20, where every
+    # location rounds to an integer and gets flagged)
+    base = float(np.clip(np.mean(alphas), -3.0, 3.0))
+    diagonal = np.eye(k + 1, dtype=bool)
+    alpha_err = summary_err = 0.0
+    checked = flagged = attempts = 0
+    while checked < points and attempts < 50 * points:
+        attempts += 1
+        alpha = base + float(rng.uniform(-4.0, 4.0))
+        loc = locate(alpha, length, k)
+        # an FD step must not cross an interpolation cell boundary
+        if abs(loc - round(loc)) <= max(2.0 * locate_grad(alpha, length, k) * step, 1e-9):
+            flagged += 1
+            continue
+        upstream = rng.standard_normal(k)
+        fd, denom = central_diff(
+            lambda a: float(upstream @ extract_fractional(fs, locate(a, length, k))),
+            alpha, step, tolerance)
+        alpha_err = _worst(alpha_err, abs(grad_alpha(fs, alpha, upstream) - fd) / denom)
+        cell = math.floor(loc)
+        window = fs.weights[cell : cell + k + 1]
+        fd, denom = central_diff(  # row j: the window with weight j set to w[j]
+            lambda w: _interpolate(np.where(diagonal, w[:, None], window), loc - cell) @ upstream,
+            window, 1e-6, tolerance)
+        grad = grad_summary(fs, loc, upstream)[cell : cell + k + 1]
+        summary_err = _worst(summary_err, np.max(np.abs(grad - fd) / denom))
+        checked += 1
+    return dict(alpha_err=alpha_err, summary_err=summary_err, checked=checked, flagged=flagged)

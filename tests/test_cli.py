@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsconv.cli
+import fsconv.dfs
 import fsconv.fcfs
 from fsconv import (
     ConvGeometry,
@@ -106,8 +107,11 @@ class TestPlan:
         )
         code, records, _ = run(capsys, "plan", arch, "--ratio", "1")
         assert code == 0
-        for layer in records_of(records, "layer"):
-            assert 1.0 <= float(layer["cr_nominal"]) < 1.02
+        a, b = records_of(records, "layer")
+        assert 1.0 <= float(a["cr_nominal"]) < 1.02
+        # a 1x1 layer's generic stride is below c_in at every ratio, so its
+        # channel-aligned stride is 0 and its c_out filters are one
+        assert b["error"] == "degenerate_stride"
 
     def test_degenerate_stride_surfaced_not_fatal(self, capsys, tmp_path):
         arch = tmp_path / "deg.arch"
@@ -121,6 +125,20 @@ class TestPlan:
         assert layers[0]["error"] == "degenerate_stride"
         assert (layers[0]["r"], layers[0]["policy"]) == ("4", "slice")
         assert "error" not in layers[1]
+
+    def test_channel_aligned_stride_zero_is_degenerate(self, capsys):
+        # from ratio 9 on, every 3x3 layer's channel-aligned stride rounds to
+        # 0 (the generic stride is below c_in), so all its filters would be
+        # one: each such layer is refused and stays uncompressed
+        code, records, _ = run(capsys, "plan", "resnet110", "--ratio", "16")
+        assert code == 0
+        convs = [layer for layer in records_of(records, "layer") if layer["kind"] == "conv"]
+        assert len(convs) == 109
+        assert all(layer["error"] == "degenerate_stride" and "s" not in layer
+                   and layer["fs"] == layer["baseline"] for layer in convs)
+        code, records, _ = run(capsys, "plan", "resnet110", "--ratio", "8")
+        assert all("error" not in layer and layer["s"] != "0"
+                   for layer in records_of(records, "layer") if layer["kind"] == "conv")
 
     @pytest.mark.parametrize("bias", ["abc", "2"])
     def test_bad_bias_is_input_error(self, capsys, tmp_path, bias):
@@ -196,6 +214,22 @@ class TestConv:
         (layer,) = records_of(records, "layer")
         assert layer["fallback"] == "1"
         assert err == "warning layer=c fcfs_unsupported=s2_is_1 fallback=naive\n"
+
+    def test_filters_that_coincide_warned_and_computed_exactly(self, capsys, tmp_path):
+        geom = ConvGeometry(16, 3, 3, 16, 16)  # channel-aligned stride 0
+        fs = FilterSummary.random(geom, seed=3)
+        assert fs.layout.stride == 0
+        model = tmp_path / "one.fsn"
+        write_model(model, [ModelLayer("deg", geom, "f32", weights=fs.weights)])
+        tensor = np.random.default_rng(2).uniform(-1, 1, (16, 5, 5))
+        np.save(tmp_path / "x.npy", tensor)
+        code, records, err = run(capsys, "conv", model, tmp_path / "x.npy")
+        assert code == 0
+        assert err == "warning layer=deg layout=degenerate_stride\n"
+        (layer,) = records_of(records, "layer")
+        assert float(layer["dev"]) <= 1e-5
+        out = np.load(tmp_path / "x.out.npy")
+        assert np.allclose(out, out[:1])  # every filter is the same K weights
 
     @pytest.mark.parametrize("engine", ["fcfs", "both"])
     def test_unaligned_stride_reports_fallback(self, capsys, tmp_path, small_input, engine):
@@ -420,8 +454,13 @@ class TestQuantizeCmd:
 
 
 def gradcheck_fresh_summaries(layers, points, seed, step=1e-5, tolerance=1e-6):
-    """The gradcheck records (alpha_err, summary_err, checked, flagged) per
-    layer, with a new FilterSummary built for every summary evaluation."""
+    """Per layer, the gradcheck record (alpha_err, summary_err, checked, flagged)
+    with a new FilterSummary built for every summary evaluation, one weight
+    bumped at a time; and per checked point a (K+1, 2) array of each weight's
+    central difference and its rounding floor: central_diff's noise floor,
+    64 eps |f| / step, taken at the sum of the absolute terms of the dot
+    product f instead of at |f|. Another summation order of f rounds at that
+    scale, which cancellation in f can put far above |f|."""
     rng = np.random.default_rng(seed)
     records = []
     for layer in layers:
@@ -431,6 +470,7 @@ def gradcheck_fresh_summaries(layers, points, seed, step=1e-5, tolerance=1e-6):
         base = float(np.clip(np.mean(alphas), -3.0, 3.0))
         alpha_err = summary_err = 0.0
         checked = flagged = attempts = 0
+        differences = []
         while checked < points and attempts < 50 * points:
             attempts += 1
             alpha = base + float(rng.uniform(-4.0, 4.0))
@@ -444,24 +484,32 @@ def gradcheck_fresh_summaries(layers, points, seed, step=1e-5, tolerance=1e-6):
                 alpha, step, tolerance)
             alpha_err = max(alpha_err, abs(grad_alpha(fs64, alpha, upstream) - fd) / denom)
             grad = grad_summary(fs64, loc, upstream)
+            per_weight = []
             for idx in range(int(np.floor(loc)), int(np.floor(loc)) + k + 1):
+                scales = []
+
                 def value(w):
                     summary = fs64.weights.copy()
                     summary[idx] = w
-                    fs = FilterSummary(layer.geom, layer.layout, summary)
-                    return float(upstream @ extract_fractional(fs, loc))
+                    filt = extract_fractional(FilterSummary(layer.geom, layer.layout, summary), loc)
+                    scales.append(np.abs(upstream * filt).sum())
+                    return float(upstream @ filt)
 
                 fd_w, denom_w = central_diff(value, float(fs64.weights[idx]), 1e-6, tolerance)
+                per_weight.append((fd_w, 64.0 * np.finfo(np.float64).eps * max(scales) / 1e-6))
                 summary_err = max(summary_err, abs(grad[idx] - fd_w) / denom_w)
+            differences.append(np.array(per_weight))
             checked += 1
-        records.append((alpha_err, summary_err, checked, flagged))
+        records.append(((alpha_err, summary_err, checked, flagged), differences))
     return records
 
 
 class TestGradcheck:
-    def test_records_equal_fresh_summary_per_evaluation(self, monkeypatch, tmp_path):
-        # the command bumps and restores one working summary per point; its
-        # records must equal those of a new summary per evaluation, exactly
+    def test_records_match_fresh_summary_per_evaluation(self, monkeypatch, tmp_path):
+        # the check bumps the K+1 weights of a point as one array; against a
+        # new summary per evaluation and one weight at a time, alpha_err,
+        # checked and flagged are equal, and each weight's central difference
+        # is within the reference's rounding floor of the reference's
         rng = np.random.default_rng(5)
         layers = []
         for i, dims in enumerate([(2, 3, 3, 4, 2), (4, 3, 3, 6, 3), (6, 2, 3, 8, 4)]):
@@ -473,11 +521,26 @@ class TestGradcheck:
         write_model(model, layers)
         emitted = []  # the records' raw values, before formatting
         monkeypatch.setattr(fsconv.cli, "_emit", lambda record, **f: emitted.append((record, f)))
+        arrays = []  # the summary check's central differences, one array per point
+
+        def spy(f, x, step, tol=1e-6):
+            fd, denom = central_diff(f, x, step, tol)
+            if np.ndim(x):
+                arrays.append(fd)
+            return fd, denom
+
+        monkeypatch.setattr(fsconv.dfs, "central_diff", spy)
         assert main(["gradcheck", str(model), "--points", "8", "--seed", "1"]) == 0
-        got = [(f["alpha_err"], f["summary_err"], f["checked"], f["flagged"])
-               for record, f in emitted if record == "layer"]
-        assert got == gradcheck_fresh_summaries(read_model(model), 8, 1)
-        assert all(checked == 8 for _, _, checked, _ in got)
+        got = [f for record, f in emitted if record == "layer"]
+        want = gradcheck_fresh_summaries(read_model(model), 8, 1)
+        assert [(f["alpha_err"], f["checked"], f["flagged"]) for f in got] == [
+            (alpha_err, checked, flagged) for (alpha_err, _, checked, flagged), _ in want]
+        assert all(f["checked"] == 8 and f["summary_err"] <= 1e-6 for f in got)
+        reference = [point for _, points in want for point in points]
+        assert len(arrays) == len(reference) == 24
+        for fd, point in zip(arrays, reference):
+            assert fd.shape == point[:, 0].shape
+            assert np.all(np.abs(fd - point[:, 0]) <= point[:, 1])
 
     def test_passes_on_model_with_alphas(self, capsys, small_model):
         model_path, _, _ = small_model
@@ -690,6 +753,24 @@ class TestLayerSettings:
         skipped = [layer.get("skipped") for layer in records_of(benched, "layer")]
         assert errors == skipped == ["degenerate_stride", "invalid_ratio", "invalid_ratio", None]
 
+    def test_filters_that_coincide_are_degenerate_in_plan_and_bench(self, capsys, tmp_path):
+        # stride 0 under the default policy with c_out > 1 is refused as the
+        # slice-aligned stride 0 is; one filter at stride 0 coincides with none
+        arch = tmp_path / "zero.arch"
+        arch.write_text(
+            "layer deg kind=conv c_in=16 s1=3 s2=3 c_out=16 r=16\n"
+            "layer one kind=conv c_in=4 s1=1 s2=1 c_out=1 r=1\n"
+            "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n"
+        )
+        code, planned, _ = run(capsys, "plan", arch)
+        assert code == 0
+        code, benched, _ = run(capsys, "bench", arch, "--spatial", "4", "4", "--repeat", "1")
+        assert code == 0
+        layers = records_of(planned, "layer")
+        assert [layer.get("error") for layer in layers] == ["degenerate_stride", None, None]
+        assert layers[1]["s"] == "0"
+        skipped = [layer.get("skipped") for layer in records_of(benched, "layer")]
+        assert skipped == ["degenerate_stride", "s2_is_1", None]
 
     @pytest.mark.parametrize("command", ["plan", "bench"])
     def test_layer_without_ratio_refused_before_any_record(self, capsys, tmp_path, command):
@@ -741,6 +822,24 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, "")
         assert code == 0 and captured.out.startswith("plan ")
+
+    def test_closed_stdout_is_not_malformed_input(self):
+        # the reader is gone before the first record: exit as SIGPIPE would,
+        # with nothing on stderr, neither from main nor at shutdown
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "fsconv", "plan", "resnet110",
+                                     "--ratio", "4"], cwd=root, env=env, stdout=write_end,
+                                    stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
 
 
 class TestNumericOptions:

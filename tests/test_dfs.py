@@ -11,6 +11,7 @@ from fsconv import (
     FilterSummary,
     StridePolicy,
     central_diff,
+    check_gradients,
     extract_filter,
     extract_fractional,
     grad_alpha,
@@ -230,3 +231,36 @@ class TestInitAlphas:
             else:
                 # unreachable endpoints are clipped toward 0 / span
                 assert loc == pytest.approx(target, abs=1e-3)
+
+
+class TestCentralDiff:
+    def test_array_equals_scalar_calls_and_keeps_nan(self):
+        # each component of an array x is differenced bit for bit as a scalar
+        # call on it would be, with its own noise floor; a NaN stays NaN
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(9)
+        x[3] = np.nan
+        coeffs = rng.standard_normal(9)
+        fd, denom = central_diff(lambda v: coeffs * v * v * v - v, x, 1e-5, 1e-6)
+        scalar = [central_diff(lambda v: c * v * v * v - v, float(v), 1e-5, 1e-6)
+                  for c, v in zip(coeffs, x)]
+        assert np.array_equal(fd, [s[0] for s in scalar], equal_nan=True)
+        assert np.array_equal(denom, [s[1] for s in scalar], equal_nan=True)
+        assert np.isnan(fd[3]) and np.isnan(denom[3])
+        assert np.isfinite(np.delete(denom, 3)).all()
+
+
+class TestCheckGradients:
+    def test_too_short_summary_refused_before_any_draw(self):
+        geom = ConvGeometry(1, 1, 2, 1, 1)  # L = 2 = K: no fractional room
+        fs = FilterSummary.from_weights(geom, np.ones(2))
+        rng = np.random.default_rng(3)
+        with pytest.raises(FSTooShortError):
+            check_gradients(fs, None, rng, 4, 1e-6, 1e-5)
+        assert rng.uniform() == np.random.default_rng(3).uniform()
+
+    def test_fields_of_a_healthy_layer(self):
+        fields = check_gradients(random_summary(10), None, np.random.default_rng(0), 6, 1e-6, 1e-5)
+        assert list(fields) == ["alpha_err", "summary_err", "checked", "flagged"]
+        assert fields["checked"] == 6
+        assert 0.0 <= fields["alpha_err"] <= 1e-6 and 0.0 <= fields["summary_err"] <= 1e-6

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,11 +35,11 @@ from .errors import (
 from .fcfs import FcfsPlan, convolve, measured_acceleration
 from .formats import (
     ArchSpec,
-    BatchNormSpec,
     ConvSpec,
-    DenseSpec,
     ModelLayer,
+    arch_fields,
     bundled_arch,
+    parse_ratio,
     read_arch,
     read_model,
     write_model,
@@ -79,10 +80,10 @@ def _check_option(name: str, value, low, strict: bool = False) -> None:
         raise InvalidArgumentError(f"{name} must be {op} {low} and finite, got {value}")
 
 
-def _read_arch(args) -> tuple[Path, ArchSpec, list]:
-    """(path, contents, resolved): the architecture file, or a bundled one by bare
-    name, not empty, and per layer its _resolve_conv result, None if not conv. All
-    is read before any record: --ratio and --policy once, then every conv layer."""
+def _read_arch(args) -> tuple[Path, list]:
+    """(path, layers): the architecture file, or a bundled one by bare name, not
+    empty, and per layer its _resolve_conv result, or (layer, None, None) if not conv.
+    All is read before any record: --ratio and --policy once, then every conv layer."""
     path = Path(args.arch)
     if not path.exists() and path.suffix == "" and "/" not in args.arch:
         path = bundled_arch(args.arch)  # FileNotFoundError: no such file or bundled name
@@ -90,12 +91,12 @@ def _read_arch(args) -> tuple[Path, ArchSpec, list]:
     if not arch.layers:
         raise FormatError(f"architecture {args.arch!r} has no layers")
     try:
-        ratio = None if args.ratio is None else Fraction(args.ratio)
+        ratio = None if args.ratio is None else parse_ratio(args.ratio)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidArgumentError(f"--ratio must be a rational number, got {args.ratio!r}") from exc
     policy = None if args.policy is None else StridePolicy(args.policy)
-    return path, arch, [_resolve_conv(arch, layer, ratio, policy)
-                        if isinstance(layer, ConvSpec) else None for layer in arch.layers]
+    return path, [_resolve_conv(arch, layer, ratio, policy)
+                  if isinstance(layer, ConvSpec) else (layer, None, None) for layer in arch.layers]
 
 
 def _read_model(path) -> list[ModelLayer]:
@@ -112,60 +113,51 @@ def _filters_coincide(geom: ConvGeometry, layout) -> bool:
 
 
 def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
-    """(ratio, policy, geom, layout) of a conv layer: ratio and policy from the layer, else
-    the command line, else the file's defaults, else (policy only) channel. With no valid
-    layout, geom is None and layout is the reason: degenerate_stride (stride 0: every
-    filter the same K weights) or invalid_ratio."""
+    """(layer, geom, layout) of a conv layer, the layer with its ratio and policy resolved:
+    from the layer, else the command line, else the file's defaults, else (policy only)
+    channel. With no valid layout, geom is None and layout is the reason:
+    degenerate_stride (stride 0: every filter the same K weights) or invalid_ratio."""
     ratio = next((r for r in (layer.ratio, ratio, arch.default_ratio) if r is not None), None)
     if ratio is None:
         raise FormatError(f"layer {layer.name!r} has no ratio; set r= in the file or pass --ratio")
     policy = layer.policy or policy or arch.default_policy or StridePolicy.CHANNEL_ALIGNED
+    layer = replace(layer, ratio=ratio, policy=policy)
     try:
         geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
         layout = derive_layout(geom)
     except DegenerateStrideError:
-        return ratio, policy, None, "degenerate_stride"
+        return layer, None, "degenerate_stride"
     except InvalidRatioError:
-        return ratio, policy, None, "invalid_ratio"
+        return layer, None, "invalid_ratio"
     if _filters_coincide(geom, layout):
-        return ratio, policy, None, "degenerate_stride"
-    return ratio, policy, geom, layout
+        return layer, None, "degenerate_stride"
+    return layer, geom, layout
 
 
 # --- plan --------------------------------------------------------------------
 
 
 def cmd_plan(args) -> int:
-    arch_path, arch, resolved = _read_arch(args)
-    _emit("plan", file=arch_path, layers=len(arch.layers))
+    arch_path, layers = _read_arch(args)
+    _emit("plan", file=arch_path, layers=len(layers))
     baseline_total = fsnet_total = 0
-    for layer, conv in zip(arch.layers, resolved):
-        if isinstance(layer, BatchNormSpec):
-            _emit("layer", name=layer.name, kind="bn", params=layer.params)
-        elif isinstance(layer, DenseSpec):
-            _emit("layer", name=layer.name, kind="fc", **{"in": layer.fan_in}, out=layer.fan_out,
-                  bias=int(layer.bias), params=layer.params)
-        if not isinstance(layer, ConvSpec):
-            baseline_total += layer.params
-            fsnet_total += layer.params
-            continue
-        layer_ratio, layer_policy, geom, layout = conv
-        fields = dict(name=layer.name, kind="conv", c_in=layer.c_in, s1=layer.s1, s2=layer.s2,
-                      c_out=layer.c_out, r=layer_ratio, policy=layer_policy)
-        if geom is None:  # surfaced per layer, not fatal: the layer stays uncompressed
+    for layer, geom, layout in layers:
+        if layout is None:  # not a conv layer
+            baseline = fs = layer.params
+            fields = dict(params=fs)
+        elif geom is None:  # surfaced per layer, not fatal: the layer stays uncompressed
             baseline = fs = layer.c_in * layer.s1 * layer.s2 * layer.c_out
-            fields.update(error=layout, baseline=baseline, fs=fs)
+            fields = dict(error=layout, baseline=baseline, fs=fs)
         else:
             params = count_params(geom, layout)
             baseline, fs = params.baseline, params.fs
-            fields.update(K=geom.filter_len, L=layout.length, s=layout.stride,
-                          phys=layout.phys_length, baseline=baseline, fs=fs, cr=params.cr,
-                          cr_nominal=params.cr_nominal)
             pred = predicted_acceleration(geom, layout, 1, 1)
-            fields["accelerable"] = int(pred.accelerable)
+            fields = dict(K=geom.filter_len, L=layout.length, s=layout.stride,
+                          phys=layout.phys_length, baseline=baseline, fs=fs, cr=params.cr,
+                          cr_nominal=params.cr_nominal, accelerable=int(pred.accelerable))
             if pred.accelerable:
                 fields["pred_ratio"] = pred.ratio
-        _emit("layer", **fields)
+        _emit("layer", name=layer.name, **arch_fields(layer), **fields)
         baseline_total += baseline
         fsnet_total += fs
     _emit("total", baseline=baseline_total, fsnet=fsnet_total,
@@ -306,17 +298,16 @@ def _time_best(fn, repeat: int):
 
 
 def cmd_bench(args) -> int:
-    arch_path, arch, resolved = _read_arch(args)
+    arch_path, layers = _read_arch(args)
     d1, d2 = args.spatial
     _check_option("--spatial", min(d1, d2), 1)
     _check_option("--repeat", args.repeat, 1)
     _check_option("--seed", args.seed, 0)
     _emit("bench", file=arch_path, spatial=f"{d1}x{d2}", repeat=args.repeat, seed=args.seed)
     timed = 0
-    for index, (layer, conv) in enumerate(zip(arch.layers, resolved)):
-        if conv is None:
+    for index, (layer, geom, layout) in enumerate(layers):
+        if layout is None:  # not a conv layer
             continue
-        _, _, geom, layout = conv
         skipped = layout if geom is None else fcfs_fallback(geom, layout)
         if skipped is not None:
             _emit("layer", name=layer.name, skipped=skipped)

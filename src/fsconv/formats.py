@@ -8,8 +8,8 @@ canonical: reserved byte 0, alpha flag 0 or 1, the ratio in lowest terms and
 zero unused bits in the last q4 byte. So every file that loads is written
 again byte for byte.
 
-Architecture files are human-writable text: one `layer` line per layer with
-key=value fields, plus optional `ratio` / `policy` defaults at the top.
+Architecture files are human-writable text: one `layer` line per layer with the
+key=value fields ARCH_KINDS defines, plus `ratio` / `policy` defaults, each once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -43,6 +43,8 @@ __all__ = [
     "read_arch",
     "dump_arch",
     "parse_arch",
+    "parse_ratio",
+    "arch_fields",
     "bundled_arch",
 ]
 
@@ -280,131 +282,121 @@ class ArchSpec:
     default_policy: Optional[StridePolicy] = None
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def parse_ratio(text: str) -> Fraction:
+    """The rational number an arch file or --ratio writes (`4`, `7/2`, `3.5`, `1e3`); ValueError
+    or ZeroDivisionError if the text is not one, or if no record could show its exact value."""
+    ratio = Fraction(text)
+    str(ratio)  # ValueError beyond sys.get_int_max_str_digits()
+    return ratio
+
+
+# Per key: (read, write, what its text must be, the least value or None). read
+# raises ValueError, ZeroDivisionError or KeyError for text that is not a value.
+_COUNT = int, str, "an integer >= 1", 1
+_RATIO = parse_ratio, str, "a rational >= 1", 1  # written `4` or `7/2`
+_POLICY = StridePolicy, lambda policy: policy.value, "/".join(p.value for p in StridePolicy), None
+_BIAS = {"0": False, "1": True}.__getitem__, lambda bias: str(int(bias)), "0 or 1", None
+
+# The line format. A `layer NAME kind=KIND ...` line holds, for each field of its
+# kind's spec after the name, in order, one `key=value`: a field with a default may
+# be left out, and a None is not written. A directive sets an ArchSpec default once.
+ARCH_KINDS = {
+    "conv": (ConvSpec, (("c_in", _COUNT), ("s1", _COUNT), ("s2", _COUNT), ("c_out", _COUNT),
+                        ("r", _RATIO), ("policy", _POLICY))),
+    "bn": (BatchNormSpec, (("channels", _COUNT),)),
+    "fc": (DenseSpec, (("in", _COUNT), ("out", _COUNT), ("bias", _BIAS))),
+}
+ARCH_DIRECTIVES = {"ratio": ("default_ratio", _RATIO), "policy": ("default_policy", _POLICY)}
+
+# Built once per kind: (key, rule, default) to read a line, (key, attribute, write) to write it.
+_READ, _WRITE = {}, {}
+for _kind, (_cls, _keys) in ARCH_KINDS.items():
+    _specs = list(zip(_keys, fields(_cls)[1:], strict=True))
+    _READ[_kind] = _cls, tuple((key, rule, f.default) for (key, rule), f in _specs)
+    _WRITE[_cls] = _kind, tuple((key, f.name, rule[1]) for (key, rule), f in _specs)
+
+
+def _read(key: str, text: str, rule):
+    """The value of `key=text` by the key's rule; FormatError if the text is not one."""
+    read, _, what, least = rule
+    try:
+        value = read(text)
+        if least is not None and value < least:
+            raise ValueError(f"{value} < {least}")
+    except (ValueError, ZeroDivisionError, KeyError) as exc:
+        raise FormatError(f"{key} must be {what}, got {text!r}") from exc
+    return value
+
+
+def arch_fields(layer: LayerSpec) -> dict[str, str]:
+    """`kind` and the key=value fields of the layer's line, in file order, as text."""
+    kind, specs = _WRITE[type(layer)]
+    line = {"kind": kind}
+    for key, attr, write in specs:
+        value = getattr(layer, attr)
+        if value is not None:
+            line[key] = write(value)
+    return line
 
 
 def dump_arch(arch: ArchSpec) -> str:
     lines = []
-    if arch.default_ratio is not None:
-        lines.append(f"ratio {_fmt_fraction(arch.default_ratio)}")
-    if arch.default_policy is not None:
-        lines.append(f"policy {arch.default_policy.value}")
+    for head, (attr, (_, write, _, _)) in ARCH_DIRECTIVES.items():
+        if getattr(arch, attr) is not None:
+            lines.append(f"{head} {write(getattr(arch, attr))}")
     for layer in arch.layers:
-        if isinstance(layer, ConvSpec):
-            line = (
-                f"layer {layer.name} kind=conv c_in={layer.c_in} s1={layer.s1} "
-                f"s2={layer.s2} c_out={layer.c_out}"
-            )
-            if layer.ratio is not None:
-                line += f" r={_fmt_fraction(layer.ratio)}"
-            if layer.policy is not None:
-                line += f" policy={layer.policy.value}"
-        elif isinstance(layer, BatchNormSpec):
-            line = f"layer {layer.name} kind=bn channels={layer.channels}"
-        elif isinstance(layer, DenseSpec):
-            line = (
-                f"layer {layer.name} kind=fc in={layer.fan_in} "
-                f"out={layer.fan_out} bias={int(layer.bias)}"
-            )
-        else:
-            raise FormatError(f"unknown layer spec {layer!r}")
-        lines.append(line)
+        lines.append(f"layer {layer.name} {' '.join(map('='.join, arch_fields(layer).items()))}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_kv(tokens: list[str], lineno: int) -> dict[str, str]:
-    kv = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise FormatError(f"line {lineno}: expected key=value, got {tok!r}")
-        key, _, value = tok.partition("=")
-        if key in kv:
-            raise FormatError(f"line {lineno}: duplicate key {key!r}")
-        kv[key] = value
-    return kv
-
-
-def _parse_int(kv: dict[str, str], key: str, lineno: int) -> int:
-    if key not in kv:
-        raise FormatError(f"line {lineno}: missing {key}=")
-    try:
-        value = int(kv.pop(key))
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: bad integer for {key}") from exc
-    if value < 1:
-        raise FormatError(f"line {lineno}: {key} must be >= 1")
-    return value
-
-
-def _parse_policy(text: str, lineno: int) -> StridePolicy:
-    try:
-        return StridePolicy(text)
-    except ValueError as exc:
-        valid = "/".join(p.value for p in StridePolicy)
-        raise FormatError(f"line {lineno}: policy must be one of {valid}") from exc
-
-
-def _parse_ratio(text: str, lineno: int) -> Fraction:
-    try:
-        ratio = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"line {lineno}: bad ratio {text!r}") from exc
-    if ratio < 1:
-        raise FormatError(f"line {lineno}: ratio must be >= 1")
-    return ratio
 
 
 def parse_arch(text: str) -> ArchSpec:
     arch = ArchSpec()
     names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
-        if head == "ratio":
-            if len(tokens) != 2:
-                raise FormatError(f"line {lineno}: ratio takes one value")
-            arch.default_ratio = _parse_ratio(tokens[1], lineno)
-        elif head == "policy":
-            if len(tokens) != 2:
-                raise FormatError(f"line {lineno}: policy takes one value")
-            arch.default_policy = _parse_policy(tokens[1], lineno)
-        elif head == "layer":
+        try:
+            if head != "layer":
+                if head not in ARCH_DIRECTIVES:
+                    raise FormatError(f"unknown directive {head!r}")
+                attr, rule = ARCH_DIRECTIVES[head]
+                if len(tokens) != 2:
+                    raise FormatError(f"{head} takes one value")
+                if getattr(arch, attr) is not None:  # a second would rewrite the layers above it
+                    raise FormatError(f"repeated {head} directive")
+                setattr(arch, attr, _read(head, tokens[1], rule))
+                continue
             if len(tokens) < 3:
-                raise FormatError(f"line {lineno}: layer needs a name and kind=")
+                raise FormatError("layer needs a name and kind=")
             name = tokens[1]
             if name in names:
-                raise FormatError(f"line {lineno}: duplicate layer name {name!r}")
+                raise FormatError(f"duplicate layer name {name!r}")
             names.add(name)
-            kv = _parse_kv(tokens[2:], lineno)
+            kv = {}
+            for tok in tokens[2:]:
+                key, eq, value = tok.partition("=")
+                if not eq:
+                    raise FormatError(f"expected key=value, got {tok!r}")
+                if key in kv:
+                    raise FormatError(f"duplicate key {key!r}")
+                kv[key] = value
             kind = kv.pop("kind", None)
-            if kind == "conv":
-                c_in = _parse_int(kv, "c_in", lineno)
-                s1 = _parse_int(kv, "s1", lineno)
-                s2 = _parse_int(kv, "s2", lineno)
-                c_out = _parse_int(kv, "c_out", lineno)
-                ratio = _parse_ratio(kv.pop("r"), lineno) if "r" in kv else None
-                policy = _parse_policy(kv.pop("policy"), lineno) if "policy" in kv else None
-                layer = ConvSpec(name, c_in, s1, s2, c_out, ratio, policy)
-            elif kind == "bn":
-                layer = BatchNormSpec(name, _parse_int(kv, "channels", lineno))
-            elif kind == "fc":
-                fan_in = _parse_int(kv, "in", lineno)
-                fan_out = _parse_int(kv, "out", lineno)
-                bias = kv.pop("bias", "1")
-                if bias not in ("0", "1"):
-                    raise FormatError(f"line {lineno}: bias must be 0 or 1, got {bias!r}")
-                layer = DenseSpec(name, fan_in, fan_out, bias == "1")
-            else:
-                raise FormatError(f"line {lineno}: kind must be conv/bn/fc")
+            if kind not in _READ:
+                raise FormatError(f"kind must be {'/'.join(ARCH_KINDS)}")
+            cls, specs = _READ[kind]
+            values = []
+            for key, rule, default in specs:
+                given = kv.pop(key, default)
+                if given is MISSING:
+                    raise FormatError(f"missing {key}=")
+                values.append(default if given is default else _read(key, given, rule))
             if kv:
-                raise FormatError(f"line {lineno}: unknown keys {sorted(kv)}")
-            arch.layers.append(layer)
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {head!r}")
+                raise FormatError(f"unknown keys {sorted(kv)}")
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        arch.layers.append(cls(name, *values))
     return arch
 
 

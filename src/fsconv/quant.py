@@ -39,11 +39,13 @@ BIT_WIDTHS = (4, 8)  # the supported code widths; a q<n> model layer stores n-bi
 
 
 def _check_grid(nbits: int, w_min: float = 0.0, w_max: float = 0.0) -> None:
-    """Refuse a width not in BIT_WIDTHS, and endpoints not finite or inverted."""
+    """Refuse a width not in BIT_WIDTHS, and endpoints inverted, not finite or too far apart."""
     if nbits not in BIT_WIDTHS:
         raise InvalidGridError(f"nbits must be one of {BIT_WIDTHS}, got {nbits}")
-    if not (math.isfinite(w_min) and math.isfinite(w_max) and w_min <= w_max):
-        raise InvalidGridError(f"grid must be finite with w_min <= w_max, got [{w_min}, {w_max}]")
+    span = w_max - w_min  # not finite if an endpoint is not, or if it overflows (tau = inf)
+    if not (math.isfinite(span) and w_min <= w_max):
+        raise InvalidGridError(f"grid must be finite with w_min <= w_max, got [{w_min}, {w_max}]"
+                               f" (w_max - w_min = {span})")
 
 
 @dataclass(frozen=True)

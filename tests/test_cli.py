@@ -156,12 +156,46 @@ class TestPlan:
         assert code == 2
         assert "ratio" in err
 
-    @pytest.mark.parametrize("ratio", ["abc", "1/0", ""])
+    @pytest.mark.parametrize("ratio", ["abc", "1/0", "", "1e5000"])  # the last: too many digits
     def test_bad_ratio_is_input_error(self, capsys, ratio):
         code, records, err = run(capsys, "plan", "resnet110", "--ratio", ratio)
         assert code == 2
         assert "--ratio must be a rational number" in err
         assert records_of(records, "total") == []
+
+    @pytest.mark.parametrize("argv, text, ratio", [
+        (("--ratio", "1e400"), "", 10**400),
+        (("--ratio=-1e400",), "", -10**400),
+        ((), " r=1e400", 10**400),
+        ((), "\nratio 1e999", 10**999),
+    ], ids=["option", "negative_option", "layer_r", "directive"])
+    def test_ratio_beyond_float_range_is_invalid_per_layer(self, capsys, tmp_path, argv, text,
+                                                          ratio):
+        arch = tmp_path / "huge.arch"
+        arch.write_text("layer c kind=conv c_in=2 s1=3 s2=3 c_out=4" + text + "\n")
+        code, records, err = run(capsys, "plan", arch, *argv)
+        assert (code, err) == (0, "")
+        (layer,) = records_of(records, "layer")
+        assert layer["error"] == "invalid_ratio"
+        assert layer["r"] == str(ratio)  # exact, as the arch file writes it
+        assert records_of(records, "total") == [{"baseline": "72", "fsnet": "72", "cr": "1"}]
+
+    def test_records_name_every_arch_field(self, capsys, tmp_path):
+        # each record has the layer's key=value fields as its arch line writes them,
+        # the resolved ratio and policy included, then what plan computes
+        arch = tmp_path / "all.arch"
+        arch.write_text("policy generic\n"
+                        "layer c kind=conv c_in=4 s1=3 s2=3 c_out=8 r=7/2\n"
+                        "layer d kind=conv c_in=4 s1=3 s2=3 c_out=8\n"
+                        "layer b kind=bn channels=8\n"
+                        "layer f kind=fc in=8 out=2 bias=0\n")
+        code, records, _ = run(capsys, "plan", arch, "--ratio", "3.5")
+        assert code == 0
+        conv, default, bn, fc = records_of(records, "layer")
+        assert list(conv)[:8] == ["name", "kind", "c_in", "s1", "s2", "c_out", "r", "policy"]
+        assert (conv["r"], conv["policy"]) == (default["r"], default["policy"]) == ("7/2", "generic")
+        assert bn == {"name": "b", "kind": "bn", "channels": "8", "params": "16"}
+        assert fc == {"name": "f", "kind": "fc", "in": "8", "out": "2", "bias": "0", "params": "16"}
 
     def test_s2_one_not_reported_as_acceleration(self, capsys, tmp_path):
         arch = tmp_path / "one_col.arch"
@@ -310,6 +344,19 @@ class TestConv:
             assert code == 2
             assert err.startswith("error: ") and message in err
             assert records == []
+
+    @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
+    def test_grid_span_overflow_is_input_error(self, capsys, tmp_path, engine):
+        # endpoints +-1e308 are finite, but tau = (w_max - w_min)/255 is inf
+        model, tensor, out = tmp_path / "wide.fsn", tmp_path / "x.npy", tmp_path / "out.npy"
+        model.write_bytes(q8_model_with_grid(-1e308, 1e308))
+        np.save(tensor, np.ones((1, 4, 4)))
+        code, records, err = run(capsys, "conv", model, tensor, "--engine", engine,
+                                 "--output", out)
+        assert code == 2
+        assert err.startswith("error: grid must be finite") and "w_max - w_min = inf" in err
+        assert records == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("engine", ["naive", "fcfs", "both"])
     def test_empty_input_is_input_error(self, capsys, small_model, tmp_path, engine):
@@ -940,7 +987,7 @@ class TestUnreadableFiles:
 
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
-VALUES = ["abc", "", "1/0", "nan", "inf", "-1", "0", "1", "2", "7/2"]  # option values, malformed too
+VALUES = ["abc", "", "1/0", "nan", "inf", "-1", "0", "1", "2", "7/2", "1e400"]  # malformed too
 
 
 def exit_code(argv) -> int:
@@ -987,7 +1034,7 @@ class TestArgvFuzz:
         policy = st.sampled_from(["generic", "slice", "channel", "abc"])
         commands = {  # positionals, then the options; a drawn tuple is several tokens
             "plan": ([mostly([str(arch), "resnet110"], files)],
-                     {"--ratio": mostly(["2", "7/2"], VALUES), "--policy": policy}),
+                     {"--ratio": mostly(["1e400", "2", "7/2"], VALUES), "--policy": policy}),
             "conv": ([mostly([str(model)], files), mostly([str(tensor)], files)],
                      {"--engine": st.sampled_from(["naive", "fcfs", "both", "x"]),
                       "--tolerance": mostly(["1e-5"], VALUES), "--output": outputs}),
@@ -998,7 +1045,7 @@ class TestArgvFuzz:
                            "--step": value}),
             "bench": ([mostly([str(arch)], files)],
                       {"--spatial": st.tuples(small, small), "--repeat": small,
-                       "--ratio": mostly(["2", "7/2"], VALUES), "--policy": policy,
+                       "--ratio": mostly(["1e400", "2", "7/2"], VALUES), "--policy": policy,
                        "--seed": value}),
         }
         required = {"--points", "--spatial", "--repeat"}  # small pools keep every call short

@@ -7,6 +7,7 @@ plan's needed set and floor must match the first exactly, its executed
 counts the second.
 """
 
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fsconv.fcfs
 from fsconv import (
@@ -28,6 +31,7 @@ from fsconv import (
     build_integrals,
     convolve,
     derive_layout,
+    extract_filter,
     fcfs_conv,
     fcfs_fallback,
     fcfs_plan,
@@ -37,7 +41,12 @@ from fsconv import (
     rel_dev,
     required_diagonals,
 )
-from fsconv.errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
+from fsconv.errors import (
+    DegenerateStrideError,
+    InvalidArgumentError,
+    ShapeMismatchError,
+    UnsupportedGeometryError,
+)
 from fsconv.fcfs import PLAN_CACHE_SIZE
 
 from helpers import random_fast_geometry, random_instance
@@ -715,3 +724,54 @@ class TestMeasuredAcceleration:
             fmap = FeatureMap.random(c_in, d, d, seed=int(rng.integers(2**31)))
             report = measured_acceleration(fs, fmap)
             assert report.measured_ratio >= Fraction(8, 10) * ratio
+
+
+REGIMES = {  # the corners the fixed sweeps miss
+    "c_in=1": lambda geom, d1, d2: geom.c_in == 1,
+    "s1=1": lambda geom, d1, d2: geom.s1 == 1,
+    "ratio=1": lambda geom, d1, d2: geom.ratio == 1,
+    "1xN map": lambda geom, d1, d2: d1 == 1 and d2 > 1,
+    "Nx1 map": lambda geom, d1, d2: d2 == 1 and d1 > 1,
+    "ratio>=9": lambda geom, d1, d2: geom.ratio >= 9,
+}
+
+
+@st.composite
+def engine_cases(draw):
+    """Layer sizes, a ratio that leaves at least one filter (1 <= ratio <= c_out), a map."""
+    c_in, s1, s2, c_out = (draw(st.integers(1, top)) for top in (8, 4, 12, 20))
+    ratio = Fraction(draw(st.integers(4, 4 * c_out)), 4)
+    return (c_in, s1, s2, c_out, ratio), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+
+class TestEngineProperty:
+    def test_fcfs_matches_oracle_and_only_stride_zero_coincides(self):
+        """Under every policy, in f64 and f32: fcfs (or its fallback) equals the oracle to
+        the acceptance tolerances, and two filters of a layout are the same weights only
+        at stride 0 with c_out > 1, a layout the slice policy refuses."""
+        reached = set()
+
+        @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+        @given(engine_cases())
+        @example(((1, 1, 12, 12, Fraction(9)), 3, 5))  # slice at ratio >= 9 needs s2 > ratio
+        def check(case):
+            sizes, d1, d2 = case
+            for policy, dtype in itertools.product(StridePolicy, (np.float64, np.float32)):
+                geom = ConvGeometry(*sizes, policy)
+                try:
+                    layout = derive_layout(geom)
+                except DegenerateStrideError:
+                    assert policy is StridePolicy.SLICE_ALIGNED
+                    continue
+                reached.update((name, policy) for name, holds in REGIMES.items()
+                               if holds(geom, d1, d2))
+                fs = FilterSummary.random(geom, seed=d1, dtype=dtype)
+                fmap = FeatureMap.random(geom.c_in, d1, d2, seed=d2, dtype=dtype)
+                out, _ = convolve(fs, fmap)  # fcfs, or the reference engine on a fallback
+                tolerance = 1e-12 if dtype is np.float64 else 1e-5  # the acceptance tolerances
+                assert rel_dev(out.data, naive_conv(fs, fmap).data) <= tolerance, (geom, d1, d2)
+                filters = {extract_filter(fs, i).tobytes() for i in range(geom.c_out)}
+                assert (len(filters) < geom.c_out) == (layout.stride == 0 and geom.c_out > 1)
+
+        check()
+        assert reached == set(itertools.product(REGIMES, StridePolicy))

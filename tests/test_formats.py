@@ -2,6 +2,7 @@
 
 import struct
 import zlib
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from fsconv import (
     write_model,
 )
 from fsconv.errors import FilterSummaryError, FormatError, InvalidGridError
+from fsconv.formats import ARCH_DIRECTIVES, ARCH_KINDS, arch_fields
 
 from helpers import q8_model_with_grid, random_fast_geometry
 
@@ -116,7 +118,8 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match="UTF-8"):
             load_model(bytes(blob))
 
-    @pytest.mark.parametrize("grid", [(1.0, -1.0), (float("nan"), 1.0), (0.0, float("inf"))])
+    @pytest.mark.parametrize("grid", [(1.0, -1.0), (float("nan"), 1.0), (0.0, float("inf")),
+                                      (-1e308, 1e308)])  # the last: w_max - w_min overflows
     def test_bad_grid_endpoints_rejected(self, grid):
         blob = q8_model_with_grid(*grid)
         with pytest.raises(InvalidGridError, match="grid must be finite with w_min <= w_max"):
@@ -333,11 +336,19 @@ class TestArchRoundTrip:
             "layer a kind=bn channels=4\nlayer a kind=bn channels=4",
             "layer f kind=fc in=4 out=2 bias=abc",
             "layer f kind=fc in=4 out=2 bias=2",
+            "ratio 2\nlayer c kind=conv c_in=2 s1=3 s2=3 c_out=4\nratio 8",
+            "policy slice\npolicy slice",
+            "ratio 1e5000",  # more digits than a record can show
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             parse_arch(text)
+
+    def test_repeated_directive_names_its_line(self):
+        # a second `ratio` would otherwise apply to the layers above it too
+        with pytest.raises(FormatError, match="^line 3: repeated ratio directive$"):
+            parse_arch("ratio 2\nlayer c kind=conv c_in=2 s1=3 s2=3 c_out=4\nratio 8\n")
 
     def test_bias_zero_round_trips(self):
         text = "layer f kind=fc in=4 out=2 bias=0\n"
@@ -345,6 +356,33 @@ class TestArchRoundTrip:
         assert layer.bias is False
         assert layer.params == 8
         assert dump_arch(parse_arch(text)) == text
+
+
+class TestLineTable:
+    """ARCH_KINDS is the one definition of a layer line: its keys, in file order."""
+
+    def test_each_key_once_per_kind_in_field_order(self):
+        for kind, (cls, keys) in ARCH_KINDS.items():
+            names = [key for key, _ in keys]
+            assert len(set(names)) == len(names), kind
+            assert len(names) == len(fields(cls)) - 1  # one key per field after the name
+        assert set(ARCH_DIRECTIVES) == {"ratio", "policy"}
+
+    def test_fields_of_each_kind(self):
+        conv = ConvSpec("c", 2, 3, 3, 4, Fraction(7, 2), StridePolicy.SLICE_ALIGNED)
+        assert arch_fields(conv) == {"kind": "conv", "c_in": "2", "s1": "3", "s2": "3",
+                                     "c_out": "4", "r": "7/2", "policy": "slice"}
+        assert arch_fields(ConvSpec("c", 2, 3, 3, 4)) == {
+            "kind": "conv", "c_in": "2", "s1": "3", "s2": "3", "c_out": "4"}  # None not written
+        assert arch_fields(BatchNormSpec("b", 16)) == {"kind": "bn", "channels": "16"}
+        assert arch_fields(DenseSpec("f", 64, 10, False)) == {
+            "kind": "fc", "in": "64", "out": "10", "bias": "0"}
+
+    def test_defaults_fill_left_out_fields(self):
+        conv, fc = parse_arch("layer c kind=conv c_in=2 s1=3 s2=3 c_out=4\n"
+                              "layer f kind=fc in=4 out=2\n").layers
+        assert conv == ConvSpec("c", 2, 3, 3, 4, None, None)
+        assert fc == DenseSpec("f", 4, 2, True)
 
 
 class TestBundledArch:

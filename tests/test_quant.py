@@ -83,7 +83,8 @@ class TestQuantize:
 
     @pytest.mark.parametrize(
         "w_min, w_max",
-        [(1.0, -1.0), (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 0.0)],
+        [(1.0, -1.0), (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 0.0),
+         (-1e308, 1e308)],  # the last: finite endpoints, but w_max - w_min overflows
     )
     def test_grid_must_be_finite_and_ordered(self, w_min, w_max):
         with pytest.raises(InvalidGridError) as info:
@@ -117,6 +118,15 @@ class TestQuantize:
                 quantize(np.array([0.0, value, 1.0]), 8, **grid)
             with pytest.raises(InvalidGridError, match="finite"):  # the bias or the shared grid
                 quantize_affine_layer(np.eye(2), np.array([0.0, value]), 4)
+
+    def test_overflowing_span_refused(self):
+        # tau would be inf: every code 0, and every dequantized weight NaN
+        with pytest.raises(InvalidGridError, match=r"w_max - w_min = inf"):
+            quantize(np.array([-1e308, 0.0, 1e308]), 8)
+        with pytest.raises(InvalidGridError, match="grid must be finite"):
+            quantize_affine_layer(np.array([[-1e308]]), np.array([1e308]), 4)
+        q = quantize(np.array([-8e307, 8e307]), 8)  # the widest spans still quantize
+        assert np.all(np.isfinite(dequantize(q)))
 
     def test_bad_shared_grid_refused_before_any_code(self):
         with warnings.catch_warnings():

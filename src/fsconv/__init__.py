@@ -75,7 +75,6 @@ from .tensors import (
     filter_as_3d,
     unwrap,
     unwrap_index,
-    wrap,
 )
 
 __version__ = "0.1.0"

@@ -107,11 +107,6 @@ def _read_model(path) -> list[ModelLayer]:
     return layers
 
 
-def _filters_coincide(geom: ConvGeometry, layout) -> bool:
-    """Whether all c_out > 1 filters of the layout are the same K weights (stride 0)."""
-    return layout.stride == 0 and geom.c_out > 1
-
-
 def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
     """(layer, geom, layout) of a conv layer, the layer with its ratio and policy resolved:
     from the layer, else the command line, else the file's defaults, else (policy only)
@@ -129,7 +124,7 @@ def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
         return layer, None, "degenerate_stride"
     except InvalidRatioError:
         return layer, None, "invalid_ratio"
-    if _filters_coincide(geom, layout):
+    if geom.filters_coincide(layout.stride):
         return layer, None, "degenerate_stride"
     return layer, geom, layout
 
@@ -183,17 +178,17 @@ def cmd_conv(args) -> int:
     status = OK
     _emit("conv", model=args.model, input=args.input, engine=args.engine, tolerance=args.tolerance)
     for layer in layers:
-        if _filters_coincide(layer.geom, layer.layout):  # run exactly as it is, but not silently
+        if layer.geom.filters_coincide(layer.layout.stride):  # run exactly, but not silently
             _emit("warning", stream=sys.stderr, layer=layer.name, layout="degenerate_stride")
         fs = layer.summary()
         runs = {}
         for engine in engines:  # an fcfs run that fell back already is the naive run
             fell_back = "fcfs" in runs and runs["fcfs"][1].engine == engine
             runs[engine] = runs["fcfs"] if fell_back else convolve(fs, current, engine)
-        output = runs[engines[-1]][0]  # the reference output, when both run
+        current = runs[engines[-1]][0]  # the reference output, when both run: the next input
         fields = dict(name=layer.name, engine=args.engine)
         if args.engine == "both":
-            fields["dev"] = rel_dev(runs["fcfs"][0].data, output.data)
+            fields["dev"] = rel_dev(runs["fcfs"][0].data, current.data)
             if not fields["dev"] <= args.tolerance:  # a NaN deviation fails too
                 status = FAIL
         if "naive" in runs:
@@ -209,11 +204,10 @@ def cmd_conv(args) -> int:
                 fallback=int(report.fallback is not None),
             )
         _emit("layer", **fields)
-        current = FeatureMap(output.c_out, output.d1, output.d2, output.data)
     out_path = args.output or str(Path(args.input).with_suffix("")) + ".out.npy"
     with open(out_path, "wb") as file:  # np.save appends .npy to a path without it
-        np.save(file, output.as_3d())
-    _emit("output", file=out_path, shape=f"{output.c_out}x{output.d1}x{output.d2}")
+        np.save(file, current.as_3d())
+    _emit("output", file=out_path, shape=f"{current.c_out}x{current.d1}x{current.d2}")
     _emit("status", ok=int(status == OK))
     return status
 

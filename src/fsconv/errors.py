@@ -10,7 +10,7 @@ class InvalidRatioError(FilterSummaryError, ValueError):
 
 
 class DegenerateStrideError(FilterSummaryError, ValueError):
-    """Slice-aligned stride rounded down to 0: every filter would be identical."""
+    """Slice-aligned stride rounded down to 0 with c_out > 1: every filter would be identical."""
 
 
 class ShapeMismatchError(FilterSummaryError, ValueError):

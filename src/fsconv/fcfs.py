@@ -9,8 +9,8 @@ into each window in place; stage 3 reads one strided view of the windows and
 adds the s2 slices per output in order, bit-identical at a fixed BLAS thread count.
 
 geometry.fcfs_fallback is the one rule for which layers this engine runs;
-FcfsPlan.build refuses the rest. convolve is the entry point and the one run
-of stages 1-3; fcfs_conv raises or warns where it falls back, then calls it.
+FcfsPlan.build refuses the rest. convolve is the entry point, the one run of
+stages 1-3 and the one place that picks the engine; fcfs_conv reads its report.
 """
 
 from __future__ import annotations
@@ -199,19 +199,17 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """convolve(fs, fmap, "fcfs") with loud fallbacks: raises for s2 == 1 and for an empty
-    map, and warns before running the reference engine when the filter stride is not
-    channel-aligned. Equals naive_conv up to floating reassociation of the same products."""
-    fallback = fcfs_fallback(fs.geom, fs.layout)
-    if fallback is Fallback.S2_IS_1:
+    """convolve(fs, fmap, "fcfs") with loud fallbacks: raises for s2 == 1 before running
+    anything, and warns when convolve ran the reference engine for a filter stride that is
+    not channel-aligned. Equals naive_conv up to floating reassociation of the same products."""
+    if fcfs_fallback(fs.geom, fs.layout) is Fallback.S2_IS_1:
         raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "
                                        "use the reference engine for s2 == 1 layers")
-    if fallback is Fallback.UNALIGNED_STRIDE:
-        check_conv_input(fs, fmap)
+    out, report = convolve(fs, fmap)
+    if report.fallback is not None:
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-    out, report = convolve(fs, fmap)
     return out, report.counts
 
 

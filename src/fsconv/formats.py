@@ -15,7 +15,9 @@ key=value fields ARCH_KINDS defines, plus `ratio` / `policy` defaults, each once
 from __future__ import annotations
 
 import io
+import re
 import struct
+import sys
 import zlib
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -50,12 +52,7 @@ __all__ = [
 
 MAGIC = b"FSN1"
 _DTYPES = ("f32", "q8", "q4")
-_POLICY_CODE = {
-    StridePolicy.GENERIC: 0,
-    StridePolicy.SLICE_ALIGNED: 1,
-    StridePolicy.CHANNEL_ALIGNED: 2,
-}
-_CODE_POLICY = {v: k for k, v in _POLICY_CODE.items()}
+_POLICIES = (StridePolicy.GENERIC, StridePolicy.SLICE_ALIGNED, StridePolicy.CHANNEL_ALIGNED)
 # c_in, s1, s2, c_out, ratio numerator and denominator, policy, dtype, alpha flag, reserved
 _HEADER = struct.Struct("<IIIIQQBBBB")
 _GRID = struct.Struct("<dd")  # w_min, w_max of a quantized payload
@@ -111,7 +108,7 @@ def _header(layer: ModelLayer) -> bytes:
     g = layer.geom
     return _HEADER.pack(
         g.c_in, g.s1, g.s2, g.c_out, g.ratio.numerator, g.ratio.denominator,
-        _POLICY_CODE[g.stride_policy], _DTYPES.index(layer.dtype), int(layer.alphas is not None), 0,
+        _POLICIES.index(g.stride_policy), _DTYPES.index(layer.dtype), int(layer.alphas is not None), 0,
     )
 
 
@@ -200,13 +197,13 @@ def load_model(data: bytes) -> list[ModelLayer]:
             raise FormatError(f"layer name is not valid UTF-8: {exc}") from exc
         header = r.take(_HEADER.size)
         *sizes, r_num, r_den, policy_code, dtype_code, has_alpha, _ = _HEADER.unpack(header)
-        if policy_code not in _CODE_POLICY:
+        if policy_code >= len(_POLICIES):
             raise FormatError(f"layer {name!r}: unknown stride policy {policy_code}")
         if dtype_code >= len(_DTYPES):
             raise FormatError(f"layer {name!r}: unknown dtype code {dtype_code}")
         if r_den == 0:
             raise FormatError(f"layer {name!r}: zero ratio denominator")
-        geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _CODE_POLICY[policy_code])
+        geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _POLICIES[policy_code])
         phys = derive_layout(geom).phys_length
         dtype = _DTYPES[dtype_code]
         start = r.pos
@@ -284,7 +281,15 @@ class ArchSpec:
 
 def parse_ratio(text: str) -> Fraction:
     """The rational number an arch file or --ratio writes (`4`, `7/2`, `3.5`, `1e3`); ValueError
-    or ZeroDivisionError if the text is not one, or if no record could show its exact value."""
+    or ZeroDivisionError if the text is not one, or if no record could show its exact value:
+    more than limit = sys.get_int_max_str_digits() digits. As 10**-len(text) < |mantissa| <
+    10**len(text), an exponent of ±(limit + len(text)) or beyond is refused before it is built."""
+    if match := re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", text, re.IGNORECASE | re.DOTALL):
+        mantissa, shift = Fraction(match[1] + "e0"), int(match[2])  # raise where Fraction(text) does
+        if not mantissa:
+            return mantissa  # 0 at any exponent
+        if (limit := sys.get_int_max_str_digits()) and abs(shift) - limit >= len(text):
+            raise ValueError(f"{text!r} has more than {limit} digits")
     ratio = Fraction(text)
     str(ratio)  # ValueError beyond sys.get_int_max_str_digits()
     return ratio

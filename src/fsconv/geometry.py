@@ -44,7 +44,7 @@ class StridePolicy(enum.Enum):
     SLICE_ALIGNED
         Largest multiple of c_in*s1 (one filter slice) not exceeding the
         generic stride. Rounds to 0 for many realistic layer shapes, which
-        would collapse all filters onto the same segment.
+        would collapse all filters onto one segment; refused unless c_out is 1.
     CHANNEL_ALIGNED
         Largest multiple of c_in not exceeding the generic stride. Keeps the
         fast path's diagonal set channel-aligned. Default. It rounds to 0
@@ -102,6 +102,10 @@ class ConvGeometry:
         """Length of one filter slice, c_in*s1."""
         return self.c_in * self.s1
 
+    def filters_coincide(self, stride: int) -> bool:
+        """Whether all filters at this stride are the same K weights: stride 0 and c_out > 1."""
+        return stride == 0 and self.c_out > 1
+
 
 @dataclass(frozen=True)
 class Layout:
@@ -128,7 +132,7 @@ def derive_layout(geom: ConvGeometry) -> Layout:
 
     Raises InvalidRatioError when the summary would be shorter than one
     filter, and DegenerateStrideError when SLICE_ALIGNED rounds the stride
-    to 0 (all filters identical).
+    to 0 for c_out > 1 (ConvGeometry.filters_coincide).
     """
     k = geom.filter_len
     length = int(Fraction(k * geom.c_out) / geom.ratio)  # floor: num/den >= 0
@@ -142,7 +146,7 @@ def derive_layout(geom: ConvGeometry) -> Layout:
         stride = generic
     elif geom.stride_policy is StridePolicy.SLICE_ALIGNED:
         stride = (generic // geom.slice_len) * geom.slice_len
-        if stride == 0:
+        if geom.filters_coincide(stride):
             raise DegenerateStrideError(
                 f"slice-aligned stride is 0 (generic stride {generic} < "
                 f"slice length {geom.slice_len}); all filters would coincide"

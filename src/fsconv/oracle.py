@@ -9,8 +9,6 @@ output element costs exactly K multiplies, so an instrumented run over a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .counters import MultCounter
@@ -20,26 +18,12 @@ from .tensors import FeatureMap, FilterSummary
 __all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "rel_dev"]
 
 
-@dataclass(frozen=True)
-class ConvOutput:
-    """A (c_out, d1, d2) output tensor in the same channel-major vector form."""
+class ConvOutput(FeatureMap):
+    """A layer's (c_out, d1, d2) output: the next layer's input map, its c_in named c_out."""
 
-    c_out: int
-    d1: int
-    d2: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.shape != (self.c_out * self.d1 * self.d2,):
-            raise ShapeMismatchError(
-                f"output data has shape {data.shape}, expected "
-                f"({self.c_out * self.d1 * self.d2},)"
-            )
-        object.__setattr__(self, "data", data)
-
-    def as_3d(self) -> np.ndarray:
-        return self.data.reshape(self.d2, self.d1, self.c_out).transpose(2, 1, 0)
+    @property
+    def c_out(self) -> int:
+        return self.c_in
 
 
 def pad_same(fmap: FeatureMap, s1: int, s2: int) -> FeatureMap:

@@ -22,7 +22,6 @@ __all__ = [
     "FilterSummary",
     "unwrap_index",
     "unwrap",
-    "wrap",
     "extract_filter",
     "filter_as_3d",
 ]
@@ -58,6 +57,10 @@ class FeatureMap:
             )
         object.__setattr__(self, "data", data)
 
+    def as_3d(self) -> np.ndarray:
+        """The (c_in, d1, d2) array, a view of the data: the inverse of unwrap."""
+        return self.data.reshape(self.d2, self.d1, self.c_in).transpose(2, 1, 0)
+
     @classmethod
     def random(cls, c_in, d1, d2, *, seed=0, dtype=np.float64):
         rng = np.random.default_rng(seed)
@@ -72,11 +75,6 @@ def unwrap(tensor: np.ndarray) -> FeatureMap:
         raise ShapeMismatchError(f"expected a 3D tensor, got shape {t.shape}")
     c_in, d1, d2 = t.shape
     return FeatureMap(c_in, d1, d2, np.ascontiguousarray(t.transpose(2, 1, 0)).ravel())
-
-
-def wrap(fmap: FeatureMap) -> np.ndarray:
-    """Inverse of unwrap: rebuild the (c_in, d1, d2) array (a view)."""
-    return fmap.data.reshape(fmap.d2, fmap.d1, fmap.c_in).transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)

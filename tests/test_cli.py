@@ -807,6 +807,7 @@ class TestLayerSettings:
         arch.write_text(
             "layer deg kind=conv c_in=16 s1=3 s2=3 c_out=16 r=16\n"
             "layer one kind=conv c_in=4 s1=1 s2=1 c_out=1 r=1\n"
+            "layer one_slice kind=conv c_in=4 s1=1 s2=1 c_out=1 r=1 policy=slice\n"
             "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n"
         )
         code, planned, _ = run(capsys, "plan", arch)
@@ -814,10 +815,10 @@ class TestLayerSettings:
         code, benched, _ = run(capsys, "bench", arch, "--spatial", "4", "4", "--repeat", "1")
         assert code == 0
         layers = records_of(planned, "layer")
-        assert [layer.get("error") for layer in layers] == ["degenerate_stride", None, None]
-        assert layers[1]["s"] == "0"
+        assert [layer.get("error") for layer in layers] == ["degenerate_stride", None, None, None]
+        assert layers[1]["s"] == layers[2]["s"] == "0"
         skipped = [layer.get("skipped") for layer in records_of(benched, "layer")]
-        assert skipped == ["degenerate_stride", "s2_is_1", None]
+        assert skipped == ["degenerate_stride", "s2_is_1", "s2_is_1", None]
 
     @pytest.mark.parametrize("command", ["plan", "bench"])
     def test_layer_without_ratio_refused_before_any_record(self, capsys, tmp_path, command):

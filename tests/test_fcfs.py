@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fsconv.fcfs
+import fsconv.oracle
 from fsconv import (
     ConvGeometry,
     FcfsPlan,
@@ -534,11 +535,14 @@ class TestFcfsConv:
             fcfs_conv(fs, FeatureMap.random(3, 3, 3, seed=19))
 
     def test_input_checked_once_per_call(self, monkeypatch):
-        # the fast path checks its input once, and the unaligned-stride
-        # fallback checks it before the warning (the reference engine then
-        # runs its own check)
-        calls, real = [], fsconv.fcfs.check_conv_input
-        monkeypatch.setattr(fsconv.fcfs, "check_conv_input", lambda *a: calls.append(a) or real(*a))
+        # fcfs_conv leaves the check to the engine that runs: the fast path
+        # checks its input once, the unaligned-stride fallback once (in the
+        # reference engine), and an s2 == 1 layer raises before any check
+        calls = []
+        for module in (fsconv.fcfs, fsconv.oracle):
+            real = module.check_conv_input
+            monkeypatch.setattr(module, "check_conv_input",
+                                lambda *a, real=real: calls.append(a) or real(*a))
         fast = FilterSummary.random(ConvGeometry(4, 3, 3, 8, 2), seed=43)
         unaligned = FilterSummary.random(ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), seed=44)
         for fs in (fast, unaligned):
@@ -548,6 +552,11 @@ class TestFcfsConv:
                     warnings.simplefilter("ignore")
                     fcfs_conv(fs, FeatureMap.random(fs.geom.c_in, 5, 4, seed=45))
                 assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(UnsupportedGeometryError):
+            fcfs_conv(FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=46),
+                      FeatureMap.random(2, 3, 3, seed=47))
+        assert calls == []
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a refused map raises before any warning
             with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
@@ -601,6 +610,20 @@ class TestConvolve:
         fs = FilterSummary.random(geom, seed=30)
         with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
             convolve(fs, FeatureMap(2, 3, 0, np.zeros(0)), engine)
+
+    def test_an_output_is_the_next_layers_input(self):
+        # a conv output is a FeatureMap with c_in = c_out: either engine's
+        # output feeds the other engine with no rebuild
+        first = FilterSummary.random(ConvGeometry(3, 3, 3, 4, 2), seed=48)
+        second = FilterSummary.random(ConvGeometry(4, 3, 2, 5, 2), seed=49)
+        fmap = FeatureMap.random(3, 5, 6, seed=50)
+        hidden = naive_conv(first, fmap)
+        reference = naive_conv(second, FeatureMap(hidden.c_out, hidden.d1, hidden.d2, hidden.data))
+        fast_hidden, _ = convolve(first, fmap)
+        assert isinstance(fast_hidden, FeatureMap) and fast_hidden.c_in == fast_hidden.c_out == 4
+        for out in (naive_conv(second, fast_hidden), convolve(second, hidden)[0]):
+            assert (out.c_out, out.d1, out.d2) == (5, 5, 6)
+            assert rel_dev(out.data, reference.data) <= 1e-12
 
     def test_unknown_engine_refused(self):
         fs = FilterSummary.random(ConvGeometry(2, 2, 2, 2, 1), seed=31)

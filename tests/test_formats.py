@@ -1,6 +1,8 @@
 """Model container and architecture text format: round trips and rejection."""
 
+import re
 import struct
+import sys
 import zlib
 from dataclasses import fields
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsconv.formats
 from fsconv import (
     ArchSpec,
     BatchNormSpec,
@@ -31,7 +34,7 @@ from fsconv import (
     write_model,
 )
 from fsconv.errors import FilterSummaryError, FormatError, InvalidGridError
-from fsconv.formats import ARCH_DIRECTIVES, ARCH_KINDS, arch_fields
+from fsconv.formats import ARCH_DIRECTIVES, ARCH_KINDS, arch_fields, parse_ratio
 
 from helpers import q8_model_with_grid, random_fast_geometry
 
@@ -383,6 +386,63 @@ class TestLineTable:
                               "layer f kind=fc in=4 out=2\n").layers
         assert conv == ConvSpec("c", 2, 3, 3, 4, None, None)
         assert fc == DenseSpec("f", 4, 2, True)
+
+
+def _outcome(read, text):
+    """The value `read` gives for the text, or the type of its refusal."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _fraction_with_limit(text):
+    """The definition parse_ratio keeps: Fraction(text), if its exact value has a text form."""
+    ratio = Fraction(text)
+    str(ratio)
+    return ratio
+
+
+def _forbid_fraction_of(monkeypatch, text):
+    """Fail where fsconv.formats hands Fraction the whole text, which builds its power of ten."""
+    def spy(value, *rest):
+        assert value != text, "Fraction read the whole text"
+        return Fraction(value, *rest)
+
+    monkeypatch.setattr(fsconv.formats, "Fraction", spy)
+
+
+class TestParseRatio:
+    @pytest.mark.parametrize("text", ["1e1000000", "-1e1000000", "1e-1000000", "7.5E+10000000",
+                                      "1_0e1_000_000", "0.0001e1000000"])
+    def test_huge_exponent_refused_before_fraction_reads_it(self, monkeypatch, text):
+        # a line holding such a ratio keeps the message it had
+        _forbid_fraction_of(monkeypatch, text)
+        with pytest.raises(ValueError, match="digits"):
+            parse_ratio(text)
+        message = f"line 1: r must be a rational >= 1, got {text!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_arch(f"layer c kind=conv c_in=2 s1=3 s2=3 c_out=4 r={text}")
+
+    @pytest.mark.parametrize("text", ["0e1000000", "-0.000e-10000000", "+.0E99999999"])
+    def test_zero_at_any_exponent_is_zero(self, monkeypatch, text):
+        _forbid_fraction_of(monkeypatch, text)
+        assert parse_ratio(text) == 0
+
+    def test_agrees_with_fraction_near_the_digit_limit(self):
+        # the same value or the same refusal as Fraction and its text form, on
+        # each side of the digit limit and of the exponent parse_ratio refuses
+        limit = sys.get_int_max_str_digits()
+        texts = [f"1e{limit - 1}", f"1e{limit}", f"9.99e{limit - 1}", f"-1e{limit - 1}",
+                 f"0.0001e{limit + 2}", f"0.0001e{limit + 3}", f"0.{'0' * 40}1e{limit + 40}",
+                 f"1e-{limit - 1}", f"1e-{limit}", f"2e-{limit}", f"5e-{limit + 1}",
+                 f"125e-{limit + 2}", f"1_000e{limit - 4}", f"{'9' * 50}e{limit - 50}",
+                 f"{'9' * 50}e{limit - 51}", f"{'9' * 50}.5e-{limit - 60}",
+                 f"1e{limit + 5}", f"1e{limit + 6}", f"1e-{limit + 6}", f"1e-{limit + 7}",
+                 f"{'1' * limit}e0", "1e 5", "0e 5", "0/1e5", "1e", "e5", "1e5e5", "1.5E3",
+                 " 1e5 ", "1.e2", ".5e-2", "1e1_0", "1e1__0", "\u0664e2", "0e" + "1" * (limit + 1)]
+        for text in texts:
+            assert _outcome(parse_ratio, text) == _outcome(_fraction_with_limit, text), text
 
 
 class TestBundledArch:

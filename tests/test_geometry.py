@@ -36,6 +36,17 @@ class TestDeriveLayout:
         with pytest.raises(DegenerateStrideError):
             derive_layout(ConvGeometry(**WORKED, stride_policy=StridePolicy.SLICE_ALIGNED))
 
+    def test_single_filter_at_stride_zero_is_no_degenerate_slice(self):
+        # one filter coincides with no other, so a slice-aligned stride of 0
+        # is a layout when c_out is 1 (generic stride 11, slice length 12)
+        geom = ConvGeometry(4, 3, 1, 1, 1, StridePolicy.SLICE_ALIGNED)
+        layout = derive_layout(geom)
+        assert (layout.stride, layout.phys_length) == (0, 12)
+        assert not geom.filters_coincide(layout.stride)
+        assert ConvGeometry(4, 3, 1, 2, 1).filters_coincide(0)
+        with pytest.raises(DegenerateStrideError, match="all filters would coincide"):
+            derive_layout(ConvGeometry(4, 3, 1, 2, 2, StridePolicy.SLICE_ALIGNED))
+
     def test_worked_example_channel_aligned(self):
         layout = derive_layout(
             ConvGeometry(**WORKED, stride_policy=StridePolicy.CHANNEL_ALIGNED)

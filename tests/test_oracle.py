@@ -15,7 +15,6 @@ from fsconv import (
     pad_same,
     rel_dev,
     unwrap,
-    wrap,
 )
 from fsconv.errors import DegenerateStrideError, InvalidDtypeError, ShapeMismatchError
 
@@ -32,8 +31,8 @@ class TestPadSame:
         fmap = FeatureMap.random(1, 2, 2, seed=1)
         padded = pad_same(fmap, 3, 3)
         assert (padded.d1, padded.d2) == (4, 4)
-        cube = wrap(padded)
-        assert np.array_equal(cube[:, 1:3, 1:3], wrap(fmap))
+        cube = padded.as_3d()
+        assert np.array_equal(cube[:, 1:3, 1:3], fmap.as_3d())
         cube_copy = cube.copy()
         cube_copy[:, 1:3, 1:3] = 0.0
         assert not cube_copy.any()
@@ -42,9 +41,9 @@ class TestPadSame:
         fmap = FeatureMap.random(1, 3, 3, seed=2)
         padded = pad_same(fmap, 2, 4)
         assert (padded.d1, padded.d2) == (4, 6)
-        cube = wrap(padded)
+        cube = padded.as_3d()
         # floor((s-1)/2) leading zeros: 0 rows, 1 column
-        assert np.array_equal(cube[:, 0:3, 1:4], wrap(fmap))
+        assert np.array_equal(cube[:, 0:3, 1:4], fmap.as_3d())
 
     def test_zero_map_stays_zero(self):
         fmap = FeatureMap(2, 2, 2, np.zeros(8))
@@ -61,7 +60,7 @@ class TestPadSame:
             lead1, lead2 = (s1 - 1) // 2, (s2 - 1) // 2
             expected = np.pad(cube, ((0, 0), (lead1, s1 - 1 - lead1), (lead2, s2 - 1 - lead2)))
             assert expected.dtype == dtype
-            assert np.array_equal(wrap(padded), expected)
+            assert np.array_equal(padded.as_3d(), expected)
 
 
 class TestNaiveConv:
@@ -153,7 +152,7 @@ def literal_conv(fs, fmap):
     in float64 from the 3D filters and the 3D map, with no strided views."""
     g = fs.geom
     lead1, lead2 = (g.s1 - 1) // 2, (g.s2 - 1) // 2
-    padded = np.pad(wrap(fmap).astype(np.float64),
+    padded = np.pad(fmap.as_3d().astype(np.float64),
                     ((0, 0), (lead1, g.s1 - 1 - lead1), (lead2, g.s2 - 1 - lead2)))
     filters = np.stack([filter_as_3d(fs, o) for o in range(g.c_out)]).astype(np.float64)
     windows = np.array([[padded[:, m : m + g.s1, n : n + g.s2] for n in range(fmap.d2)]

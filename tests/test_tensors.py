@@ -16,7 +16,6 @@ from fsconv import (
     filter_as_3d,
     unwrap,
     unwrap_index,
-    wrap,
 )
 from fsconv.errors import OutOfRangeError, ShapeMismatchError
 
@@ -53,11 +52,11 @@ class TestUnwrapWrap:
         rng = np.random.default_rng(1)
         for shape in [(1, 1, 1), (2, 3, 4), (5, 2, 7)]:
             tensor = rng.standard_normal(shape)
-            assert np.array_equal(wrap(unwrap(tensor)), tensor)
+            assert np.array_equal(unwrap(tensor).as_3d(), tensor)
 
     def test_inverse_direction(self):
         fmap = FeatureMap.random(3, 4, 5, seed=2)
-        assert np.array_equal(unwrap(wrap(fmap)).data, fmap.data)
+        assert np.array_equal(unwrap(fmap.as_3d()).data, fmap.data)
 
     def test_zeros(self):
         assert not unwrap(np.zeros((2, 2, 2))).data.any()

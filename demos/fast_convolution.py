@@ -51,8 +51,9 @@ extents = sum(hi - lo for spans in runs.values() for lo, hi in spans)
 plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
 print(f"slices read {extents} element products on {len(runs)} diagonals: the floor")
 print(f"(equal to plan.needed: {extents == plan.needed})")
-print(f"stage 1 runs {len(plan.bands)} banded matrix products, "
+print(f"stage 1 is one matrix product over all {plan.cells} x {plan.summary} cell pairs, "
       f"{fast_counter.multiplies} multiplies ({fast_counter.multiplies / plan.needed:.3f}x the floor)")
+print(f"stage 2 sums windows of {plan.window} products by doubling, in {len(plan.steps)} passes")
 
 print()
 print("=== measured vs predicted on the classic 64x64 3x3 layer ===")
@@ -69,9 +70,9 @@ floor = fcfs_plan(geom, fs.layout, 16, 16).needed
 print(f"stage-1 products: {report.fcfs.multiplies} executed, {floor} needed, "
       f"{float(closed):.0f} in the closed form ({float(report.fcfs.multiplies / closed):.2f}x)")
 print("the closed form assumes each padded position meets one slice residue;")
-print("every padded position actually meets all s1 residues, and a whole band")
-print("of summary cells, so the measured ratio lands near the compression")
-print("ratio instead of ratio*s1.")
+print("every padded position actually meets all s1 residues, and every summary")
+print("cell, so the measured ratio lands near the compression ratio instead of")
+print("ratio*s1.")
 
 print()
 print("=== strides that defeat the diagonal structure fall back ===")

@@ -163,17 +163,14 @@ def cmd_plan(args) -> int:
 # --- conv --------------------------------------------------------------------
 
 
-def _load_input(path) -> np.ndarray:
-    try:
-        return np.load(path)
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"cannot read input tensor {path!r}: {exc}") from exc
-
-
 def cmd_conv(args) -> int:
     _check_option("--tolerance", args.tolerance, 0)
     layers = _read_model(args.model)
-    current = unwrap(_load_input(args.input))
+    try:  # a memory map refuses a header that declares more bytes than the file, unallocated
+        tensor = np.array(np.load(args.input, mmap_mode="r"))
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read input tensor {args.input!r}: {exc}") from exc
+    current = unwrap(tensor)
     engines = ("fcfs", "naive") if args.engine == "both" else (args.engine,)
     status = OK
     _emit("conv", model=args.model, input=args.input, engine=args.engine, tolerance=args.tolerance)
@@ -307,11 +304,14 @@ def cmd_bench(args) -> int:
             _emit("layer", name=layer.name, skipped=skipped)
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
-        fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
-        plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
-        acc = measured_acceleration(fs, fmap)  # caches the plan: fcfs_ms is execution
-        naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
-        fcfs_ms, fast = _time_best(lambda: convolve(fs, fmap)[0], args.repeat)
+        try:
+            fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
+            plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
+            acc = measured_acceleration(fs, fmap)  # caches the plan: fcfs_ms is execution
+            naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
+            fcfs_ms, fast = _time_best(lambda: convolve(fs, fmap)[0], args.repeat)
+        except (MemoryError, ValueError) as exc:  # numpy refuses a size past its index range or memory
+            raise InvalidArgumentError(f"--spatial {d1} {d2} is too big: {exc}") from exc
         _emit(
             "layer",
             name=layer.name,

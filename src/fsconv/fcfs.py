@@ -3,10 +3,11 @@
 A cell is the c_in values at one padded position, or c_in consecutive
 summary weights. Under a channel-aligned filter stride each slice inner
 product sums a window of s1 consecutive entries on one diagonal of the cell
-products G[r, q] = x_cell[r] . w_cell[q]. Stage 1: BLAS writes G band by band
-into a skewed table whose columns are its diagonals; stage 2 sums s1 rows
-into each window in place; stage 3 reads one strided view of the windows and
-adds the s2 slices per output in order, bit-identical at a fixed BLAS thread count.
+products G[r, q] = x_cell[r] . w_cell[q]. Stage 1 is one matrix product into
+a flat C-ordered (P, Q) table, where a diagonal steps by Q+1; stage 2 sums the
+windows along that step by doubling; stage 3 reads one strided view of the
+windows and adds the s2 slices per output in order, bit-identical at a fixed
+BLAS thread count.
 
 geometry.fcfs_fallback is the one rule for which layers this engine runs;
 FcfsPlan.build refuses the rest. convolve is the entry point, the one run of
@@ -35,32 +36,32 @@ __all__ = [
 ]
 
 PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
-BLOCK_BYTES = 256 * 1024  # a stage-2 block is as many f64 rows as fit, one at least
 
 
 @dataclass(frozen=True)
 class FcfsPlan:
     """Everything fcfs_conv needs that does not depend on the data.
 
-    cells, summary  P padded cells, Q summary cells up to the last one read.
-                    G[r, q] goes to row q+1, column Q+r-q of a (Q+1) x (P+Q+1)
-                    table; then for q <= Q-s1 entry Q + r + q*(P+Q) becomes the
-                    window of `window` = s1 cells on a diagonal from (r, q).
-    block           rows of windows stage 2 sums at a time, in one buffer
-    bands           (r0, r1, q0, q1) per stage-1 product G[r0:r1, q0:q1]
+    cells, summary  P padded cells, Q summary cells up to the last one read:
+                    stage 1 writes G[r, q] at r*Q + q of a flat table, and
+                    entry j < `windows` of stage 2 sums the `window` = s1
+                    entries j + t*(Q+1), t < s1, one diagonal of G.
+    steps           stage 2 by doubling, (offset, length, from G) per pass: the
+                    table's first `length` entries plus as many of G (from G)
+                    or of the table itself (a pass that doubles) from `offset`
     shape, strides  the (s2, d2, d1, c_out) lattice of slice pairs (see view)
     multiplies, additions, lookups: the exact counts of one execution.
     needed          c_in times the cells any slice reads, counted on first read:
-                    the floor under `multiplies`, which also counts unread cells.
+                    the floor under `multiplies`, which counts the whole grid.
     """
 
     cells: int
     summary: int
-    bands: tuple[tuple[int, int, int, int], ...]
+    window: int
+    windows: int
+    steps: tuple[tuple[int, int, bool], ...]
     shape: tuple[int, int, int, int]
     strides: tuple[int, int, int, int]
-    window: int
-    block: int
     multiplies: int
     additions: int
     lookups: int
@@ -70,75 +71,68 @@ class FcfsPlan:
         """Plan one layer at one map size, uncached; raises UnsupportedGeometryError
         for a layer fcfs_fallback refuses. Slice k of filter i at output
         (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m with the s1
-        summary cells from q = i*stride/c_in + k*s1."""
+        summary cells from q = i*stride/c_in + k*s1: window r*Q + q."""
         if (fallback := fcfs_fallback(geom, layout)) is not None:
             raise UnsupportedGeometryError(f"fcfs does not run {fallback.value} layers; use naive")
         s1, s2, c_in = geom.s1, geom.s2, geom.c_in
         p1, shift = d1 + s1 - 1, layout.stride // c_in
-        last = (geom.c_out - 1) * shift  # first cell of the last filter
-        cells, summary = p1 * (d2 + s2 - 1), last + s1 * s2
-        # map column j meets slices k = j-d2+1 .. j: summary cells s1*max(0, j-d2+1)
-        # to last + s1*min(s2, j+1), which change at each j < s2 and each j >= d2
-        edges = sorted({*range(s2), *range(d2, d2 + s2)})
-        bands = tuple((a * p1, b * p1, s1 * max(0, a - d2 + 1), last + s1 * min(s2, a + 1))
-                      for a, b in zip(edges, edges[1:]))
-        computed = sum((r1 - r0) * (q1 - q0) for r0, r1, q0, q1 in bands)
-        row, lookups = cells + summary + 1, s2 * d2 * d1 * geom.c_out
-        strides = (p1 + s1 * (row - 1), p1, 1, shift * (row - 1))  # (k, n, m, i)
-        windows = summary - s1 + 1  # adds: c_in-1 per cell, s1-1 per window entry, s2-1 per output
-        additions = (c_in - 1) * computed + windows * row * (s1 - 1) + lookups // s2 * (s2 - 1)
-        block = min(windows, max(1, BLOCK_BYTES // (8 * row)))
-        return cls(cells, summary, bands, (s2, d2, d1, geom.c_out), strides, s1, block,
-                   c_in * computed, additions, lookups)
+        cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
+        step = summary + 1  # along a diagonal; no window read wraps past row P-1
+        windows = length = cells * summary - (s1 - 1) * step
+        steps, width = [], s1  # from the last pass back, each computing what the later ones read
+        while width > 1:  # an odd width adds one entry of G, an even one two halves
+            width, from_products = (width - 1, True) if width % 2 else (width // 2, False)
+            steps.insert(0, (width * step, length, from_products))
+            length += 0 if from_products else width * step
+        lookups = s2 * d2 * d1 * geom.c_out
+        additions = (c_in - 1) * cells * summary + sum(n for _, n, _ in steps) + lookups // s2 * (s2 - 1)
+        return cls(cells, summary, s1, windows, tuple(steps), (s2, d2, d1, geom.c_out),
+                   (p1 * summary + s1, p1 * summary, summary, shift),  # (k, n, m, i)
+                   c_in * cells * summary, additions, lookups)
 
     @functools.cached_property
     def needed(self) -> int:  # no execution needs the floor: not a field
-        computed = sum((r1 - r0) * (q1 - q0) for r0, r1, q0, q1 in self.bands)
-        return self.multiplies // computed * int(_reads(self).sum())  # c_in products per cell
+        return self.multiplies // self.cells // self.summary * int(_reads(self).sum())
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one execution allocates beyond the padded map and output: table and buffer."""
-        return itemsize * (self.cells + self.summary + 1) * (self.summary + 1 + self.block)
+        """Bytes one execution allocates beyond the padded map and output (see window_sums)."""
+        doubled = [length for _, length, from_products in self.steps if not from_products]
+        return itemsize * (self.cells * self.summary + sum(doubled[:2]))
 
-    def window_table(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
-        """Pad the map, then stages 1 and 2: the flat table whose row q is window q."""
-        padded = pad_same(fmap, self.window, self.shape[0]).data
-        dtype = np.result_type(padded, weights)
-        x = padded.astype(dtype, copy=False).reshape(self.cells, -1)
-        w = weights[: self.summary * x.shape[1]].astype(dtype, copy=False).reshape(self.summary, -1)
-        row = self.cells + self.summary + 1
-        table = np.zeros((self.summary + 1, row), dtype)
-        flat, size = table.ravel(), table.itemsize
-        for r0, r1, q0, q1 in self.bands:  # BLAS writes G[r, q] at row q+1, column Q+r-q
-            start = (row + self.summary + r0 + q0 * (row - 1)) * size
-            skew = np.ndarray((q1 - q0, r1 - r0), dtype, flat, start, ((row - 1) * size, size))
-            np.matmul(w[q0:q1], x[r0:r1].T, out=skew)
-        windows, block = self.summary - self.window + 1, np.empty((self.block, row), dtype)
-        for a in range(0, windows, len(block)):  # row q is free once window q-1 exists
-            part = block[: windows - a]
-            np.copyto(part, table[a + 1 : a + 1 + len(part)])
-            for t in range(2, self.window + 1):
-                part += table[a + t : a + t + len(part)]
-            table[a : a + len(part)] = part
-        return flat
+    def products(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
+        """Pad the map, then stage 1: the flat (P, Q) table G of cell products."""
+        x = pad_same(fmap, self.window, self.shape[0]).data.reshape(self.cells, -1)
+        w = weights[: self.summary * x.shape[1]].reshape(self.summary, -1)
+        return np.matmul(x, w.T).ravel()  # in the common type of map and weights
 
-    def view(self, flat: np.ndarray, start: int, writeable=False) -> np.ndarray:
-        """The (s2, d2, d1, c_out) entries of the contiguous `flat` from `start` at the plan's
-        strides, from Q each slice pair's window; numpy refuses a view that leaves `flat`."""
-        size = flat.itemsize
-        strides = [s * size for s in self.strides]
-        view = np.ndarray(self.shape, flat.dtype, flat, start * size, strides)
-        view.flags.writeable = writeable
+    def window_sums(self, products: np.ndarray) -> np.ndarray:
+        """Stage 2: the `windows` window sums of flat G (G itself for s1 = 1). A pass
+        that doubles writes into a second table, as numpy's vector loops refuse inputs
+        that overlap their output; the first two such passes allocate one each."""
+        table, spare = products, None
+        for offset, length, from_products in self.steps:
+            if from_products:  # one more entry of G, in place
+                table = np.add(table[:length], products[offset : offset + length], out=table[:length])
+            else:  # two halves, into the other table
+                doubled = np.add(table[:length], table[offset : offset + length],
+                                 out=None if spare is None else spare[:length])
+                spare, table = (None if table is products else table), doubled
+        return table
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """The window of each slice pair in the contiguous `flat`, as a read-only (s2, d2,
+        d1, c_out) view at the plan's strides; numpy refuses a view that leaves `flat`."""
+        view = np.ndarray(self.shape, flat.dtype, flat, 0, [s * flat.itemsize for s in self.strides])
+        view.flags.writeable = False
         return view
 
 
 def _reads(plan: FcfsPlan) -> np.ndarray:
-    """The cells any slice reads, as a (Q, P+Q+1) mask: row q, column Q+r-q."""
-    row = plan.cells + plan.summary + 1
-    mask = np.zeros(plan.summary * row, bool)
-    for start in range(plan.summary, plan.summary + plan.window * row, row):  # a slice's s1 cells
-        plan.view(mask, start, writeable=True)[...] = True
-    return mask.reshape(plan.summary, row)
+    """The cells any slice reads, as a (P, Q) mask."""
+    mask, starts = np.zeros(plan.cells * plan.summary, bool), plan.view(np.arange(plan.windows))
+    for t in range(plan.window):  # a slice's s1 cells, one diagonal step apart
+        mask[starts + t * (plan.summary + 1)] = True
+    return mask.reshape(plan.cells, plan.summary)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -157,17 +151,21 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
     """The element products any slice reads, FcfsPlan.needed in all: offset (row - column)
     -> sorted disjoint [start, stop) column runs of padded_map[x] * summary[y]."""
     plan, c_in = _plan(fs, fmap), fs.geom.c_in
-    edges = np.diff(_reads(plan).T.astype(np.int8), axis=1, prepend=0, append=0)  # along q
+    cells, summary = plan.cells, plan.summary
+    skew = np.zeros((summary, cells + summary + 1), np.int8)  # G[r, q] at row q, column Q+r-q
+    np.ndarray((cells, summary), np.int8, skew, summary, (1, cells + summary))[...] = _reads(plan)
+    edges = np.diff(skew.T, axis=1, prepend=0, append=0)  # one diagonal per row, along q
     starts, stops = np.argwhere(edges == 1).tolist(), np.argwhere(edges == -1)[:, 1].tolist()
     runs: dict[int, list[tuple[int, int]]] = {}
     for (d, lo), hi in zip(starts, stops):
-        runs.setdefault(c_in * (d - plan.summary), []).append((c_in * lo, c_in * hi))
+        runs.setdefault(c_in * (d - summary), []).append((c_in * lo, c_in * hi))
     return runs
 
 
 def build_integrals(fs: FilterSummary, fmap: FeatureMap, diagonals=None) -> np.ndarray:
-    """Stages 1 and 2 on this input: the window table (see FcfsPlan); `diagonals` is not read."""
-    return _plan(fs, fmap).window_table(fmap, fs.weights)
+    """Stages 1 and 2 on this input: the flat window sums (see FcfsPlan); `diagonals` is not read."""
+    plan = _plan(fs, fmap)
+    return plan.window_sums(plan.products(fmap, fs.weights))
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOu
         counter = MultCounter()
         return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
     plan, geom = _plan(fs, fmap), fs.geom
-    windows = plan.view(plan.window_table(fmap, fs.weights), plan.summary)
+    windows = plan.view(plan.window_sums(plan.products(fmap, fs.weights)))
     out = np.add(windows[0], windows[1], order="C")  # (d2, d1, c_out), channel-major; s2 >= 2
     for per_slice in windows[2:]:  # fixed order: bit-stable
         out += per_slice

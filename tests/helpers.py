@@ -1,4 +1,4 @@
-"""Randomized geometries and instances shared by the test modules."""
+"""Randomized geometries, instances and reference bounds shared by the test modules."""
 
 import struct
 import zlib
@@ -13,8 +13,11 @@ from fsconv import (
     ModelLayer,
     StridePolicy,
     dump_model,
+    pad_same,
     quantize,
 )
+
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
 def random_fast_geometry(
@@ -60,3 +63,44 @@ def q8_model_with_grid(w_min, w_max) -> bytes:
     blob[start : start + 16] = struct.pack("<dd", w_min, w_max)
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[start:-4])))
     return bytes(blob)
+
+
+def as_dtype(values, dtype):
+    """values converted exactly to `dtype`; object means Fractions."""
+    return np.vectorize(Fraction, otypes=[object])(values) if dtype is object else values.astype(dtype)
+
+
+def wide_conv(fs, fmap, dtype):
+    """The same-padding convolution and |w| * |x|, each computed from the values
+    converted to `dtype`; object means exact Fractions. Independent of both
+    engines: one gathered patch matrix times the gathered filters."""
+    geom = fs.geom
+    p1 = fmap.d1 + geom.s1 - 1
+    n, m, k, t = np.indices((fmap.d2, fmap.d1, geom.s2, geom.slice_len))
+    patches = ((n + k) * p1 + m) * geom.c_in + t
+    filters = np.arange(geom.c_out)[:, None] * fs.layout.stride + np.arange(geom.filter_len)
+    x = as_dtype(pad_same(fmap, geom.s1, geom.s2).data, dtype)[patches.reshape(fmap.d2 * fmap.d1, -1)]
+    w = as_dtype(fs.weights, dtype)[filters]
+    return (x @ w.T).ravel(), (np.abs(x) @ np.abs(w).T).ravel()
+
+
+def gamma(n, u):
+    """Higham's gamma_n = n*u / (1 - n*u) (Accuracy and Stability of Numerical Algorithms, 2nd ed.)."""
+    return n * u / (1 - n * u)
+
+
+def rounding_excess(out, fs, fmap, n):
+    """|out - exact| / (gamma_n * (|w| * |x|)) per output, at most 1 where each output is
+    within the standard bound for sums of products evaluated in any order with n
+    roundings on each path (Higham, section 3.1), at the unit roundoff of out's dtype.
+    The exact reference is the f64 oracle for f32 outputs; for f64 outputs it is a
+    long double one, or exact Fractions where long double is no wider than double.
+    The reference's own bound, gamma_K at its roundoff, widens the bound."""
+    dtype = np.float64 if out.dtype == np.float32 else np.longdouble
+    ref_u = np.finfo(dtype).eps / 2
+    if dtype is np.longdouble and not LONGDOUBLE_IS_WIDER:
+        dtype, ref_u = object, 0
+    reference, magnitude = wide_conv(fs, fmap, dtype)
+    slack = gamma(fs.geom.filter_len, ref_u)
+    bound = (gamma(n, np.finfo(out.dtype).eps / 2) + slack) / (1 - slack) * magnitude
+    return np.abs(as_dtype(out, dtype) - reference) / bound  # |w| * |x| > 0 on random data

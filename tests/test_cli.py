@@ -20,6 +20,7 @@ import fsconv.dfs
 import fsconv.fcfs
 from fsconv import (
     ConvGeometry,
+    FeatureMap,
     FilterSummary,
     ModelLayer,
     StridePolicy,
@@ -681,8 +682,9 @@ class TestBench:
         assert int(layer["naive_mults"]) == 9_437_184
         assert abs(float(layer["predicted"]) - 11.294) < 1e-2
         assert float(layer["measured"]) >= 3.2
-        # executed products, and the floor: one per element pair a slice reads
-        assert int(layer["fcfs_mults"]) == 2_778_624
+        # executed products, the whole 324 x 135 cell grid, and the floor: one
+        # per element pair a slice reads
+        assert int(layer["fcfs_mults"]) == 64 * 324 * 135 == 2_799_360
         assert int(layer["fcfs_floor"]) == 2_751_488
 
     def test_plan_reported_apart_from_execution(self, capsys, tmp_path):
@@ -692,11 +694,31 @@ class TestBench:
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert float(layer["plan_ms"]) > 0
-        # one f64 execution allocates the (Q+1) x (P+Q+1) table and one
-        # buffer for its Q-s1+1 windows, far below BLOCK_BYTES: P = 8*7 padded
-        # cells, Q = 7*(16/4) + 3*3 summary cells (channel-aligned stride 16)
-        assert int(layer["work_bytes"]) == 8 * (38 * 94 + 35 * 94)
+        # one f64 execution allocates the P x Q cell products and the
+        # (P-2)*Q - 2 windows: P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary
+        # cells (channel-aligned stride 16)
+        assert int(layer["work_bytes"]) == 8 * (56 * 37 + 54 * 37 - 2)
         assert float(layer["fcfs_ms"]) > 0
+
+    def test_spatial_past_numpy_index_range_is_input_error(self, capsys):
+        code, records, err = run(capsys, "bench", "resnet110", "--ratio", "4",
+                                 "--spatial", "1000000000", "1000000000")
+        assert code == 2
+        assert err.startswith("error: --spatial 1000000000 1000000000 is too big: array is too big")
+        assert err.count("\n") == 1
+        assert records_of(records, "status") == []
+
+    def test_refused_allocation_names_spatial(self, capsys, monkeypatch):
+        # a map the host cannot hold, without asking this host for one
+        def refuse(cls, *args, **kwargs):
+            raise MemoryError("Unable to allocate 21.6 GiB")
+
+        monkeypatch.setattr(FeatureMap, "random", classmethod(refuse))
+        code, records, err = run(capsys, "bench", "resnet110", "--ratio", "4",
+                                 "--spatial", "30000", "30000")
+        assert code == 2
+        assert err == "error: --spatial 30000 30000 is too big: Unable to allocate 21.6 GiB\n"
+        assert records_of(records, "status") == []
 
     def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path):
         arch = tmp_path / "skip.arch"
@@ -977,6 +999,20 @@ class TestUnreadableFiles:
         assert code == 2
         assert err == "error: layer 'c': alphas must be finite\n"
         assert records == []
+
+    def test_npy_header_larger_than_file_is_input_error(self, capsys, small_model, tmp_path):
+        # a 200-byte file whose header declares 3 x 99999 x 99999 f64 values,
+        # 240 GB: refused before anything is allocated
+        inp = tmp_path / "forged.npy"
+        header = np.lib.format.header_data_from_array_1_0(np.zeros((3, 2, 2)))
+        with open(inp, "wb") as file:
+            np.lib.format.write_array_header_1_0(file, {**header, "shape": (3, 99999, 99999)})
+            file.write(bytes(200 - file.tell()))
+        code, records, err = run(capsys, "conv", small_model[0], inp)
+        assert code == 2
+        assert err.startswith(f"error: cannot read input tensor {str(inp)!r}") and err.count("\n") == 1
+        assert records == []
+        assert not (tmp_path / "forged.out.npy").exists()
 
     @pytest.mark.parametrize("name", ["no_such_arch", "missing.arch", "sub/missing"])
     def test_missing_arch_is_input_error(self, capsys, tmp_path, monkeypatch, name):

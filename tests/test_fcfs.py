@@ -2,8 +2,8 @@
 
 The enumeration oracles below re-derive, with plain loops and none of the
 engine's vectorization, every (diagonal offset, column) element product a
-convolution reads, and every channel-cell product stage 1 computes. The
-plan's needed set and floor must match the first exactly, its executed
+convolution reads, and the size of the flat cell grid stages 1 and 2 compute.
+The plan's needed set and floor must match the first exactly, its executed
 counts the second.
 """
 
@@ -50,7 +50,15 @@ from fsconv.errors import (
 )
 from fsconv.fcfs import PLAN_CACHE_SIZE
 
-from helpers import random_fast_geometry, random_instance
+import helpers
+from helpers import (
+    LONGDOUBLE_IS_WIDER,
+    gamma,
+    random_fast_geometry,
+    random_instance,
+    rounding_excess,
+    wide_conv,
+)
 
 
 def enumerate_cells(geom, layout, d1, d2):
@@ -69,57 +77,57 @@ def enumerate_cells(geom, layout, d1, d2):
     return cells
 
 
-def enumerate_banded(geom, layout, d1, d2):
-    """Oracle: the (padded cell, summary cell) products stage 1 computes.
-    Every padded cell of map column j meets every summary cell from the
-    first to the last one a slice at column j reads."""
-    banded = set()
+def grid_counts(geom, layout, d1, d2):
+    """Oracle: (multiplies, additions, lookups) of one execution on the flat
+    grid. P is every padded cell, Q the summary cells up to the last one a
+    slice reads, and the windows run up to the last one a slice starts, at
+    r*Q + q for padded cell r and summary cell q. A cell product is c_in
+    multiplies and c_in-1 additions, stage 2 adds what doubling_adds counts,
+    and stage 3 looks up one window per slice pair and adds the s2 of an
+    output in s2-1 adds."""
     p1 = d1 + geom.s1 - 1
-    for j in range(d2 + geom.s2 - 1):
-        read = set()
-        for i in range(geom.c_out):
-            for k in range(geom.s2):
-                if 0 <= j - k < d2:
-                    for t in range(geom.s1):
-                        read.add((i * layout.stride + k * geom.slice_len) // geom.c_in + t)
-        for row in range(p1):
-            for q in range(min(read), max(read) + 1):
-                banded.add((j * p1 + row, q))
-    return banded
-
-
-def banded_counts(geom, layout, banded, d1, d2):
-    """Oracle: (multiplies, additions, lookups) of one execution, with P and
-    Q taken from the enumerated cells. A cell product is c_in multiplies and
-    c_in-1 additions. Stage 2 builds one window per summary cell from the
-    first to the last one a slice starts on, each from s1 whole table rows of
-    P+Q+1 entries, zero cells included: s1-1 adds per entry. Stage 3 looks up
-    one window per slice pair and adds the s2 of an output in s2-1 adds."""
-    padded = max(r for r, _ in banded) + 1
-    summary = max(q for _, q in banded) + 1
-    starts = {(i * layout.stride + k * geom.slice_len) // geom.c_in
-              for i in range(geom.c_out) for k in range(geom.s2)}
-    stage2 = (max(starts) + 1) * (padded + summary + 1) * (geom.s1 - 1)
+    padded = p1 * (d2 + geom.s2 - 1)
+    starts = [((n + k) * p1 + m, (i * layout.stride + k * geom.slice_len) // geom.c_in)
+              for i in range(geom.c_out) for m in range(d1) for n in range(d2) for k in range(geom.s2)]
+    summary = max(q for _, q in starts) + geom.s1
+    windows = max(r * summary + q for r, q in starts) + 1
     outputs = geom.c_out * d1 * d2
-    additions = (geom.c_in - 1) * len(banded) + stage2 + (geom.s2 - 1) * outputs
-    return geom.c_in * len(banded), additions, geom.s2 * outputs
+    stage2 = doubling_adds(geom.s1, summary + 1, windows)
+    additions = (geom.c_in - 1) * padded * summary + stage2 + (geom.s2 - 1) * outputs
+    return geom.c_in * padded * summary, additions, geom.s2 * outputs
 
 
-def bands_by_column(geom, layout, d1, d2):
-    """Oracle: stage 1's bands, one map column at a time. Column j's padded
-    cells meet the summary cells from the first to the last one its slices
-    read; runs of columns with equal summary ranges form one band."""
-    p1, bands = d1 + geom.s1 - 1, []
-    for j in range(d2 + geom.s2 - 1):
-        read = [(i * layout.stride + k * geom.slice_len) // geom.c_in + t
-                for i in range(geom.c_out) for k in range(geom.s2) if 0 <= j - k < d2
-                for t in range(geom.s1)]
-        q0, q1 = min(read), max(read) + 1
-        if bands and bands[-1][2:] == (q0, q1):
-            bands[-1] = (bands[-1][0], (j + 1) * p1, q0, q1)
-        else:
-            bands.append((j * p1, (j + 1) * p1, q0, q1))
-    return tuple(bands)
+def doubling_adds(width, step, length):
+    """Oracle: the adds that build the first `length` sums of `width` entries
+    `step` apart. An even width adds two sums of half the width, which needs
+    `length` + width/2 * step of those; an odd one adds one entry to a sum of
+    width - 1."""
+    if width == 1:
+        return 0
+    if width % 2:
+        return length + doubling_adds(width - 1, step, length)
+    return length + doubling_adds(width // 2, step, length + width // 2 * step)
+
+
+class Term:
+    """A symbolic table entry: the G indices it sums. Each add is counted."""
+
+    adds = 0
+
+    def __init__(self, *indices):
+        self.indices = indices
+
+    def __add__(self, other):
+        Term.adds += 1
+        return Term(*self.indices, *other.indices)
+
+
+def literal_products(fs, fmap, plan):
+    """Every G[r, q] = x_cell[r] . w_cell[q], one Python dot product each, row-major."""
+    c_in = fs.geom.c_in
+    x = pad_same(fmap, fs.geom.s1, fs.geom.s2).data.reshape(plan.cells, c_in).tolist()
+    w = fs.weights[: plan.summary * c_in].reshape(plan.summary, c_in).tolist()
+    return np.array([sum(a * b for a, b in zip(xr, wq)) for xr in x for wq in w])
 
 
 def slice_starts(fs, shape, d1):
@@ -139,7 +147,7 @@ def assert_windows_are_slice_dots(fs, fmap, plan, table):
     a, b = slice_starts(fs, plan.shape, fmap.d1)
     span = np.arange(fs.geom.slice_len)
     direct = np.einsum("ij,ij->i", padded[a[:, None] + span], fs.weights[b[:, None] + span])
-    read = plan.view(table, plan.summary).ravel()
+    read = plan.view(table).ravel()
     assert np.all(np.abs(read - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
 
@@ -181,8 +189,7 @@ class TestRequiredDiagonals:
             planned = fcfs_plan(geom, fs.layout, d1, d2)
             assert planned.needed == len(cells)
             counts = (planned.multiplies, planned.additions, planned.lookups)
-            banded = enumerate_banded(geom, fs.layout, d1, d2)
-            assert counts == banded_counts(geom, fs.layout, banded, d1, d2)
+            assert counts == grid_counts(geom, fs.layout, d1, d2)
             assert planned.multiplies >= planned.needed
             for runs in plan.values():  # runs disjoint, sorted, non-touching
                 for (lo1, hi1), (lo2, hi2) in zip(runs, runs[1:]):
@@ -233,20 +240,26 @@ class TestPlanGuard:
                 call()
 
 
-class TestBands:
-    @pytest.mark.parametrize("s2", range(2, 6))
-    def test_bands_equal_column_by_column_derivation(self, s2):
-        # d2 from 1 to 8 covers d2 < s2 - 1, where no column reads all s2 slices;
-        # ratio = c_out with c_in = 1 gives filter strides 0 and 1
-        geoms = (ConvGeometry(1, 1, s2, 3, 1), ConvGeometry(3, 2, s2, 5, 2),
-                 ConvGeometry(1, 2, s2, 6, 6), ConvGeometry(4, 3, s2, 4, 3))
-        for geom in geoms:
-            layout = derive_layout(geom)
-            assert fcfs_fallback(geom, layout) is None
-            for d1 in (1, 3):
-                for d2 in range(1, 9):
-                    plan = FcfsPlan.build(geom, layout, d1, d2)
-                    assert plan.bands == bands_by_column(geom, layout, d1, d2)
+class TestStageTwo:
+    @pytest.mark.parametrize("s1", range(1, 13))
+    def test_windows_by_doubling(self, s1):
+        # on symbolic entries: window j sums exactly G's entries j + t*(Q+1),
+        # t < s1, in floor(log2 s1) + popcount(s1) - 1 passes, and the adds
+        # that run are the plan's stage-2 count and the doubling oracle's
+        geom = ConvGeometry(2, s1, 2, 3, 2)
+        plan = FcfsPlan.build(geom, derive_layout(geom), 3, 2)
+        assert len(plan.steps) == (s1.bit_length() - 1) + bin(s1).count("1") - 1
+        grid = np.empty(plan.cells * plan.summary, object)
+        grid[:] = [Term(j) for j in range(grid.size)]
+        Term.adds = 0
+        windows = plan.window_sums(grid)
+        step = plan.summary + 1
+        assert plan.windows == plan.cells * plan.summary - (s1 - 1) * step
+        assert [sorted(w.indices) for w in windows] == [
+            [j + t * step for t in range(s1)] for j in range(plan.windows)]
+        outputs = geom.c_out * 3 * 2
+        stage2 = plan.additions - (geom.c_in - 1) * grid.size - (geom.s2 - 1) * outputs
+        assert Term.adds == stage2 == doubling_adds(s1, step, plan.windows)
 
 
 class TestPlanFloor:
@@ -261,7 +274,7 @@ class TestPlanFloor:
             assert plan == FcfsPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2)
 
     def test_build_allocates_no_read_mask(self):
-        # 16->32 at 32x32: the (Q, P+Q+1) bool read mask is 71 x 1228 bytes,
+        # 16->32 at 32x32: the (P, Q) bool read mask is 1156 x 71 bytes,
         # which only the first read of `needed` allocates
         geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
         layout = derive_layout(geom)
@@ -274,37 +287,34 @@ class TestPlanFloor:
             floor_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        mask = plan.summary * (plan.cells + plan.summary + 1)
-        assert mask == 71 * 1228
+        mask = plan.cells * plan.summary
+        assert mask == 1156 * 71
         assert build_peak < mask <= floor_peak
 
 
 class TestBuildIntegrals:
-    """Stages 1 and 2: the plan's table of the cell products G[r, q] =
-    x_cell[r] . w_cell[q], each row q <= Q - s1 then overwritten by window q,
-    the sum of rows q+1 .. q+s1."""
+    """Stages 1 and 2: the flat (P, Q) table of the cell products G[r, q] =
+    x_cell[r] . w_cell[q] at r*Q + q, then window j, the sum of the s1 entries
+    j + t*(Q+1) down one diagonal."""
 
     def test_hand_case(self):
         # one 1x1x2 filter [1, 2] on the 1x2 map [3, 4] (padded [3, 4, 0]):
-        # P = 3 padded cells, Q = 2 summary cells; map columns 0, 1, 2 read
-        # summary cells [0, 1), [0, 2), [1, 2). G holds 3*1, 4*1, 4*2, 0*2.
-        # Stage 1 puts G[r, q] in row q+1 of the 3 x 6 table, at column
-        # Q + r - q; with s1 = 1, window q is row q+1, for q = 0 and 1.
+        # P = 3 padded cells, Q = 2 summary cells, G = [[3, 6], [4, 8], [0, 0]].
+        # With s1 = 1 a window is one product: stage 2 makes no pass.
         geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
         fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
-        table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
-        assert np.array_equal(
-            table.reshape(3, 6), [[0, 0, 3, 4, 0, 0], [0, 0, 8, 0, 0, 0], [0, 0, 8, 0, 0, 0]]
-        )
         plan = fcfs_plan(geom, fs.layout, 1, 2)
-        assert plan.bands == ((0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 1, 2))
-        # 4 products; no cell or window additions (c_in = s1 = 1), 4 lookups
-        # and 2 slice additions
-        assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (4, 2, 4, 4)
-        assert (plan.shape, plan.strides) == ((2, 2, 1, 1), (6, 1, 1, 5))
-        assert (plan.window, plan.block) == (1, 2)  # s1; both windows in one block
-        windows = plan.view(table, plan.summary)
+        assert np.array_equal(plan.products(fmap, fs.weights), [3, 6, 4, 8, 0, 0])
+        table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
+        assert np.array_equal(table, [3, 6, 4, 8, 0, 0])
+        assert (plan.cells, plan.summary, plan.window, plan.windows, plan.steps) == (3, 2, 1, 6, ())
+        # the whole 3 x 2 grid: 6 products; no cell or window additions
+        # (c_in = s1 = 1), 4 lookups and 2 slice additions; 4 products read
+        assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (6, 2, 4, 4)
+        assert (plan.shape, plan.strides) == ((2, 2, 1, 1), (3, 2, 2, 1))
+        assert plan.nbytes(8) == 8 * 6  # G, which is also the windows
+        windows = plan.view(table)
         assert np.array_equal(windows.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
 
@@ -315,63 +325,57 @@ class TestBuildIntegrals:
         fmap = FeatureMap.random(2, 3, 3, seed=8)
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
         plan = fcfs_plan(geom, fs.layout, 3, 3)
-        assert table.size == (plan.summary + 1) * (plan.cells + plan.summary + 1) > 0
+        assert table.size == plan.windows == (plan.cells - 1) * plan.summary - 1 > 0
         assert not table.any()
 
     def test_windows_match_direct_dot(self):
+        # every entry of G against its cell dot product, every window against
+        # the literal sum of its s1 diagonal products, within 1e-12 in f64
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
-            geom = fs.geom
-            plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
+            plan = fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            direct = literal_products(fs, fmap, plan)
+            products = plan.products(fmap, fs.weights)
+            assert products.shape == direct.shape == (plan.cells * plan.summary,)
+            assert np.all(np.abs(products - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
             table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
+            assert table.shape == (plan.windows,)
+            step = plan.summary + 1
+            for j in range(plan.windows):
+                window = sum(direct[j + t * step] for t in range(fs.geom.s1))
+                assert abs(table[j] - window) <= 1e-12 * max(1.0, abs(window))
             assert_windows_are_slice_dots(fs, fmap, plan, table)
-            # any table entry: a window row sums the s1 cell products stage 1
-            # computed from (r, q) down its diagonal, a later row holds the
-            # product at (r, q-1); cells outside the bands count as 0
-            banded = enumerate_banded(geom, fs.layout, fmap.d1, fmap.d2)
-            padded = pad_same(fmap, geom.s1, geom.s2).data
-            x = padded.reshape(plan.cells, geom.c_in)
-            w = fs.weights[: plan.summary * geom.c_in].reshape(plan.summary, geom.c_in)
-            grid = table.reshape(plan.summary + 1, plan.cells + plan.summary + 1)
-            for _ in range(40):
-                q, column = int(rng.integers(grid.shape[0])), int(rng.integers(grid.shape[1]))
-                window = range(q, q + geom.s1) if q <= plan.summary - geom.s1 else [q - 1]
-                cells = [(column - plan.summary + t, t) for t in window]
-                direct = sum(float(x[r] @ w[t]) for r, t in cells if (r, t) in banded)
-                assert abs(grid[q, column] - direct) <= 1e-12 * max(1.0, abs(direct))
 
-    # (c_in, s1, s2, c_out, ratio), d1, d2: s1 from 1 to 5, and one table far
-    # taller than wide (Q = 450 summary cells against P = 132 padded cells)
+    # (c_in, s1, s2, c_out, ratio), d1, d2: s1 from 1 to 7 and 11, and one
+    # table far taller than wide (Q = 450 summary cells against P = 99 padded cells)
     WINDOW_CASES = [
         ((1, 4, 4, 63, 2), 8, 9),
         ((2, 1, 3, 6, 2), 5, 4),
         ((3, 2, 2, 9, 3), 6, 5),
         ((1, 3, 3, 12, 2), 4, 7),
         ((2, 5, 2, 7, 2), 3, 6),
+        ((1, 6, 2, 5, 2), 4, 3),
+        ((2, 7, 2, 6, 3), 5, 4),
+        ((1, 11, 2, 4, 2), 3, 5),
     ]
 
     @pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: "s1=%d" % c[0][1])
-    def test_windows_equal_in_any_block_size(self, monkeypatch, case):
-        # one-row blocks, blocks that leave the last one partly full, and one
-        # block for all windows must give the same bytes, each window the
-        # slice pair's direct dot product
+    def test_windows_by_doubling_are_slice_dots(self, case):
+        # each window the stage-3 view reads is its slice pair's direct dot
+        # product, every window the literal sum of its diagonal, and repeated
+        # calls give the same bytes
         (c_in, s1, s2, c_out, ratio), d1, d2 = case
         geom = ConvGeometry(c_in, s1, s2, c_out, ratio)
         fs = FilterSummary.random(geom, seed=49)
         fmap = FeatureMap.random(c_in, d1, d2, seed=50)
-        default = FcfsPlan.build(geom, fs.layout, d1, d2)
-        row, windows = default.cells + default.summary + 1, default.summary - s1 + 1
-        assert windows % (windows // 2 + 1) > 0  # the middle size leaves a partial block
-        tables = []
-        for rows in (1, windows // 2 + 1, windows):
-            monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 8 * row * rows)
-            plan = FcfsPlan.build(geom, fs.layout, d1, d2)
-            assert plan.block == rows
-            assert plan.nbytes(8) == 8 * row * (plan.summary + 1 + rows)
-            tables.append(plan.window_table(fmap, fs.weights))
-            assert_windows_are_slice_dots(fs, fmap, plan, tables[-1])
-        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
+        plan = FcfsPlan.build(geom, fs.layout, d1, d2)
+        table = plan.window_sums(plan.products(fmap, fs.weights))
+        assert_windows_are_slice_dots(fs, fmap, plan, table)
+        grid, step = literal_products(fs, fmap, plan), plan.summary + 1
+        literal = sum(grid[t * step : t * step + plan.windows] for t in range(s1))
+        assert np.all(np.abs(table - literal) <= 1e-12 * np.maximum(1.0, np.abs(literal)))
+        assert build_integrals(fs, fmap).tobytes() == table.tobytes()
 
 
 class TestStageThreeViews:
@@ -400,60 +404,62 @@ class TestStageThreeViews:
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
             plan = fcfs_plan(geom, fs.layout, d1, d2)
             # slice k of filter i at output (m, n) starts at padded cell r and
-            # summary cell q; its window is table row q, column Q + r - q
+            # summary cell q; its window is entry r*Q + q of the flat table
             s1, p1, shift = geom.s1, d1 + geom.s1 - 1, fs.layout.stride // geom.c_in
             cells = p1 * (d2 + geom.s2 - 1)
             summary = (geom.c_out - 1) * shift + s1 * geom.s2
-            row = cells + summary + 1
+            windows = (cells - s1 + 1) * summary - s1 + 1
             assert (plan.cells, plan.summary, plan.window) == (cells, summary, s1)
+            assert plan.windows == windows
             k, n, m, i = np.indices((geom.s2, d2, d1, geom.c_out))
             r, q = (n + k) * p1 + m, i * shift + k * s1
-            assert q.max() == summary - s1  # the last window row is read
-            idx = q * row + summary + r - q
-            positions = np.arange((summary + 1) * row)
-            assert np.array_equal(plan.view(positions, summary), idx)
+            idx = r * summary + q
+            assert idx.max() == windows - 1  # the last window is read
+            positions = np.arange(windows)
+            assert np.array_equal(plan.view(positions), idx)
             table = build_integrals(fs, fmap)
             assert table.size == positions.size
-            assert plan.view(table, summary).tobytes() == table[idx].tobytes()
+            assert plan.view(table).tobytes() == table[idx].tobytes()
 
     def test_view_refuses_an_array_it_leaves(self):
         geom = ConvGeometry(2, 3, 3, 4, 2)
         fs = FilterSummary.random(geom, seed=43)
         table = build_integrals(fs, FeatureMap.random(2, 4, 5, seed=44))
         plan = fcfs_plan(geom, fs.layout, 4, 5)
-        assert plan.view(table, plan.summary).shape == (3, 5, 4, 4)
+        assert plan.view(table).shape == (3, 5, 4, 4)
         with pytest.raises(ValueError):
-            plan.view(table[: plan.summary], 0)  # too short
+            plan.view(table[:-1])  # too short
         with pytest.raises(ValueError):
-            plan.view(table[::2], 0)  # not contiguous
+            plan.view(table[::2])  # not contiguous
 
-    def test_warm_call_allocates_only_table_and_block(self):
-        # one f32 16->32 layer at 32x32: Q = 31*2 + 9 = 71 summary cells,
-        # P = 34*34 padded cells, and a stage-2 block of 26 rows, the f64
-        # rows of 1228 entries that fit in BLOCK_BYTES. A gathered index, a
-        # slice-sum temporary (393,216 bytes) or a second table would push
-        # the call's peak past its bound, a copied band the peak of stages
-        # 1 and 2 past theirs.
+    def test_warm_call_allocates_products_and_windows(self):
+        # one f32 16->32 layer at 32x32: P = 34*34 padded cells, Q = 31*2 + 9
+        # = 71 summary cells, and (P-2)*Q - 2 windows in one array. Stages 1
+        # and 2 hold exactly nbytes of numpy data; a gathered index, a slice-sum
+        # temporary (393,216 bytes) or a second table would push the call's
+        # peak past its bound.
         geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
         fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
         fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
         convolve(fs, fmap)  # plans the layer
         plan = fcfs_plan(geom, fs.layout, 32, 32)
-        table, work_bytes = 4 * 72 * (1156 + 72), plan.nbytes(4)
-        assert plan.block == 262144 // (8 * 1228) == 26
-        assert work_bytes == table + 4 * 26 * (1156 + 72)
+        work_bytes = plan.nbytes(4)
+        assert work_bytes == 4 * (1156 * 71 + 1154 * 71 - 2)
+        numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
         tracemalloc.start()
         try:
-            build_integrals(fs, fmap)
-            fill_peak = tracemalloc.get_traced_memory()[1]
+            products = plan.products(fmap, fs.weights)
+            table = plan.window_sums(products)
+            held = tracemalloc.take_snapshot().filter_traces([numpy_data])
+            del products, table
             tracemalloc.reset_peak()
             out, _ = convolve(fs, fmap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sum(stat.size for stat in held.statistics("filename")) == work_bytes
         assert out.data.dtype == np.float32
         padded, output = 4 * 16 * 34 * 34, out.data.nbytes
-        assert fill_peak <= work_bytes + padded + 64 * 1024
         assert peak <= work_bytes + padded + output + 64 * 1024
 
 
@@ -667,7 +673,7 @@ class TestPlanCache:
         assert fresh.nbytes(8) == cached.nbytes(8) > 0
         table = build_integrals(fs, fmap)
         with pytest.raises(ValueError):
-            cached.view(table, cached.summary)[0] = 0
+            cached.view(table)[0] = 0
 
     def test_warm_lookup_hashes_no_fraction(self, monkeypatch):
         # the geometry's hash is stored and Layout.slices is not part of the
@@ -722,11 +728,13 @@ class TestMeasuredAcceleration:
         assert report.measured_ratio < report.predicted.ratio
 
     def test_single_filter_column_kernel_exact_half(self):
-        # K = s2: no sharing at all, measured and predicted both exactly 1/2
+        # K = s2: no sharing at all. The closed form is exactly 1/2; the grid
+        # computes all P*Q = (5*8)*3 cell products for the 90 lookups, 3/7
         geom = ConvGeometry(1, 1, 3, 1, 1)
         fs = FilterSummary.random(geom, seed=24)
         report = measured_acceleration(fs, FeatureMap.random(1, 5, 6, seed=25))
-        assert report.measured_ratio == Fraction(1, 2)
+        assert (report.naive.multiplies, report.fcfs.multiplies, report.fcfs.lookups) == (90, 120, 90)
+        assert report.measured_ratio == Fraction(3, 7)
         assert report.predicted.ratio == Fraction(1, 2)
 
     def test_sweep_reaches_point_eight_of_ratio(self):
@@ -770,8 +778,9 @@ def engine_cases(draw):
 class TestEngineProperty:
     def test_fcfs_matches_oracle_and_only_stride_zero_coincides(self):
         """Under every policy, in f64 and f32: fcfs (or its fallback) equals the oracle to
-        the acceptance tolerances, and two filters of a layout are the same weights only
-        at stride 0 with c_out > 1, a layout the slice policy refuses."""
+        the acceptance tolerances, each output of both engines is within its own rounding
+        bound, and two filters of a layout are the same weights only at stride 0 with
+        c_out > 1, a layout the slice policy refuses."""
         reached = set()
 
         @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -790,11 +799,46 @@ class TestEngineProperty:
                                if holds(geom, d1, d2))
                 fs = FilterSummary.random(geom, seed=d1, dtype=dtype)
                 fmap = FeatureMap.random(geom.c_in, d1, d2, seed=d2, dtype=dtype)
-                out, _ = convolve(fs, fmap)  # fcfs, or the reference engine on a fallback
+                out, report = convolve(fs, fmap)  # fcfs, or the reference engine on a fallback
+                reference = naive_conv(fs, fmap)
                 tolerance = 1e-12 if dtype is np.float64 else 1e-5  # the acceptance tolerances
-                assert rel_dev(out.data, naive_conv(fs, fmap).data) <= tolerance, (geom, d1, d2)
+                assert rel_dev(out.data, reference.data) <= tolerance, (geom, d1, d2)
+                # each output within its own bound, also with the first map columns 2^-40 as
+                # large, where an error is far below what rel_dev sees; where long double is
+                # double, only small shapes, which an exact Fraction reference can afford
+                small = reference.data.size * geom.filter_len <= 20_000
+                if LONGDOUBLE_IS_WIDER or dtype is np.float32 or small:
+                    depth = geom.filter_len  # the oracle's: one product and K - 1 adds
+                    if report.engine == "fcfs":  # c_in - 1 adds per cell, s1 - 1 per window, s2 - 1
+                        depth = geom.c_in + geom.s1 + geom.s2 - 2
+                    columns = fmap.data.reshape(d2, -1).copy()
+                    columns[: d2 // 2] *= 2.0**-40
+                    for x in (fmap, FeatureMap(geom.c_in, d1, d2, columns.ravel())):
+                        fast, oracle = convolve(fs, x)[0].data, naive_conv(fs, x).data
+                        assert rounding_excess(fast, fs, x, depth).max() <= 1, (geom, d1, d2)
+                        assert rounding_excess(oracle, fs, x, geom.filter_len).max() <= 1
                 filters = {extract_filter(fs, i).tobytes() for i in range(geom.c_out)}
                 assert (len(filters) < geom.c_out) == (layout.stride == 0 and geom.c_out > 1)
 
         check()
         assert reached == set(itertools.product(REGIMES, StridePolicy))
+
+    def test_exact_reference_on_small_shapes(self, monkeypatch):
+        # the Fraction reference, which the f64 bound uses where long double is
+        # no wider than double: the long double reference is within gamma_K of
+        # it, and both engines are within their bounds against it
+        rng = np.random.default_rng(51)
+        for _ in range(4):
+            fs, fmap = random_instance(rng, c_in=(1, 3), s1=(1, 3), s2=(2, 3), c_out=(1, 4), d=(1, 4))
+            geom = fs.geom
+            exact, _ = wide_conv(fs, fmap, object)
+            long, magnitude = wide_conv(fs, fmap, np.longdouble)
+            u = np.finfo(np.longdouble).eps / 2
+            for value, reference, scale in zip(long, exact, magnitude):
+                error = abs(Fraction(*value.as_integer_ratio()) - reference)
+                assert error <= Fraction(*(gamma(geom.filter_len, u) * scale).as_integer_ratio())
+            fast, naive = convolve(fs, fmap)[0].data, naive_conv(fs, fmap).data
+            monkeypatch.setattr(helpers, "LONGDOUBLE_IS_WIDER", False)
+            assert rounding_excess(fast, fs, fmap, geom.c_in + geom.s1 + geom.s2 - 2).max() <= 1
+            assert rounding_excess(naive, fs, fmap, geom.filter_len).max() <= 1
+            monkeypatch.undo()

@@ -304,29 +304,32 @@ def cmd_bench(args) -> int:
             _emit("layer", name=layer.name, skipped=skipped)
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
-        try:
-            fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
+        try:  # a refused allocation anywhere in the layer means the map is too big
+            try:
+                fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
+            except ValueError as exc:  # numpy's "array is too big": past its index range
+                raise MemoryError(str(exc)) from exc
             plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
             acc = measured_acceleration(fs, fmap)  # caches the plan: fcfs_ms is execution
             naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
             fcfs_ms, fast = _time_best(lambda: convolve(fs, fmap)[0], args.repeat)
-        except (MemoryError, ValueError) as exc:  # numpy refuses a size past its index range or memory
+            _emit(
+                "layer",
+                name=layer.name,
+                naive_mults=acc.naive.multiplies,
+                fcfs_mults=acc.fcfs.multiplies,
+                fcfs_floor=plan.needed,
+                fcfs_lookups=acc.fcfs.lookups,
+                measured=acc.measured_ratio,
+                predicted=acc.predicted.ratio,
+                naive_ms=naive_ms,
+                fcfs_ms=fcfs_ms,
+                dev=rel_dev(fast.data, reference.data),
+                plan_ms=plan_ms,
+                work_bytes=plan.nbytes(fast.data.itemsize),
+            )
+        except MemoryError as exc:
             raise InvalidArgumentError(f"--spatial {d1} {d2} is too big: {exc}") from exc
-        _emit(
-            "layer",
-            name=layer.name,
-            naive_mults=acc.naive.multiplies,
-            fcfs_mults=acc.fcfs.multiplies,
-            fcfs_floor=plan.needed,
-            fcfs_lookups=acc.fcfs.lookups,
-            measured=acc.measured_ratio,
-            predicted=acc.predicted.ratio,
-            naive_ms=naive_ms,
-            fcfs_ms=fcfs_ms,
-            dev=rel_dev(fast.data, reference.data),
-            plan_ms=plan_ms,
-            work_bytes=plan.nbytes(fast.data.itemsize),
-        )
         timed += 1
     if not timed:
         raise FormatError(f"architecture {args.arch!r} has no conv layer the fcfs engine runs")

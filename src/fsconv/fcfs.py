@@ -129,9 +129,9 @@ class FcfsPlan:
 
 def _reads(plan: FcfsPlan) -> np.ndarray:
     """The cells any slice reads, as a (P, Q) mask."""
-    mask, starts = np.zeros(plan.cells * plan.summary, bool), plan.view(np.arange(plan.windows))
-    for t in range(plan.window):  # a slice's s1 cells, one diagonal step apart
-        mask[starts + t * (plan.summary + 1)] = True
+    mask = np.zeros(plan.cells * plan.summary, bool)
+    for t in range(plan.window):  # a slice's s1 cells, a diagonal step apart (bool: byte strides)
+        np.ndarray(plan.shape, bool, mask, t * (plan.summary + 1), plan.strides)[...] = True
     return mask.reshape(plan.cells, plan.summary)
 
 
@@ -150,15 +150,13 @@ def _plan(fs: FilterSummary, fmap: FeatureMap) -> FcfsPlan:
 def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tuple[int, int]]]:
     """The element products any slice reads, FcfsPlan.needed in all: offset (row - column)
     -> sorted disjoint [start, stop) column runs of padded_map[x] * summary[y]."""
-    plan, c_in = _plan(fs, fmap), fs.geom.c_in
-    cells, summary = plan.cells, plan.summary
-    skew = np.zeros((summary, cells + summary + 1), np.int8)  # G[r, q] at row q, column Q+r-q
-    np.ndarray((cells, summary), np.int8, skew, summary, (1, cells + summary))[...] = _reads(plan)
-    edges = np.diff(skew.T, axis=1, prepend=0, append=0)  # one diagonal per row, along q
-    starts, stops = np.argwhere(edges == 1).tolist(), np.argwhere(edges == -1)[:, 1].tolist()
+    mask, c_in = _reads(_plan(fs, fmap)), fs.geom.c_in
+    edge = np.pad(mask, 1)  # no cell read past either end of a diagonal
+    ends = [c[np.lexsort((c[:, 1], c[:, 0] - c[:, 1]))].tolist()  # by offset, then column
+            for c in (np.argwhere(mask & ~edge[:-2, :-2]), np.argwhere(mask & ~edge[2:, 2:]))]
     runs: dict[int, list[tuple[int, int]]] = {}
-    for (d, lo), hi in zip(starts, stops):
-        runs.setdefault(c_in * (d - summary), []).append((c_in * lo, c_in * hi))
+    for (r, lo), (_, hi) in zip(*ends):  # the (row, column) of each run's first and last cell
+        runs.setdefault(c_in * (r - lo), []).append((c_in * lo, c_in * (hi + 1)))
     return runs
 
 

@@ -720,6 +720,27 @@ class TestBench:
         assert err == "error: --spatial 30000 30000 is too big: Unable to allocate 21.6 GiB\n"
         assert records_of(records, "status") == []
 
+    def test_refused_floor_allocation_names_spatial(self, capsys, monkeypatch):
+        # the floor's read mask is the last allocation of a layer
+        def refuse(plan):
+            raise MemoryError("Unable to allocate 7.1 GiB")
+
+        monkeypatch.setattr(fsconv.fcfs, "_reads", refuse)
+        code, records, err = run(capsys, "bench", "resnet110", "--ratio", "4",
+                                 "--spatial", "8", "8", "--repeat", "1")
+        assert code == 2
+        assert err == "error: --spatial 8 8 is too big: Unable to allocate 7.1 GiB\n"
+        assert records_of(records, "layer") == []
+
+    def test_engine_value_error_is_not_an_input_error(self, capsys, monkeypatch):
+        # only numpy refusing the map's size is blamed on --spatial
+        def fault(fs, fmap):
+            raise ValueError("view leaves its array")
+
+        monkeypatch.setattr(fsconv.cli, "measured_acceleration", fault)
+        with pytest.raises(ValueError, match="view leaves its array"):
+            main(["bench", "resnet110", "--ratio", "4", "--spatial", "8", "8", "--repeat", "1"])
+
     def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path):
         arch = tmp_path / "skip.arch"
         arch.write_text(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeMismatchError
 from .geometry import ConvGeometry, Layout, StridePolicy, derive_layout
-from .quant import QuantizedSummary, dequantize
+from .quant import BIT_WIDTHS, QuantizedSummary, dequantize
 from .tensors import FilterSummary
 
 __all__ = [
@@ -56,6 +56,7 @@ _POLICIES = (StridePolicy.GENERIC, StridePolicy.SLICE_ALIGNED, StridePolicy.CHAN
 # c_in, s1, s2, c_out, ratio numerator and denominator, policy, dtype, alpha flag, reserved
 _HEADER = struct.Struct("<IIIIQQBBBB")
 _GRID = struct.Struct("<dd")  # w_min, w_max of a quantized payload
+_U16, _U32 = struct.Struct("<H"), struct.Struct("<I")  # a name's length; the layer count, a CRC
 
 
 @dataclass
@@ -101,14 +102,13 @@ class ModelLayer:
         return FilterSummary(self.geom, self.layout, weights)
 
 
-def _header(layer: ModelLayer) -> bytes:
+def _header(geom: ConvGeometry, dtype: str, has_alpha: bool) -> bytes:
     """The fixed-size part of a layer record: geometry, policy, dtype, alpha
     flag and a zero reserved byte. The reader compares what it read with this
     re-encoding, so only headers the writer produces load."""
-    g = layer.geom
     return _HEADER.pack(
-        g.c_in, g.s1, g.s2, g.c_out, g.ratio.numerator, g.ratio.denominator,
-        _POLICIES.index(g.stride_policy), _DTYPES.index(layer.dtype), int(layer.alphas is not None), 0,
+        geom.c_in, geom.s1, geom.s2, geom.c_out, geom.ratio.numerator, geom.ratio.denominator,
+        _POLICIES.index(geom.stride_policy), _DTYPES.index(dtype), int(has_alpha), 0,
     )
 
 
@@ -123,43 +123,47 @@ def _pack(codes: np.ndarray, nbits: int) -> bytes:
     return packed.tobytes()
 
 
-def _unpack(raw: bytes, nbits: int, count: int) -> np.ndarray:
+_CODES = {n: np.arange(256, dtype=np.uint8)[:, None] >> np.arange(0, 8, n, dtype=np.uint8)
+          & ((1 << n) - 1) for n in BIT_WIDTHS}  # per width, row b: the codes byte b packs, low first
+
+
+def _unpack(raw: memoryview, nbits: int, count: int) -> np.ndarray:
     """Inverse of `_pack`: the first `count` codes. Refuses nonzero unused bits."""
-    per = 8 // nbits
-    unused = (-count) % per * nbits  # high bits of the last byte that hold no code
+    unused = (-count) % (8 // nbits) * nbits  # high bits of the last byte that hold no code
     if unused and raw[-1] >> (8 - unused):
         raise FormatError(f"nonzero unused bits after the last {nbits}-bit code")
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.empty(packed.size * per, dtype=np.uint8)
-    for i in range(per):
-        np.right_shift(packed, i * nbits, out=codes[i::per])
-    codes &= (1 << nbits) - 1
-    return codes[:count]
+    return _CODES[nbits].take(np.frombuffer(raw, dtype=np.uint8), axis=0).reshape(-1)[:count]
 
 
-def _layer_payload(layer: ModelLayer) -> bytes:
-    if layer.dtype == "f32":
-        body = layer.weights.astype("<f4").tobytes()
-    else:
-        q = layer.quant
-        body = _GRID.pack(q.w_min, q.w_max) + _pack(q.codes, q.nbits)
-    if layer.alphas is not None:
-        body += layer.alphas.astype("<f8").tobytes()
-    return body
+def _stored_name(name: str) -> bytes:
+    """The UTF-8 bytes of a layer name, refused if no record can hold them."""
+    try:
+        stored = name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"layer {name!r}: name cannot be encoded as UTF-8: {exc}") from exc
+    if len(stored) > 0xFFFF:  # the record stores its length in 16 bits
+        raise FormatError(f"layer {name[:40]!r}...: name is {len(stored)} UTF-8 bytes, over 65535")
+    return stored
 
 
 def dump_model(layers: list[ModelLayer]) -> bytes:
     out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", len(layers)))
+    out.write(MAGIC + _U32.pack(len(layers)))
     for layer in layers:
-        name = layer.name.encode("utf-8")
-        out.write(struct.pack("<H", len(name)))
-        out.write(name)
-        out.write(_header(layer))
-        payload = _layer_payload(layer)
-        out.write(payload)
-        out.write(struct.pack("<I", zlib.crc32(payload)))
+        name = _stored_name(layer.name)
+        out.write(_U16.pack(len(name)) + name + _header(layer.geom, layer.dtype, layer.alphas is not None))
+        if layer.dtype == "f32":
+            payload = [np.ascontiguousarray(layer.weights, dtype="<f4")]
+        else:
+            q = layer.quant
+            payload = [_GRID.pack(q.w_min, q.w_max), _pack(q.codes, q.nbits)]
+        if layer.alphas is not None:
+            payload.append(np.ascontiguousarray(layer.alphas, dtype="<f8"))
+        crc = 0
+        for part in payload:  # written and checksummed where it lies, not copied first
+            out.write(part)
+            crc = zlib.crc32(part, crc)
+        out.write(_U32.pack(crc))
     return out.getvalue()
 
 
@@ -167,65 +171,69 @@ def write_model(path, layers: list[ModelLayer]) -> None:
     Path(path).write_bytes(dump_model(layers))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError("truncated model file")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+def _decode_header(header: bytes, name: str) -> tuple:
+    """(geom, dtype, phys, payload size before alphas, alpha flag, canonical?) of a header."""
+    *sizes, r_num, r_den, policy_code, dtype_code, has_alpha, _ = _HEADER.unpack(header)
+    if policy_code >= len(_POLICIES):
+        raise FormatError(f"layer {name!r}: unknown stride policy {policy_code}")
+    if dtype_code >= len(_DTYPES):
+        raise FormatError(f"layer {name!r}: unknown dtype code {dtype_code}")
+    if r_den == 0:
+        raise FormatError(f"layer {name!r}: zero ratio denominator")
+    geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _POLICIES[policy_code])
+    phys = derive_layout(geom).phys_length
+    dtype = _DTYPES[dtype_code]
+    body = 4 * phys if dtype == "f32" else _GRID.size + (phys * int(dtype[1:]) + 7) // 8
+    return geom, dtype, phys, body, has_alpha, _header(geom, dtype, has_alpha > 0) == header
 
 
 def load_model(data: bytes) -> list[ModelLayer]:
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
+    view = memoryview(bytes(data))  # no copy of bytes; a bytearray is not held exported
+
+    def take(start: int, size: int) -> memoryview:
+        """The `size` bytes at `start`, refusing a file that ends before them."""
+        if start + size > len(view):
+            raise FormatError("truncated model file")
+        return view[start : start + size]
+
+    if take(0, 4) != MAGIC:
         raise FormatError("bad magic; not a model file")
-    (n_layers,) = r.unpack("<I")
+    (n_layers,) = _U32.unpack(take(4, 4))
+    decoded = {}  # header bytes -> _decode_header of them: many records repeat a shape
     layers = []
+    pos = 8
     for _ in range(n_layers):
-        (name_len,) = r.unpack("<H")
+        (name_len,) = _U16.unpack(take(pos, 2))
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = str(take(pos + 2, name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"layer name is not valid UTF-8: {exc}") from exc
-        header = r.take(_HEADER.size)
-        *sizes, r_num, r_den, policy_code, dtype_code, has_alpha, _ = _HEADER.unpack(header)
-        if policy_code >= len(_POLICIES):
-            raise FormatError(f"layer {name!r}: unknown stride policy {policy_code}")
-        if dtype_code >= len(_DTYPES):
-            raise FormatError(f"layer {name!r}: unknown dtype code {dtype_code}")
-        if r_den == 0:
-            raise FormatError(f"layer {name!r}: zero ratio denominator")
-        geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _POLICIES[policy_code])
-        phys = derive_layout(geom).phys_length
-        dtype = _DTYPES[dtype_code]
-        start = r.pos
-        weights = quant = None
+        header = take(pos + 2 + name_len, _HEADER.size).tobytes()
+        if header not in decoded:
+            decoded[header] = _decode_header(header, name)
+        geom, dtype, phys, body, has_alpha, canonical = decoded[header]
+        start = pos = pos + 2 + name_len + _HEADER.size
+        payload = take(pos, body)
+        weights = quant = alphas = None
         if dtype == "f32":
-            weights = np.frombuffer(r.take(phys * 4), dtype="<f4").copy()
+            weights = np.frombuffer(payload, dtype="<f4").copy()
         else:
             nbits = int(dtype[1:])
-            w_min, w_max = r.unpack(_GRID.format)
-            codes = _unpack(r.take((phys * nbits + 7) // 8), nbits, phys)
-            quant = QuantizedSummary(codes, nbits, w_min, w_max)
-        alphas = np.frombuffer(r.take(geom.c_out * 8), dtype="<f8").copy() if has_alpha else None
-        payload = data[start : r.pos]
-        (crc,) = r.unpack("<I")
-        if crc != zlib.crc32(payload):
+            codes = _unpack(payload[_GRID.size :], nbits, phys)
+            quant = QuantizedSummary(codes, nbits, *_GRID.unpack_from(payload))
+        pos += body
+        if has_alpha:
+            alphas = np.frombuffer(take(pos, geom.c_out * 8), dtype="<f8").copy()
+            pos += geom.c_out * 8
+        if _U32.unpack(take(pos, 4))[0] != zlib.crc32(view[start:pos]):
             raise FormatError(f"layer {name!r}: payload checksum mismatch")
         layer = ModelLayer(name, geom, dtype, weights=weights, quant=quant, alphas=alphas)
-        if _header(layer) != header:  # nonzero reserved byte, alpha flag > 1, unreduced ratio
+        if not canonical:  # a nonzero reserved byte, an alpha flag > 1 or an unreduced ratio
             raise FormatError(f"layer {name!r}: header is not in canonical form")
         layers.append(layer)
-    if r.pos != len(data):
-        raise FormatError(f"{len(data) - r.pos} trailing bytes after last layer")
+        pos += 4
+    if pos != len(view):
+        raise FormatError(f"{len(view) - pos} trailing bytes after last layer")
     return layers
 
 

@@ -87,10 +87,13 @@ class ConvGeometry:
         if not isinstance(self.stride_policy, StridePolicy):
             object.__setattr__(self, "stride_policy", StridePolicy(self.stride_policy))
         ints = self.c_in, self.s1, self.s2, self.c_out, *ratio.as_integer_ratio()
-        object.__setattr__(self, "_hash", hash((*ints, list(StridePolicy).index(self.stride_policy))))
+        object.__setattr__(self, "_key", (*ints, list(StridePolicy).index(self.stride_policy)))
 
-    def __hash__(self) -> int:  # stored for cache lookups; of ints, so alike in every process
-        return self._hash
+    def __hash__(self) -> int:  # of ints, so alike in every process
+        return hash(self._key)
+
+    def __eq__(self, other) -> bool:  # a cache lookup compares no Fraction
+        return self._key == other._key if type(other) is type(self) else NotImplemented
 
     @property
     def filter_len(self) -> int:

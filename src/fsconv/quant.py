@@ -173,13 +173,13 @@ def effective_params(layers: Iterable[tuple[int, Optional[int]]]) -> Fraction:
     eighth; every quantized layer additionally keeps its two grid endpoints
     at full precision.
     """
-    total = Fraction(0)
+    bits = 0  # 32 per float, nbits per code: one Fraction at the end, of the same value
     for count, nbits in layers:
         if count < 0:
             raise ShapeMismatchError(f"negative layer size {count}")
         if nbits is None:
-            total += count
+            bits += 32 * count
         else:
             _check_grid(nbits)
-            total += Fraction(count * nbits, 32) + 2
-    return total
+            bits += count * nbits + 2 * 32
+    return Fraction(bits, 32)

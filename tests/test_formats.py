@@ -113,6 +113,13 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match="truncated"):
             load_model(blob[:-3])
 
+    def test_refused_bytearray_stays_resizable(self):
+        blob = bytearray(dump_model([one_layer("f32")]) + b"x")
+        with pytest.raises(FormatError, match="1 trailing bytes") as info:
+            load_model(blob)
+        blob.extend(b"y")  # info's traceback keeps the reader's frame alive
+        assert info.value.__traceback__ is not None
+
     def test_invalid_utf8_name_rejected(self):
         geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.random(geom, seed=7)
@@ -163,6 +170,39 @@ class TestModelRoundTrip:
         after = derive_layout.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
 
+    def test_each_distinct_header_is_decoded_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        f32 = []
+        for spec in read_arch(bundled_arch("resnet110")).layers:
+            if isinstance(spec, ConvSpec):
+                geom = ConvGeometry(spec.c_in, spec.s1, spec.s2, spec.c_out, 4)
+                weights = rng.standard_normal(derive_layout(geom).phys_length)
+                f32.append(ModelLayer(spec.name, geom, "f32", weights=weights))
+        models = {"f32": f32}
+        for nbits in (8, 4):
+            models[f"q{nbits}"] = [ModelLayer(layer.name, layer.geom, f"q{nbits}",
+                                              quant=quantize(layer.weights, nbits)) for layer in f32]
+        built = []
+        monkeypatch.setattr(fsconv.formats, "ConvGeometry",
+                            lambda *args: built.append(args) or ConvGeometry(*args))
+        for layers in models.values():
+            blob = dump_model(layers)
+            built.clear()
+            loaded = load_model(blob)
+            assert (len(loaded), len(built)) == (109, 6)  # ResNet-110 has 6 conv shapes
+            assert dump_model(loaded) == blob
+
+    @pytest.mark.parametrize("name, message", [("x" * 65_536, "65536 UTF-8 bytes, over 65535"),
+                                               ("\ud800", "cannot be encoded as UTF-8")],
+                             ids=["too_long", "lone_surrogate"])
+    def test_unstorable_name_refused_before_writing(self, tmp_path, name, message):
+        path = tmp_path / "m.fsn"
+        unstorable = ModelLayer(name, CANON_GEOM, "f32", weights=np.zeros(63, dtype=np.float32))
+        with pytest.raises(FormatError, match=message) as info:
+            write_model(path, [one_layer("f32"), unstorable])
+        assert str(info.value).startswith(f"layer {name[:40]!r}")
+        assert not path.exists()
+
 
 # Records of every dtype use this geometry; its 63 q4 codes leave the last byte half used.
 CANON_GEOM = ConvGeometry(3, 3, 3, 4, 2)  # phys 63
@@ -179,9 +219,10 @@ def one_layer(dtype, with_alphas=True):
     return ModelLayer("c", CANON_GEOM, dtype, quant=q, alphas=alphas)
 
 
-def with_fresh_crc(blob: bytearray) -> bytes:
-    """A one-layer blob whose checksum matches its (edited) payload again."""
-    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[HEADER_AT + HEADER_SIZE : -4])))
+def with_fresh_crc(blob: bytearray, header_at: int = HEADER_AT) -> bytes:
+    """The blob with the checksum of its last record, whose header is at
+    `header_at`, matching that record's (edited) payload again."""
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[header_at + HEADER_SIZE : -4])))
     return bytes(blob)
 
 
@@ -221,6 +262,18 @@ class TestCanonicalOnly:
         with pytest.raises(FormatError, match=message):
             load_model(with_fresh_crc(blob))
 
+    @pytest.mark.parametrize("dtype", ["f32", "q4"])
+    def test_repeated_header_with_reserved_byte_refused(self, dtype):
+        # The reader decodes each distinct header once: a second record whose
+        # header differs from the first only in the reserved byte is still refused.
+        blob = bytearray(dump_model([one_layer(dtype), one_layer(dtype)]))
+        second = len(dump_model([one_layer(dtype)])) + HEADER_AT - 8  # past the first record
+        assert blob[second : second + HEADER_SIZE] == blob[HEADER_AT : HEADER_AT + HEADER_SIZE]
+        assert load_model(bytes(blob))
+        blob[second + 35] = 1  # the reserved byte
+        with pytest.raises(FormatError, match="layer 'c': header is not in canonical form"):
+            load_model(with_fresh_crc(blob, second))
+
 
 FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None)
 
@@ -240,6 +293,7 @@ BASE_MODELS = [
         [one_layer("f32"), one_layer("q8", False), one_layer("q4")],
         [one_layer("q4", False), one_layer("f32", False)],
         [one_layer("q8")],
+        [one_layer("q4"), one_layer("q4")],  # two records, one header
     )
 ]
 

@@ -204,6 +204,16 @@ class TestEffectiveParams:
         total = effective_params([(100, 8), (100, 4), (100, None)])
         assert total == Fraction(25 + 2) + Fraction(25, 2) + 2 + 100
 
+    def test_equals_the_sum_of_per_layer_fractions(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            layers = [(int(rng.integers(0, 10**7)), (None, 4, 8)[int(rng.integers(3))])
+                      for _ in range(int(rng.integers(0, 12)))]
+            expected = sum((Fraction(count) if nbits is None else Fraction(count * nbits, 32) + 2
+                            for count, nbits in layers), Fraction(0))
+            total = effective_params(layers)
+            assert type(total) is Fraction and total == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             effective_params([(10, 5)])

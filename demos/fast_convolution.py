@@ -53,7 +53,8 @@ print(f"slices read {extents} element products on {len(runs)} diagonals: the flo
 print(f"(equal to plan.needed: {extents == plan.needed})")
 print(f"stage 1 is one matrix product over all {plan.cells} x {plan.summary} cell pairs, "
       f"{fast_counter.multiplies} multiplies ({fast_counter.multiplies / plan.needed:.3f}x the floor)")
-print(f"stage 2 sums windows of {plan.window} products by doubling, in {len(plan.steps)} passes")
+print(f"stage 2 sums each of {plan.windows} windows of {plan.window} products in "
+      f"s1 - 1 = {plan.window - 1} adds, into one table")
 
 print()
 print("=== measured vs predicted on the classic 64x64 3x3 layer ===")

@@ -4,10 +4,10 @@ A cell is the c_in values at one padded position, or c_in consecutive
 summary weights. Under a channel-aligned filter stride each slice inner
 product sums a window of s1 consecutive entries on one diagonal of the cell
 products G[r, q] = x_cell[r] . w_cell[q]. Stage 1 is one matrix product into
-a flat C-ordered (P, Q) table, where a diagonal steps by Q+1; stage 2 sums the
-windows along that step by doubling; stage 3 reads one strided view of the
-windows and adds the s2 slices per output in order, bit-identical at a fixed
-BLAS thread count.
+a flat C-ordered (P, Q) table, where a diagonal steps by Q+1; stage 2 adds the
+s1 entries of each window along that step into one table; stage 3 reads one
+strided view of the windows and adds the s2 slices per output in order,
+bit-identical at a fixed BLAS thread count.
 
 geometry.fcfs_fallback is the one rule for which layers this engine runs;
 FcfsPlan.build refuses the rest. convolve is the entry point, the one run of
@@ -46,9 +46,6 @@ class FcfsPlan:
                     stage 1 writes G[r, q] at r*Q + q of a flat table, and
                     entry j < `windows` of stage 2 sums the `window` = s1
                     entries j + t*(Q+1), t < s1, one diagonal of G.
-    steps           stage 2 by doubling, (offset, length, from G) per pass: the
-                    table's first `length` entries plus as many of G (from G)
-                    or of the table itself (a pass that doubles) from `offset`
     shape, strides  the (s2, d2, d1, c_out) lattice of slice pairs (see view)
     multiplies, additions, lookups: the exact counts of one execution.
     needed          c_in times the cells any slice reads, counted on first read:
@@ -59,7 +56,6 @@ class FcfsPlan:
     summary: int
     window: int
     windows: int
-    steps: tuple[tuple[int, int, bool], ...]
     shape: tuple[int, int, int, int]
     strides: tuple[int, int, int, int]
     multiplies: int
@@ -78,15 +74,10 @@ class FcfsPlan:
         p1, shift = d1 + s1 - 1, layout.stride // c_in
         cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
         step = summary + 1  # along a diagonal; no window read wraps past row P-1
-        windows = length = cells * summary - (s1 - 1) * step
-        steps, width = [], s1  # from the last pass back, each computing what the later ones read
-        while width > 1:  # an odd width adds one entry of G, an even one two halves
-            width, from_products = (width - 1, True) if width % 2 else (width // 2, False)
-            steps.insert(0, (width * step, length, from_products))
-            length += 0 if from_products else width * step
+        windows = cells * summary - (s1 - 1) * step
         lookups = s2 * d2 * d1 * geom.c_out
-        additions = (c_in - 1) * cells * summary + sum(n for _, n, _ in steps) + lookups // s2 * (s2 - 1)
-        return cls(cells, summary, s1, windows, tuple(steps), (s2, d2, d1, geom.c_out),
+        additions = (c_in - 1) * cells * summary + (s1 - 1) * windows + lookups // s2 * (s2 - 1)
+        return cls(cells, summary, s1, windows, (s2, d2, d1, geom.c_out),
                    (p1 * summary + s1, p1 * summary, summary, shift),  # (k, n, m, i)
                    c_in * cells * summary, additions, lookups)
 
@@ -95,9 +86,9 @@ class FcfsPlan:
         return self.multiplies // self.cells // self.summary * int(_reads(self).sum())
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one execution allocates beyond the padded map and output (see window_sums)."""
-        doubled = [length for _, length, from_products in self.steps if not from_products]
-        return itemsize * (self.cells * self.summary + sum(doubled[:2]))
+        """Bytes one execution allocates beyond the padded map and output: G, and
+        for s1 > 1 the window table."""
+        return itemsize * (self.cells * self.summary + (self.windows if self.window > 1 else 0))
 
     def products(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
         """Pad the map, then stage 1: the flat (P, Q) table G of cell products."""
@@ -106,17 +97,14 @@ class FcfsPlan:
         return np.matmul(x, w.T).ravel()  # in the common type of map and weights
 
     def window_sums(self, products: np.ndarray) -> np.ndarray:
-        """Stage 2: the `windows` window sums of flat G (G itself for s1 = 1). A pass
-        that doubles writes into a second table, as numpy's vector loops refuse inputs
-        that overlap their output; the first two such passes allocate one each."""
-        table, spare = products, None
-        for offset, length, from_products in self.steps:
-            if from_products:  # one more entry of G, in place
-                table = np.add(table[:length], products[offset : offset + length], out=table[:length])
-            else:  # two halves, into the other table
-                doubled = np.add(table[:length], table[offset : offset + length],
-                                 out=None if spare is None else spare[:length])
-                spare, table = (None if table is products else table), doubled
+        """Stage 2: the `windows` window sums of flat G (G itself for s1 = 1), adding
+        the s1 entries of each window in order into one new table."""
+        if self.window == 1:
+            return products
+        step, n = self.summary + 1, self.windows
+        table = np.add(products[:n], products[step : step + n])
+        for t in range(2, self.window):
+            table += products[t * step : t * step + n]
         return table
 
     def view(self, flat: np.ndarray) -> np.ndarray:

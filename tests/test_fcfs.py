@@ -82,9 +82,9 @@ def grid_counts(geom, layout, d1, d2):
     grid. P is every padded cell, Q the summary cells up to the last one a
     slice reads, and the windows run up to the last one a slice starts, at
     r*Q + q for padded cell r and summary cell q. A cell product is c_in
-    multiplies and c_in-1 additions, stage 2 adds what doubling_adds counts,
-    and stage 3 looks up one window per slice pair and adds the s2 of an
-    output in s2-1 adds."""
+    multiplies and c_in-1 additions, stage 2 adds the s1 entries of each window
+    in s1-1 adds, and stage 3 looks up one window per slice pair and adds the
+    s2 of an output in s2-1 adds."""
     p1 = d1 + geom.s1 - 1
     padded = p1 * (d2 + geom.s2 - 1)
     starts = [((n + k) * p1 + m, (i * layout.stride + k * geom.slice_len) // geom.c_in)
@@ -92,21 +92,8 @@ def grid_counts(geom, layout, d1, d2):
     summary = max(q for _, q in starts) + geom.s1
     windows = max(r * summary + q for r, q in starts) + 1
     outputs = geom.c_out * d1 * d2
-    stage2 = doubling_adds(geom.s1, summary + 1, windows)
-    additions = (geom.c_in - 1) * padded * summary + stage2 + (geom.s2 - 1) * outputs
+    additions = (geom.c_in - 1) * padded * summary + (geom.s1 - 1) * windows + (geom.s2 - 1) * outputs
     return geom.c_in * padded * summary, additions, geom.s2 * outputs
-
-
-def doubling_adds(width, step, length):
-    """Oracle: the adds that build the first `length` sums of `width` entries
-    `step` apart. An even width adds two sums of half the width, which needs
-    `length` + width/2 * step of those; an odd one adds one entry to a sum of
-    width - 1."""
-    if width == 1:
-        return 0
-    if width % 2:
-        return length + doubling_adds(width - 1, step, length)
-    return length + doubling_adds(width // 2, step, length + width // 2 * step)
 
 
 class Term:
@@ -244,22 +231,21 @@ class TestStageTwo:
     @pytest.mark.parametrize("s1", range(1, 13))
     def test_windows_by_doubling(self, s1):
         # on symbolic entries: window j sums exactly G's entries j + t*(Q+1),
-        # t < s1, in floor(log2 s1) + popcount(s1) - 1 passes, and the adds
-        # that run are the plan's stage-2 count and the doubling oracle's
+        # t < s1, added in that order, and the adds that run are s1-1 per
+        # window, the plan's stage-2 count
         geom = ConvGeometry(2, s1, 2, 3, 2)
         plan = FcfsPlan.build(geom, derive_layout(geom), 3, 2)
-        assert len(plan.steps) == (s1.bit_length() - 1) + bin(s1).count("1") - 1
         grid = np.empty(plan.cells * plan.summary, object)
         grid[:] = [Term(j) for j in range(grid.size)]
         Term.adds = 0
         windows = plan.window_sums(grid)
         step = plan.summary + 1
         assert plan.windows == plan.cells * plan.summary - (s1 - 1) * step
-        assert [sorted(w.indices) for w in windows] == [
-            [j + t * step for t in range(s1)] for j in range(plan.windows)]
+        assert [w.indices for w in windows] == [
+            tuple(j + t * step for t in range(s1)) for j in range(plan.windows)]
         outputs = geom.c_out * 3 * 2
         stage2 = plan.additions - (geom.c_in - 1) * grid.size - (geom.s2 - 1) * outputs
-        assert Term.adds == stage2 == doubling_adds(s1, step, plan.windows)
+        assert Term.adds == stage2 == (s1 - 1) * plan.windows
 
 
 class TestPlanFloor:
@@ -300,7 +286,7 @@ class TestBuildIntegrals:
     def test_hand_case(self):
         # one 1x1x2 filter [1, 2] on the 1x2 map [3, 4] (padded [3, 4, 0]):
         # P = 3 padded cells, Q = 2 summary cells, G = [[3, 6], [4, 8], [0, 0]].
-        # With s1 = 1 a window is one product: stage 2 makes no pass.
+        # With s1 = 1 a window is one product: stage 2 adds nothing.
         geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
         fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
@@ -308,7 +294,7 @@ class TestBuildIntegrals:
         assert np.array_equal(plan.products(fmap, fs.weights), [3, 6, 4, 8, 0, 0])
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
         assert np.array_equal(table, [3, 6, 4, 8, 0, 0])
-        assert (plan.cells, plan.summary, plan.window, plan.windows, plan.steps) == (3, 2, 1, 6, ())
+        assert (plan.cells, plan.summary, plan.window, plan.windows) == (3, 2, 1, 6)
         # the whole 3 x 2 grid: 6 products; no cell or window additions
         # (c_in = s1 = 1), 4 lookups and 2 slice additions; 4 products read
         assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (6, 2, 4, 4)
@@ -432,21 +418,26 @@ class TestStageThreeViews:
         with pytest.raises(ValueError):
             plan.view(table[::2])  # not contiguous
 
-    def test_warm_call_allocates_products_and_windows(self):
-        # one f32 16->32 layer at 32x32: P = 34*34 padded cells, Q = 31*2 + 9
-        # = 71 summary cells, and (P-2)*Q - 2 windows in one array. Stages 1
-        # and 2 hold exactly nbytes of numpy data, and that is the peak of the
-        # call: the padded map (73,984 bytes) goes before stage 2 and the output
-        # (131,072) comes after G goes, both smaller than the windows. A stage-2
-        # temporary, a map kept past stage 1, a gathered index or a slice-sum
-        # temporary (393,216 bytes) would push a peak past its bound.
-        geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
+    @pytest.mark.parametrize("s1, cells, summary", [(3, 1156, 71), (5, 1296, 211), (7, 1444, 421)],
+                             ids=["s1=3", "s1=5", "s1=7"])
+    def test_warm_call_allocates_products_and_windows(self, s1, cells, summary):
+        # one f32 16->32 s1 x s1 layer at 32x32: P = (31+s1)^2 padded cells,
+        # Q = 31*shift + s1^2 summary cells, and (P-s1+1)*Q - s1 + 1 windows in
+        # one array. Stages 1 and 2 hold exactly nbytes of numpy data, and that
+        # is the peak of the call: the padded map (at most 92,416 bytes) goes
+        # before stage 2 and the output (131,072) comes after G goes, both
+        # smaller than the windows. A second stage-2 table, a map kept past
+        # stage 1, a gathered index or a slice-sum temporary (393,216 bytes at
+        # s1 = 3) would push a peak past its bound.
+        geom = ConvGeometry(16, s1, s1, 32, 4, StridePolicy.CHANNEL_ALIGNED)
         fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
         fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
         convolve(fs, fmap)  # plans the layer
         plan = fcfs_plan(geom, fs.layout, 32, 32)
+        windows = (cells - s1 + 1) * summary - s1 + 1
+        assert (plan.cells, plan.summary, plan.windows) == (cells, summary, windows)
         work_bytes = plan.nbytes(4)
-        assert work_bytes == 4 * (1156 * 71 + 1154 * 71 - 2)
+        assert work_bytes == 4 * (cells * summary + windows)
         numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
         tracemalloc.start()
         try:

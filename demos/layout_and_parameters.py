@@ -18,19 +18,15 @@ from fsconv import (
     read_arch,
     ConvSpec,
 )
-from fsconv.errors import DegenerateStrideError
 
 print("=== one layer, three stride policies ===")
 for policy in StridePolicy:
     geom = ConvGeometry(c_in=64, s1=3, s2=3, c_out=64, ratio=4, stride_policy=policy)
-    try:
-        layout = derive_layout(geom)
-    except DegenerateStrideError as exc:
-        print(f"{policy.name:16s} -> {exc}")
-        continue
+    layout = derive_layout(geom)
+    coincide = ": all filters coincide" if geom.filters_coincide(layout.stride) else ""
     print(
         f"{policy.name:16s} -> summary length {layout.length}, filter stride "
-        f"{layout.stride}, allocated {layout.phys_length}"
+        f"{layout.stride}{coincide}, allocated {layout.phys_length}"
     )
 
 print()

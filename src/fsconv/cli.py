@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .dfs import check_gradients
 from .errors import (
-    DegenerateStrideError,
     FilterSummaryError,
     FormatError,
     FSTooShortError,
@@ -120,8 +119,6 @@ def _resolve_conv(arch: ArchSpec, layer: ConvSpec, ratio, policy):
     try:
         geom = ConvGeometry(layer.c_in, layer.s1, layer.s2, layer.c_out, ratio, policy)
         layout = derive_layout(geom)
-    except DegenerateStrideError:
-        return layer, None, "degenerate_stride"
     except InvalidRatioError:
         return layer, None, "invalid_ratio"
     if geom.filters_coincide(layout.stride):

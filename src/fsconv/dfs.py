@@ -67,7 +67,7 @@ def _check_loc(fs: FilterSummary, loc: float) -> int:
     span = _span(fs.layout.length, fs.geom.filter_len)
     if not 0.0 <= loc <= span:
         raise OutOfRangeError(f"location {loc} outside [0, {span}]")
-    return min(int(math.floor(loc)), span)
+    return int(math.floor(loc))
 
 
 def extract_fractional(fs: FilterSummary, loc: float) -> np.ndarray:
@@ -131,17 +131,17 @@ def grad_summary(fs: FilterSummary, loc: float, upstream) -> np.ndarray:
     return grad
 
 
-def init_alphas(fs: FilterSummary, *, eps: float = 1e-9) -> np.ndarray:
+def init_alphas(fs: FilterSummary) -> np.ndarray:
     """Per-filter alphas whose locations reproduce the static layout.
 
     Filter i targets location i*stride. Targets at 0 or beyond L-K-1 are not
     reachable by a finite alpha (the last filters of a padded layout start
     past the fractional range), so the sigmoid argument is clipped to
-    [eps, 1-eps] before inverting.
+    [1e-9, 1 - 1e-9] before inverting.
     """
     span = _span(fs.layout.length, fs.geom.filter_len)
     targets = np.arange(fs.geom.c_out, dtype=np.float64) * fs.layout.stride
-    frac = np.clip(targets / span, eps, 1.0 - eps)
+    frac = np.clip(targets / span, 1e-9, 1.0 - 1e-9)
     return np.log(frac / (1.0 - frac))
 
 

@@ -9,10 +9,6 @@ class InvalidRatioError(FilterSummaryError, ValueError):
     """Compression ratio below 1, or a summary too short to hold one filter."""
 
 
-class DegenerateStrideError(FilterSummaryError, ValueError):
-    """Slice-aligned stride rounded down to 0 with c_out > 1: every filter would be identical."""
-
-
 class ShapeMismatchError(FilterSummaryError, ValueError):
     """Array or layer shapes do not agree with the declared geometry."""
 

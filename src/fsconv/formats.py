@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatchError
+from .errors import FilterSummaryError, FormatError, ShapeMismatchError
 from .geometry import ConvGeometry, Layout, StridePolicy, derive_layout
 from .quant import BIT_WIDTHS, QuantizedSummary, dequantize
 from .tensors import FilterSummary
@@ -59,7 +59,7 @@ _GRID = struct.Struct("<dd")  # w_min, w_max of a quantized payload
 _U16, _U32 = struct.Struct("<H"), struct.Struct("<I")  # a name's length; the layer count, a CRC
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelLayer:
     """One stored layer: geometry plus a float or quantized summary payload."""
 
@@ -74,7 +74,7 @@ class ModelLayer:
         if self.dtype not in _DTYPES:
             raise FormatError(f"unknown layer dtype {self.dtype!r}")
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float32)
+            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float32))
         carried = [] if self.weights is None else [(32, self.weights.shape)]
         if self.quant is not None:
             carried.append((self.quant.nbits, self.quant.codes.shape))
@@ -85,7 +85,7 @@ class ModelLayer:
                 f"{declared[0]}-bit values, shape {declared[1]}; got (bits, shape) {carried}"
             )
         if self.alphas is not None:
-            self.alphas = np.asarray(self.alphas, dtype=np.float64)
+            object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=np.float64))
             if self.alphas.shape != (self.geom.c_out,):
                 shape = f"{self.alphas.shape} != ({self.geom.c_out},)"
                 raise ShapeMismatchError(f"layer {self.name!r}: alphas {shape}")
@@ -151,6 +151,8 @@ def dump_model(layers: list[ModelLayer]) -> bytes:
     out.write(MAGIC + _U32.pack(len(layers)))
     for layer in layers:
         name = _stored_name(layer.name)
+        if layer.alphas is not None and not np.isfinite(layer.alphas).all():  # changed in place
+            raise FormatError(f"layer {layer.name!r}: alphas must be finite")
         out.write(_U16.pack(len(name)) + name + _header(layer.geom, layer.dtype, layer.alphas is not None))
         if layer.dtype == "f32":
             payload = [np.ascontiguousarray(layer.weights, dtype="<f4")]
@@ -180,8 +182,11 @@ def _decode_header(header: bytes, name: str) -> tuple:
         raise FormatError(f"layer {name!r}: unknown dtype code {dtype_code}")
     if r_den == 0:
         raise FormatError(f"layer {name!r}: zero ratio denominator")
-    geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _POLICIES[policy_code])
-    phys = derive_layout(geom).phys_length
+    try:
+        geom = ConvGeometry(*sizes, Fraction(r_num, r_den), _POLICIES[policy_code])
+        phys = derive_layout(geom).phys_length
+    except FilterSummaryError as exc:
+        raise type(exc)(f"layer {name!r}: {exc}") from exc
     dtype = _DTYPES[dtype_code]
     body = 4 * phys if dtype == "f32" else _GRID.size + (phys * int(dtype[1:]) + 7) // 8
     return geom, dtype, phys, body, has_alpha, _header(geom, dtype, has_alpha > 0) == header

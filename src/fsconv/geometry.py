@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateStrideError, InvalidRatioError, ShapeMismatchError
+from .errors import InvalidRatioError, ShapeMismatchError
 
 __all__ = [
     "StridePolicy",
@@ -35,22 +35,22 @@ LAYOUT_CACHE_SIZE = 256  # layouts kept by derive_layout; ResNet-110 has 6 conv 
 
 
 class StridePolicy(enum.Enum):
-    """Rule used to derive the filter stride from the nominal summary length.
+    """The unit the filter stride is rounded down to: the stride is the largest
+    multiple of the unit not above the generic stride floor((L-1)/c_out).
 
     GENERIC
-        stride = floor((L-1)/c_out). Densest packing, but generally not a
-        multiple of c_in, which scatters the diagonals the fast convolution
+        Unit 1: the generic stride itself. Densest packing, but generally not
+        a multiple of c_in, which scatters the diagonals the fast convolution
         path needs across all channel residues.
     SLICE_ALIGNED
-        Largest multiple of c_in*s1 (one filter slice) not exceeding the
-        generic stride. Rounds to 0 for many realistic layer shapes, which
-        would collapse all filters onto one segment; refused unless c_out is 1.
+        Unit c_in*s1, one filter slice.
     CHANNEL_ALIGNED
-        Largest multiple of c_in not exceeding the generic stride. Keeps the
-        fast path's diagonal set channel-aligned. Default. It rounds to 0
-        whenever the generic stride is below c_in (for 16->16 3x3 at ratio
-        16, say): every filter is then the same K weights. derive_layout
-        returns that layout, where SLICE_ALIGNED raises DegenerateStrideError.
+        Unit c_in. Keeps the fast path's diagonal set channel-aligned. Default.
+
+    Every policy rounds to 0 when the generic stride is below its unit (for
+    16->16 3x3 at ratio 16 under CHANNEL_ALIGNED, say): with c_out > 1 every
+    filter is then the same K weights, which ConvGeometry.filters_coincide
+    reports.
     """
 
     GENERIC = "generic"
@@ -134,8 +134,8 @@ def derive_layout(geom: ConvGeometry) -> Layout:
     (a refused geometry is not cached).
 
     Raises InvalidRatioError when the summary would be shorter than one
-    filter, and DegenerateStrideError when SLICE_ALIGNED rounds the stride
-    to 0 for c_out > 1 (ConvGeometry.filters_coincide).
+    filter. A stride of 0 is a layout; ConvGeometry.filters_coincide tells
+    whether its filters are all the same weights.
     """
     k = geom.filter_len
     length = int(Fraction(k * geom.c_out) / geom.ratio)  # floor: num/den >= 0
@@ -144,18 +144,9 @@ def derive_layout(geom: ConvGeometry) -> Layout:
             f"summary length {length} shorter than one filter ({k}); "
             f"ratio {geom.ratio} too aggressive for c_out={geom.c_out}"
         )
-    generic = (length - 1) // geom.c_out
-    if geom.stride_policy is StridePolicy.GENERIC:
-        stride = generic
-    elif geom.stride_policy is StridePolicy.SLICE_ALIGNED:
-        stride = (generic // geom.slice_len) * geom.slice_len
-        if geom.filters_coincide(stride):
-            raise DegenerateStrideError(
-                f"slice-aligned stride is 0 (generic stride {generic} < "
-                f"slice length {geom.slice_len}); all filters would coincide"
-            )
-    else:
-        stride = (generic // geom.c_in) * geom.c_in
+    unit = {StridePolicy.GENERIC: 1, StridePolicy.SLICE_ALIGNED: geom.slice_len,
+            StridePolicy.CHANNEL_ALIGNED: geom.c_in}[geom.stride_policy]
+    stride = (length - 1) // geom.c_out // unit * unit
     # Every policy rounds the generic stride down, and ratio >= 1 gives
     # length <= K*c_out, so stride <= (K*c_out - 1) // c_out = K - 1:
     # consecutive filters always share at least one weight.

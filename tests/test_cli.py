@@ -26,6 +26,7 @@ from fsconv import (
     StridePolicy,
     central_diff,
     dump_model,
+    effective_params,
     extract_fractional,
     grad_alpha,
     grad_summary,
@@ -33,6 +34,7 @@ from fsconv import (
     locate,
     locate_grad,
     naive_conv,
+    quantize,
     read_model,
     unwrap,
     write_model,
@@ -266,6 +268,23 @@ class TestConv:
         out = np.load(tmp_path / "x.out.npy")
         assert np.allclose(out, out[:1])  # every filter is the same K weights
 
+    def test_slice_aligned_stride_zero_warned_and_computed_exactly(self, capsys, tmp_path):
+        geom = ConvGeometry(4, 3, 3, 8, 4, StridePolicy.SLICE_ALIGNED)  # generic stride 8 < 12
+        fs = FilterSummary.random(geom, seed=3)
+        assert geom.filters_coincide(fs.layout.stride)
+        model = tmp_path / "slice.fsn"
+        write_model(model, [ModelLayer("deg", geom, "f32", weights=fs.weights)])
+        np.save(tmp_path / "x.npy", np.random.default_rng(2).uniform(-1, 1, (4, 6, 6)))
+        code, records, err = run(capsys, "conv", model, tmp_path / "x.npy", "--engine", "both",
+                                 "--tolerance", 1e-12)
+        assert code == 0
+        assert err == "warning layer=deg layout=degenerate_stride\n"
+        (layer,) = records_of(records, "layer")
+        assert float(layer["dev"]) <= 1e-12 and layer["fallback"] == "0"
+        assert records_of(records, "status") == [{"ok": "1"}]
+        out = np.load(tmp_path / "x.out.npy")
+        assert out.dtype == np.float64 and np.array_equal(out, np.broadcast_to(out[:1], out.shape))
+
     @pytest.mark.parametrize("engine", ["fcfs", "both"])
     def test_unaligned_stride_reports_fallback(self, capsys, tmp_path, small_input, engine):
         geom = ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC)  # stride 13, c_in 3
@@ -379,7 +398,7 @@ class TestConv:
         model.write_bytes(bytes(blob))
         code, records, err = run(capsys, "conv", model, small_input[0], "--engine", engine)
         assert code == 2
-        assert err == "error: c_in must be >= 1, got 0\n"
+        assert err == "error: layer 'z': c_in must be >= 1, got 0\n"
         assert records == []
 
     @pytest.mark.parametrize("where", ["input", "weight"])
@@ -482,6 +501,25 @@ class TestQuantizeCmd:
 
         (layer,) = read_model(qpath)
         assert np.array_equal(layer.summary().weights, np.full(phys, 0.5))
+
+    def test_quantized_layer_skipped_and_kept(self, capsys, small_model, tmp_path):
+        _, geom, fs = small_model
+        q4 = ModelLayer("b", geom, "q4", quant=quantize(fs.weights, 4))
+        model = tmp_path / "mixed.fsn"
+        write_model(model, [ModelLayer("a", geom, "f32", weights=fs.weights), q4])
+        out = tmp_path / "mixed.q8.fsn"
+        code, records, err = run(capsys, "quantize", model, "--bits", "8", "--output", out)
+        assert code == 0
+        assert err == "warning layer=b already_quantized=q4\n"
+        kept, skipped = records_of(records, "layer")
+        assert "skipped" not in kept and skipped == {"name": "b", "skipped": "q4"}
+        first, second = read_model(out)
+        assert first.dtype == "q8" and dump_model([second]) == dump_model([q4])
+        phys = fs.layout.phys_length
+        (total,) = records_of(records, "total")
+        assert float(total["float_params"]) == 2 * phys
+        expected = effective_params([(phys, 8), (phys, 4)])  # the skipped layer at its 4 bits
+        assert float(total["effective_params"]) == pytest.approx(float(expected), rel=1e-5)
 
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

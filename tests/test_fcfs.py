@@ -43,7 +43,6 @@ from fsconv import (
     required_diagonals,
 )
 from fsconv.errors import (
-    DegenerateStrideError,
     InvalidArgumentError,
     ShapeMismatchError,
     UnsupportedGeometryError,
@@ -773,22 +772,18 @@ class TestEngineProperty:
     def test_fcfs_matches_oracle_and_only_stride_zero_coincides(self):
         """Under every policy, in f64 and f32: fcfs (or its fallback) equals the oracle to
         the acceptance tolerances, each output of both engines is within its own rounding
-        bound, and two filters of a layout are the same weights only at stride 0 with
-        c_out > 1, a layout the slice policy refuses."""
+        bound, and two filters of a layout are the same weights exactly when
+        ConvGeometry.filters_coincide says so: at stride 0 with c_out > 1."""
         reached = set()
 
         @settings(derandomize=True, database=None, max_examples=150, deadline=None)
         @given(engine_cases())
-        @example(((1, 1, 12, 12, Fraction(9)), 3, 5))  # slice at ratio >= 9 needs s2 > ratio
+        @example(((1, 1, 12, 12, Fraction(9)), 3, 5))  # slice stride > 0 at ratio >= 9 needs s2 > ratio
         def check(case):
             sizes, d1, d2 = case
             for policy, dtype in itertools.product(StridePolicy, (np.float64, np.float32)):
                 geom = ConvGeometry(*sizes, policy)
-                try:
-                    layout = derive_layout(geom)
-                except DegenerateStrideError:
-                    assert policy is StridePolicy.SLICE_ALIGNED
-                    continue
+                layout = derive_layout(geom)
                 reached.update((name, policy) for name, holds in REGIMES.items()
                                if holds(geom, d1, d2))
                 fs = FilterSummary.random(geom, seed=d1, dtype=dtype)
@@ -812,7 +807,7 @@ class TestEngineProperty:
                         assert rounding_excess(fast, fs, x, depth).max() <= 1, (geom, d1, d2)
                         assert rounding_excess(oracle, fs, x, geom.filter_len).max() <= 1
                 filters = {extract_filter(fs, i).tobytes() for i in range(geom.c_out)}
-                assert (len(filters) < geom.c_out) == (layout.stride == 0 and geom.c_out > 1)
+                assert (len(filters) < geom.c_out) == geom.filters_coincide(layout.stride)
 
         check()
         assert reached == set(itertools.product(REGIMES, StridePolicy))

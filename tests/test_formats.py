@@ -1,5 +1,6 @@
 """Model container and architecture text format: round trips and rejection."""
 
+import dataclasses
 import re
 import struct
 import sys
@@ -33,7 +34,13 @@ from fsconv import (
     read_model,
     write_model,
 )
-from fsconv.errors import FilterSummaryError, FormatError, InvalidGridError
+from fsconv.errors import (
+    FilterSummaryError,
+    FormatError,
+    InvalidGridError,
+    InvalidRatioError,
+    ShapeMismatchError,
+)
 from fsconv.formats import ARCH_DIRECTIVES, ARCH_KINDS, arch_fields, parse_ratio
 
 from helpers import q8_model_with_grid, random_fast_geometry
@@ -148,6 +155,10 @@ class TestModelRoundTrip:
             ModelLayer("c", geom, "f32", weights=np.zeros(2, dtype=np.float32), quant=q4)
         with pytest.raises(FormatError, match=r"shape \(2,\); got \(bits, shape\) \[\(32, \(3,\)\)\]"):
             ModelLayer("c", geom, "f32", weights=np.zeros(3, dtype=np.float32))
+        with pytest.raises(FormatError, match="^unknown layer dtype 'f16'$"):
+            ModelLayer("c", geom, "f16", weights=np.zeros(2, dtype=np.float32))
+        with pytest.raises(ShapeMismatchError, match=r"^layer 'c': alphas \(2,\) != \(1,\)$"):
+            ModelLayer("c", geom, "f32", weights=np.zeros(2, dtype=np.float32), alphas=np.zeros(2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_alphas_refused(self, value):
@@ -160,6 +171,32 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match="alphas must be finite"):
             ModelLayer("c", CANON_GEOM, "f32", weights=np.zeros(63, dtype=np.float32),
                        alphas=alphas)
+
+    def test_alphas_changed_in_place_refused_before_writing(self, tmp_path):
+        layer = one_layer("f32")
+        layer.alphas[0] = np.nan  # the array stays writable after the checks
+        path = tmp_path / "m.fsn"
+        with pytest.raises(FormatError, match="^layer 'c': alphas must be finite$"):
+            write_model(path, [layer])
+        assert not path.exists()
+
+    def test_fields_cannot_be_reassigned(self):
+        layer = one_layer("f32")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.weights = np.zeros(3, dtype=np.float32)
+        assert layer.weights.shape == (63,)
+
+    @pytest.mark.parametrize("ratio, error, message", [
+        ((2, 0), FormatError, "zero ratio denominator"),
+        ((1, 2), InvalidRatioError, "compression ratio must be >= 1, got 1/2"),
+        ((1000, 1), InvalidRatioError, r"summary length 0 shorter than one filter \(27\); "
+                                       "ratio 1000 too aggressive for c_out=4"),
+    ], ids=["zero_denominator", "below_one", "too_aggressive"])
+    def test_header_ratio_refusal_names_the_layer(self, ratio, error, message):
+        blob = bytearray(dump_model([one_layer("f32", with_alphas=False)]))
+        blob[HEADER_AT + 16 : HEADER_AT + 32] = struct.pack("<QQ", *ratio)
+        with pytest.raises(error, match=f"^layer 'c': {message}$"):
+            load_model(with_fresh_crc(blob))
 
     def test_layout_is_derived_once_per_geometry(self):
         layer = ModelLayer("c", CANON_GEOM, "f32", weights=np.zeros(63, dtype=np.float32))
@@ -383,6 +420,7 @@ class TestArchRoundTrip:
     @pytest.mark.parametrize(
         "text",
         [
+            "layer x",  # no kind=
             "layer c kind=mystery foo=1",
             "layer c kind=conv c_in=2 s1=3",  # missing keys
             "layer c kind=conv c_in=2 s1=3 s2=3 c_out=4 bogus=1",

@@ -16,7 +16,7 @@ from fsconv import (
     fcfs_fallback,
     predicted_acceleration,
 )
-from fsconv.errors import DegenerateStrideError, InvalidRatioError, ShapeMismatchError
+from fsconv.errors import InvalidRatioError, ShapeMismatchError
 from fsconv.geometry import LAYOUT_CACHE_SIZE
 
 # the recurring worked example: 64-channel 3x3 layer, 64 filters, ratio 4
@@ -32,20 +32,25 @@ class TestDeriveLayout:
         assert layout.slices == Fraction(48)
 
     def test_worked_example_slice_aligned_degenerates(self):
-        # floor(143/192)*192 == 0: every filter would be the same segment
-        with pytest.raises(DegenerateStrideError):
-            derive_layout(ConvGeometry(**WORKED, stride_policy=StridePolicy.SLICE_ALIGNED))
+        # floor(143/192)*192 == 0: every filter is the same segment
+        geom = ConvGeometry(**WORKED, stride_policy=StridePolicy.SLICE_ALIGNED)
+        layout = derive_layout(geom)
+        assert (layout.length, layout.stride, layout.phys_length) == (9216, 0, 9216)
+        assert geom.filters_coincide(layout.stride)
 
     def test_single_filter_at_stride_zero_is_no_degenerate_slice(self):
         # one filter coincides with no other, so a slice-aligned stride of 0
-        # is a layout when c_out is 1 (generic stride 11, slice length 12)
+        # is a plain layout when c_out is 1 (generic stride 11, slice length 12)
         geom = ConvGeometry(4, 3, 1, 1, 1, StridePolicy.SLICE_ALIGNED)
         layout = derive_layout(geom)
         assert (layout.stride, layout.phys_length) == (0, 12)
         assert not geom.filters_coincide(layout.stride)
         assert ConvGeometry(4, 3, 1, 2, 1).filters_coincide(0)
-        with pytest.raises(DegenerateStrideError, match="all filters would coincide"):
-            derive_layout(ConvGeometry(4, 3, 1, 2, 2, StridePolicy.SLICE_ALIGNED))
+        # two filters, generic stride (12 - 1) // 2 = 5 < 12: both are weights 0..11
+        geom = ConvGeometry(4, 3, 1, 2, 2, StridePolicy.SLICE_ALIGNED)
+        layout = derive_layout(geom)
+        assert (layout.length, layout.stride, layout.phys_length) == (12, 0, 12)
+        assert geom.filters_coincide(layout.stride)
 
     def test_worked_example_channel_aligned(self):
         layout = derive_layout(
@@ -249,18 +254,18 @@ class TestLayoutProperties:
             )
             try:
                 layout = derive_layout(geom)
-            except (DegenerateStrideError, InvalidRatioError):
+            except InvalidRatioError:
                 continue
             assert layout.stride <= geom.filter_len - 1
 
     def test_layout_cached_per_geometry_and_refusals_not_cached(self):
         geom = ConvGeometry(**WORKED)
         assert derive_layout(geom) is derive_layout(ConvGeometry(**WORKED))
-        degenerate = ConvGeometry(**WORKED, stride_policy=StridePolicy.SLICE_ALIGNED)
+        refused = ConvGeometry(**{**WORKED, "ratio": 1000})  # summary 36 < K = 576
         before = derive_layout.cache_info()
         for _ in range(2):
-            with pytest.raises(DegenerateStrideError):
-                derive_layout(degenerate)
+            with pytest.raises(InvalidRatioError):
+                derive_layout(refused)
         after = derive_layout.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (0, 2)
         assert after.maxsize == LAYOUT_CACHE_SIZE

@@ -78,6 +78,8 @@ class TestQuantize:
     def test_validation(self):
         with pytest.raises(EmptyInputError):
             quantize(np.array([]), 8)
+        with pytest.raises(EmptyInputError, match="^cannot quantize an empty layer$"):
+            quantize_affine_layer(np.eye(2), np.array([]), 8)  # an empty bias
         with pytest.raises(ValueError):
             quantize(np.ones(3), 6)
 
@@ -188,6 +190,9 @@ class TestQuantizedAffineForward:
         q_w, q_b = quantize_affine_layer(np.eye(3), np.zeros(3), 8)
         with pytest.raises(ShapeMismatchError):
             quantized_affine_forward(q_w, q_b, np.ones(4))
+        q_w, q_b = quantize_affine_layer(np.ones(3), np.zeros(3), 8)  # a 1D weight
+        with pytest.raises(ShapeMismatchError, match="^expected a 2D weight matrix"):
+            quantized_affine_forward(q_w, q_b, np.ones(3))
 
 
 class TestEffectiveParams:

@@ -107,6 +107,11 @@ class TestExtractFilter:
         with pytest.raises(ShapeMismatchError, match="last filter outside the summary"):
             FilterSummary(geom, layout, np.arange(5.0))
 
+    def test_summary_of_another_length_refused(self):
+        geom = ConvGeometry(1, 3, 1, 3, Fraction(9, 5), StridePolicy.GENERIC)  # phys 5
+        with pytest.raises(ShapeMismatchError, match=r"^summary has shape \(4,\), expected \(5,\)$"):
+            FilterSummary(geom, derive_layout(geom), np.arange(4.0))
+
     def test_index_validation(self):
         geom = ConvGeometry(1, 3, 1, 3, Fraction(9, 5))
         fs = FilterSummary.random(geom)

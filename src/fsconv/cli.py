@@ -224,7 +224,7 @@ def cmd_quantize(args) -> int:
             _emit("layer", name=layer.name, skipped=layer.dtype)
         else:
             q = quantize(layer.weights, args.bits)
-            layer = ModelLayer(layer.name, layer.geom, f"q{q.nbits}", quant=q, alphas=layer.alphas)
+            layer = ModelLayer._trusted(layer.name, layer.geom, f"q{q.nbits}", None, q, layer.alphas)
             _emit(
                 "layer",
                 name=layer.name,

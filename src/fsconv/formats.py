@@ -14,7 +14,6 @@ key=value fields ARCH_KINDS defines, plus `ratio` / `policy` defaults, each once
 
 from __future__ import annotations
 
-import io
 import re
 import struct
 import sys
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import FilterSummaryError, FormatError, ShapeMismatchError
 from .geometry import ConvGeometry, Layout, StridePolicy, derive_layout
-from .quant import BIT_WIDTHS, QuantizedSummary, dequantize
+from .quant import QuantizedSummary, _check_grid, _read_only, _trusted, dequantize
 from .tensors import FilterSummary
 
 __all__ = [
@@ -61,7 +60,7 @@ _U16, _U32 = struct.Struct("<H"), struct.Struct("<I")  # a name's length; the la
 
 @dataclass(frozen=True)
 class ModelLayer:
-    """One stored layer: geometry plus a float or quantized summary payload."""
+    """One stored layer: geometry plus a float or quantized summary payload, in read-only arrays."""
 
     name: str
     geom: ConvGeometry
@@ -74,7 +73,7 @@ class ModelLayer:
         if self.dtype not in _DTYPES:
             raise FormatError(f"unknown layer dtype {self.dtype!r}")
         if self.weights is not None:
-            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float32))
+            object.__setattr__(self, "weights", _read_only(self.weights, np.float32))
         carried = [] if self.weights is None else [(32, self.weights.shape)]
         if self.quant is not None:
             carried.append((self.quant.nbits, self.quant.codes.shape))
@@ -85,12 +84,14 @@ class ModelLayer:
                 f"{declared[0]}-bit values, shape {declared[1]}; got (bits, shape) {carried}"
             )
         if self.alphas is not None:
-            object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=np.float64))
+            object.__setattr__(self, "alphas", _read_only(self.alphas, np.float64))
             if self.alphas.shape != (self.geom.c_out,):
                 shape = f"{self.alphas.shape} != ({self.geom.c_out},)"
                 raise ShapeMismatchError(f"layer {self.name!r}: alphas {shape}")
             if not np.isfinite(self.alphas).all():
                 raise FormatError(f"layer {self.name!r}: alphas must be finite")
+
+    _trusted = classmethod(_trusted)  # of checked fields: read-only arrays, one sized payload
 
     @property
     def layout(self) -> Layout:
@@ -115,24 +116,26 @@ def _header(geom: ConvGeometry, dtype: str, has_alpha: bool) -> bytes:
 def _pack(codes: np.ndarray, nbits: int) -> bytes:
     """Pack n-bit codes 8 // nbits to a byte, the first in the low bits; the
     unused high bits of the last byte are zero. Eight bits is the identity."""
-    per = 8 // nbits
-    packed = codes[::per].copy()
-    for i in range(1, per):
-        part = codes[i::per]
-        packed[: part.size] |= part << (i * nbits)
+    if nbits == 8:
+        return codes.tobytes()
+    packed = codes[::2].copy()
+    packed[: codes.size // 2] |= codes[1::2] << 4
     return packed.tobytes()
 
 
-_CODES = {n: np.arange(256, dtype=np.uint8)[:, None] >> np.arange(0, 8, n, dtype=np.uint8)
-          & ((1 << n) - 1) for n in BIT_WIDTHS}  # per width, row b: the codes byte b packs, low first
-
-
 def _unpack(raw: memoryview, nbits: int, count: int) -> np.ndarray:
-    """Inverse of `_pack`: the first `count` codes. Refuses nonzero unused bits."""
+    """Inverse of `_pack`, read-only: the first `count` codes. Refuses nonzero unused bits."""
     unused = (-count) % (8 // nbits) * nbits  # high bits of the last byte that hold no code
     if unused and raw[-1] >> (8 - unused):
         raise FormatError(f"nonzero unused bits after the last {nbits}-bit code")
-    return _CODES[nbits].take(np.frombuffer(raw, dtype=np.uint8), axis=0).reshape(-1)[:count]
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if nbits == 8:
+        return codes
+    pairs = codes.astype("<u2")  # byte 0xHL -> 0x0H0L: its two codes, low first in memory
+    pairs |= pairs << 4
+    pairs &= 0x0F0F
+    pairs.flags.writeable = False
+    return pairs.view(np.uint8)[:count]
 
 
 def _stored_name(name: str) -> bytes:
@@ -147,13 +150,10 @@ def _stored_name(name: str) -> bytes:
 
 
 def dump_model(layers: list[ModelLayer]) -> bytes:
-    out = io.BytesIO()
-    out.write(MAGIC + _U32.pack(len(layers)))
+    parts = [MAGIC, _U32.pack(len(layers))]
     for layer in layers:
         name = _stored_name(layer.name)
-        if layer.alphas is not None and not np.isfinite(layer.alphas).all():  # changed in place
-            raise FormatError(f"layer {layer.name!r}: alphas must be finite")
-        out.write(_U16.pack(len(name)) + name + _header(layer.geom, layer.dtype, layer.alphas is not None))
+        parts += (_U16.pack(len(name)), name, _header(layer.geom, layer.dtype, layer.alphas is not None))
         if layer.dtype == "f32":
             payload = [np.ascontiguousarray(layer.weights, dtype="<f4")]
         else:
@@ -162,11 +162,10 @@ def dump_model(layers: list[ModelLayer]) -> bytes:
         if layer.alphas is not None:
             payload.append(np.ascontiguousarray(layer.alphas, dtype="<f8"))
         crc = 0
-        for part in payload:  # written and checksummed where it lies, not copied first
-            out.write(part)
+        for part in payload:  # checksummed where it lies, and copied once, by the join
             crc = zlib.crc32(part, crc)
-        out.write(_U32.pack(crc))
-    return out.getvalue()
+        parts += (*payload, _U32.pack(crc))
+    return b"".join(parts)
 
 
 def write_model(path, layers: list[ModelLayer]) -> None:
@@ -221,21 +220,23 @@ def load_model(data: bytes) -> list[ModelLayer]:
         payload = take(pos, body)
         weights = quant = alphas = None
         if dtype == "f32":
-            weights = np.frombuffer(payload, dtype="<f4").copy()
+            weights = np.frombuffer(payload, dtype="<f4")  # read-only, as is `view`
         else:
             nbits = int(dtype[1:])
-            codes = _unpack(payload[_GRID.size :], nbits, phys)
-            quant = QuantizedSummary(codes, nbits, *_GRID.unpack_from(payload))
+            codes, grid = _unpack(payload[_GRID.size :], nbits, phys), _GRID.unpack_from(payload)
+            _check_grid(nbits, *grid)
+            quant = QuantizedSummary._trusted(codes, nbits, *grid)
         pos += body
         if has_alpha:
-            alphas = np.frombuffer(take(pos, geom.c_out * 8), dtype="<f8").copy()
+            alphas = np.frombuffer(take(pos, geom.c_out * 8), dtype="<f8")
             pos += geom.c_out * 8
         if _U32.unpack(take(pos, 4))[0] != zlib.crc32(view[start:pos]):
             raise FormatError(f"layer {name!r}: payload checksum mismatch")
-        layer = ModelLayer(name, geom, dtype, weights=weights, quant=quant, alphas=alphas)
+        if alphas is not None and not np.isfinite(alphas).all():
+            raise FormatError(f"layer {name!r}: alphas must be finite")
         if not canonical:  # a nonzero reserved byte, an alpha flag > 1 or an unreduced ratio
             raise FormatError(f"layer {name!r}: header is not in canonical form")
-        layers.append(layer)
+        layers.append(ModelLayer._trusted(name, geom, dtype, weights, quant, alphas))
         pos += 4
     if pos != len(view):
         raise FormatError(f"{len(view) - pos} trailing bytes after last layer")

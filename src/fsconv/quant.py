@@ -39,21 +39,42 @@ BIT_WIDTHS = (4, 8)  # the supported code widths; a q<n> model layer stores n-bi
 
 
 def _check_grid(nbits: int, w_min: float = 0.0, w_max: float = 0.0) -> None:
-    """Refuse a width not in BIT_WIDTHS, and endpoints inverted, not finite or too far apart."""
+    """Refuse a width not in BIT_WIDTHS, and endpoints inverted, not finite, too far or too near."""
     if nbits not in BIT_WIDTHS:
         raise InvalidGridError(f"nbits must be one of {BIT_WIDTHS}, got {nbits}")
     span = w_max - w_min  # not finite if an endpoint is not, or if it overflows (tau = inf)
     if not (math.isfinite(span) and w_min <= w_max):
         raise InvalidGridError(f"grid must be finite with w_min <= w_max, got [{w_min}, {w_max}]"
                                f" (w_max - w_min = {span})")
+    tau = span / ((1 << nbits) - 1)
+    if span and not (tau and span / tau + 0.5 < 1 << nbits):  # w_max's code, as quantize computes it
+        raise InvalidGridError(f"grid [{w_min}, {w_max}] is too narrow for {nbits} bits:"
+                               f" its step {tau} underflows")
+
+
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass `cls` holding `values`, its fields in order, built
+    without __post_init__: only for callers that have just made its checks themselves."""
+    made = object.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return made
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only `dtype` view, of a copy if they are writable: no flag can be reset."""
+    array = np.asarray(values)
+    if array.dtype != dtype or array.flags.writeable:
+        array = array.astype(dtype)
+        array.flags.writeable = False
+    return array.view()
 
 
 @dataclass(frozen=True)
 class QuantizedSummary:
     """Level codes plus the per-layer grid needed to reconstruct them.
 
-    codes are uint8 in [0, 2^nbits - 1] (same shape as the source array);
-    w_min / w_max are the exact grid endpoints: finite, w_min <= w_max.
+    codes are read-only uint8 in [0, 2^nbits - 1] (same shape as the source
+    array); w_min / w_max are the exact grid endpoints: finite, w_min <= w_max.
     """
 
     codes: np.ndarray
@@ -63,10 +84,14 @@ class QuantizedSummary:
 
     def __post_init__(self):
         _check_grid(self.nbits, self.w_min, self.w_max)
-        codes = np.asarray(self.codes, dtype=np.uint8)
-        if codes.size and int(codes.max()) > self.levels - 1:
-            raise InvalidGridError(f"code {int(codes.max())} exceeds {self.levels - 1}")
-        object.__setattr__(self, "codes", codes)
+        codes, top = np.asarray(self.codes), self.levels - 1
+        for bad, what in ((np.floor(codes) != codes, "is not an integer"), (codes < 0, "is below 0"),
+                          (codes > top, f"exceeds {top}")):  # as given: uint8 wraps 300 to 44
+            if bad.any():
+                raise InvalidGridError(f"code {codes[bad][0]} {what}")
+        object.__setattr__(self, "codes", _read_only(codes, np.uint8))
+
+    _trusted = classmethod(_trusted)  # (codes, nbits, w_min, w_max): read-only uint8 codes
 
     @property
     def levels(self) -> int:
@@ -85,31 +110,34 @@ def quantize(weights, nbits: int, *, w_min=None, w_max=None) -> QuantizedSummary
     w_min/w_max to place several arrays (e.g. a weight matrix and its bias)
     on one shared layer grid. Ties between levels round half away from zero.
     A constant input yields tau = 0 with all codes 0. Weights that are not
-    finite, and an invalid grid, are refused before any code is computed.
+    finite, an invalid grid and a grid that does not hold every weight are
+    refused before any code is computed.
     """
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.size == 0:
+    codes = np.array(weights, dtype=np.float64)  # a copy: the one buffer the codes are computed in
+    if codes.size == 0:
         raise EmptyInputError("cannot quantize an empty weight vector")
-    lo, hi = float(arr.min()), float(arr.max())  # NaN if any weight is NaN
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    low, high = float(codes.min()), float(codes.max())  # NaN if any weight is NaN
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise InvalidGridError("cannot quantize weights that are not finite")
-    lo = lo if w_min is None else float(w_min)
-    hi = hi if w_max is None else float(w_max)
+    lo = low if w_min is None else float(w_min)
+    hi = high if w_max is None else float(w_max)
     _check_grid(nbits, lo, hi)
-    levels = (1 << nbits) - 1
-    if hi == lo:
-        codes = np.zeros(arr.shape, dtype=np.uint8)
-    else:
-        tau = (hi - lo) / levels
-        # arguments are >= 0, so half-away-from-zero is floor(q + 0.5)
-        codes = np.floor((arr - lo) / tau + 0.5)
-        codes = np.clip(codes, 0, levels).astype(np.uint8)
-    return QuantizedSummary(codes=codes, nbits=nbits, w_min=lo, w_max=hi)
+    if not lo <= low <= high <= hi:
+        raise InvalidGridError(f"weights in [{low}, {high}] fall outside the grid [{lo}, {hi}]")
+    # arguments are >= 0, so half-away-from-zero is floor(q + 0.5)
+    codes -= lo
+    codes /= (hi - lo) / ((1 << nbits) - 1) or 1.0  # tau = 0: a constant layer, all codes 0
+    codes += 0.5
+    codes = np.floor(codes, out=codes).astype(np.uint8)
+    codes.flags.writeable = False  # and a view of it cannot be made writable again
+    return QuantizedSummary._trusted(codes.view(), nbits, lo, hi)
 
 
 def dequantize(q: QuantizedSummary) -> np.ndarray:
     """Reconstruct w_min + tau*code (float64, same shape as the codes)."""
-    return q.w_min + q.tau * q.codes.astype(np.float64)
+    weights = q.codes.astype(np.float64)
+    weights *= q.tau
+    return np.add(weights, q.w_min, out=weights)
 
 
 def quantize_affine_layer(weight, bias, nbits: int) -> tuple[QuantizedSummary, QuantizedSummary]:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import fsconv.cli
 import fsconv.dfs
 import fsconv.fcfs
+import fsconv.formats
 from fsconv import (
     ConvGeometry,
     FeatureMap,
@@ -520,6 +521,24 @@ class TestQuantizeCmd:
         assert float(total["float_params"]) == 2 * phys
         expected = effective_params([(phys, 8), (phys, 4)])  # the skipped layer at its 4 bits
         assert float(total["effective_params"]) == pytest.approx(float(expected), rel=1e-5)
+
+    def test_written_layers_are_read_only(self, capsys, small_model, tmp_path, monkeypatch):
+        written = []
+
+        def write_model(path, layers):
+            written.extend(layers)
+            fsconv.formats.write_model(path, layers)
+
+        monkeypatch.setattr(fsconv.cli, "write_model", write_model)
+        model_path, _, fs = small_model
+        out = tmp_path / "q.fsn"
+        assert run(capsys, "quantize", model_path, "--bits", "4", "--output", out)[0] == 0
+        for layer in written + read_model(out):
+            assert layer.dtype == "q4" and layer.alphas is not None
+            for stored in (layer.quant.codes, layer.alphas):
+                with pytest.raises(ValueError, match="read-only"):
+                    stored[0] = 1
+        assert np.array_equal(written[0].quant.codes, quantize(fs.weights, 4).codes)
 
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

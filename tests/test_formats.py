@@ -22,6 +22,7 @@ from fsconv import (
     DenseSpec,
     FilterSummary,
     ModelLayer,
+    QuantizedSummary,
     StridePolicy,
     bundled_arch,
     derive_layout,
@@ -142,6 +143,10 @@ class TestModelRoundTrip:
         with pytest.raises(InvalidGridError, match="grid must be finite with w_min <= w_max"):
             load_model(blob)
 
+    def test_underflowing_grid_step_rejected(self):
+        with pytest.raises(InvalidGridError, match=r"^grid \[0.0, 1e-323\] is too narrow for 8 bits"):
+            load_model(q8_model_with_grid(0.0, 1e-323))  # every code would dequantize to 0.0
+
     def test_layer_validation(self):
         geom = ConvGeometry(1, 1, 2, 1, 1)
         with pytest.raises(FormatError):
@@ -174,11 +179,11 @@ class TestModelRoundTrip:
 
     def test_alphas_changed_in_place_refused_before_writing(self, tmp_path):
         layer = one_layer("f32")
-        layer.alphas[0] = np.nan  # the array stays writable after the checks
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            layer.alphas[0] = np.nan  # the stored arrays are read-only after the checks
         path = tmp_path / "m.fsn"
-        with pytest.raises(FormatError, match="^layer 'c': alphas must be finite$"):
-            write_model(path, [layer])
-        assert not path.exists()
+        write_model(path, [layer])
+        assert np.array_equal(read_model(path)[0].alphas, np.linspace(-1.0, 1.0, CANON_GEOM.c_out))
 
     def test_fields_cannot_be_reassigned(self):
         layer = one_layer("f32")
@@ -261,6 +266,81 @@ def with_fresh_crc(blob: bytearray, header_at: int = HEADER_AT) -> bytes:
     `header_at`, matching that record's (edited) payload again."""
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[header_at + HEADER_SIZE : -4])))
     return bytes(blob)
+
+
+def resnet110_model():
+    """The ResNet-110 conv layers at ratio 4, f32 weights, every third layer with alphas."""
+    rng = np.random.default_rng(110)
+    layers = []
+    for spec in read_arch(bundled_arch("resnet110")).layers:
+        if isinstance(spec, ConvSpec):
+            geom = ConvGeometry(spec.c_in, spec.s1, spec.s2, spec.c_out, 4)
+            weights = rng.standard_normal(derive_layout(geom).phys_length).astype(np.float32)
+            alphas = rng.standard_normal(geom.c_out) if len(layers) % 3 == 0 else None
+            layers.append(ModelLayer(spec.name, geom, "f32", weights=weights, alphas=alphas))
+    return layers
+
+
+def stored_arrays(layer):
+    return [a for a in (layer.weights, layer.alphas, layer.quant and layer.quant.codes) if a is not None]
+
+
+class TestReadOnlyLayers:
+    def test_raised_q4_code_refused_at_the_assignment(self):
+        layer = one_layer("q4")  # CANON_GEOM: at the parent this was written masked, read back as 15
+        codes = layer.quant.codes.copy()
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+            layer.quant.codes[1] = 255
+        (again,) = load_model(dump_model([layer]))
+        assert np.array_equal(again.quant.codes, codes)
+
+    @pytest.mark.parametrize("dtype", ["f32", "q8", "q4"])
+    def test_loaded_and_quantized_arrays_are_read_only(self, dtype):
+        layer = one_layer(dtype)
+        (loaded,) = load_model(dump_model([layer]))
+        for stored in stored_arrays(layer) + stored_arrays(loaded):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+                stored.flags.writeable = True
+
+    def test_a_writable_array_is_copied_and_keeps_its_flags(self):
+        weights = np.zeros(63, dtype=np.float32)
+        alphas = np.zeros(CANON_GEOM.c_out)
+        layer = ModelLayer("c", CANON_GEOM, "f32", weights=weights, alphas=alphas)
+        assert weights.flags.writeable and alphas.flags.writeable
+        weights[0] = alphas[0] = 1.0  # does not reach the layer
+        assert layer.weights[0] == layer.alphas[0] == 0.0
+        again = ModelLayer("c", CANON_GEOM, "f32", weights=layer.weights, alphas=layer.alphas)
+        assert np.shares_memory(again.weights, layer.weights)  # read-only: not copied
+        assert np.shares_memory(again.alphas, layer.alphas)
+        for stored in (layer.weights, layer.alphas):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+                stored.flags.writeable = True
+
+    def test_loaded_payload_does_not_follow_the_callers_bytearray(self):
+        blob = bytearray(dump_model([one_layer("f32")]))
+        (layer,) = load_model(blob)
+        weights = layer.weights.copy()
+        blob[HEADER_AT + HEADER_SIZE : -4] = bytes(len(blob) - HEADER_AT - HEADER_SIZE - 4)
+        assert np.array_equal(layer.weights, weights)
+
+    def test_loading_never_runs_the_public_checks(self, monkeypatch):
+        layers = resnet110_model()
+        quantized = [ModelLayer(f.name, f.geom, "q4", quant=quantize(f.weights, 4), alphas=f.alphas)
+                     for f in layers]
+        blobs = dump_model(layers), dump_model(quantized)
+        calls = []
+        for cls in (ModelLayer, QuantizedSummary):
+            def counted(self, checks=cls.__post_init__):
+                calls.append(type(self).__name__)
+                checks(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for blob in blobs:
+            assert dump_model(load_model(blob)) == blob
+        assert len(layers) == 109 and calls == []
+        ModelLayer("c", CANON_GEOM, "q8", quant=QuantizedSummary(np.zeros(63), 8, 0.0, 1.0))
+        assert calls == ["QuantizedSummary", "ModelLayer"]  # the counters see the public checks
 
 
 def reserved_byte(blob):

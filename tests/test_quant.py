@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fsconv import (
     MultCounter,
@@ -111,6 +114,62 @@ class TestQuantize:
         with pytest.raises(InvalidGridError, match="code 16 exceeds 15"):
             QuantizedSummary(np.array([0, 16], dtype=np.uint8), 4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("codes, nbits, message", [
+        (np.array([300, 1]), 8, "code 300 exceeds 255"),  # was stored as 44
+        (np.array([-1, 2]), 8, "code -1 is below 0"),  # was stored as 255
+        (np.array([3.7, 1.2]), 8, "code 3.7 is not an integer"),  # was stored as 3
+        ([256, 0], 8, "code 256 exceeds 255"),  # was a bare OverflowError
+        (np.array([-1, 2]), 4, "code -1 is below 0"),  # was refused as code 255
+        (np.array([np.nan, 2.0]), 4, "code nan is not an integer"),
+    ], ids=["above_8", "negative_8", "fraction", "list_above", "negative_4", "nan"])
+    def test_codes_checked_as_given_before_the_cast(self, codes, nbits, message):
+        with pytest.raises(InvalidGridError, match=f"^{message}$"):
+            QuantizedSummary(codes, nbits, 0.0, 1.0)
+
+    def test_whole_codes_of_any_dtype_are_stored_as_uint8(self):
+        for codes in (np.array([15.0, 0.0]), [15, 0], np.array([15, 0], dtype=np.int64)):
+            q = QuantizedSummary(codes, 4, 0.0, 1.0)
+            assert q.codes.dtype == np.uint8 and q.codes.tolist() == [15, 0]
+
+    def test_grid_must_hold_the_weights(self):
+        with pytest.raises(InvalidGridError, match=r"^weights in \[0.0, 2.0\] fall outside the grid "
+                                                   r"\[0.5, 1.5\]$"):
+            quantize(np.array([0.0, 1.0, 2.0]), 8, w_min=0.5, w_max=1.5)  # was clipped to 0.5, 1.5
+        with pytest.raises(InvalidGridError, match="fall outside the grid"):
+            quantize(np.array([1.0, 2.0]), 4, w_min=1.5)
+        q = quantize(np.array([1.0, 2.0]), 4, w_min=0.0, w_max=2.0)  # a covering grid still works
+        assert q.codes.tolist() == [8, 15]
+
+    @pytest.mark.parametrize("weights, nbits", [
+        ([0.0, 5e-324, 1e-323], 8),  # tau = 1e-323 / 255 is 0: codes [0, 255, 255], all dequantized 0
+        ([0.0, 300 * 5e-324], 8),  # tau rounds to 5e-324: the top weight's code would be 300
+        ([0.0, 1e-322], 4),
+    ], ids=["zero_step", "code_past_the_top", "zero_step_4"])
+    def test_underflowing_step_refused(self, weights, nbits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the typed error
+            with pytest.raises(InvalidGridError, match=f"is too narrow for {nbits} bits"):
+                quantize(np.array(weights), nbits)
+            with pytest.raises(InvalidGridError, match="its step .* underflows$"):
+                QuantizedSummary(np.zeros(2, dtype=np.uint8), nbits, weights[0], weights[-1])
+        q = quantize(np.array([0.0, 1e-300]), 8)  # a small grid whose step is normal still works
+        assert q.codes.tolist() == [0, 255] and dequantize(q)[-1] == pytest.approx(1e-300)
+
+    def test_codes_are_read_only(self):
+        q = quantize(np.linspace(0.0, 1.0, 5), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            q.codes[1] = 255
+        assert q.codes.tolist() == [0, 4, 8, 11, 15]
+        codes = np.array([1, 2], dtype=np.uint8)  # a caller's writable array keeps its flags
+        stored = QuantizedSummary(codes, 4, 0.0, 1.0).codes
+        assert codes.flags.writeable and not stored.flags.writeable
+        codes[0] = 9
+        assert stored.tolist() == [1, 2]
+        assert np.shares_memory(QuantizedSummary(stored, 4, 0.0, 1.0).codes, stored)  # not copied
+        for frozen in (q.codes, stored):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+                frozen.flags.writeable = True
+
     @pytest.mark.parametrize("grid", [{}, {"w_min": -1.0, "w_max": 1.0}], ids=["own", "shared"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_refused_before_any_code(self, grid, value):
@@ -139,6 +198,38 @@ class TestQuantize:
     def test_shape_preserved(self):
         q = quantize(np.zeros((3, 4)), 8)
         assert q.codes.shape == (3, 4)
+
+
+def weight_arrays():
+    """Weights of the input dtypes quantize takes: f16, f32, f64 and int."""
+    dtypes = st.sampled_from([np.float16, np.float32, np.float64, np.int32])
+    shapes = hnp.array_shapes(max_dims=2, max_side=12)
+
+    def elements(dtype):
+        if dtype == np.int32:
+            return st.integers(-(2**31), 2**31 - 1)
+        bound = float(np.finfo(dtype).max) / 4  # so that w_max - w_min stays finite
+        return st.floats(-bound, bound, width=np.finfo(dtype).bits)
+
+    return dtypes.flatmap(lambda dtype: hnp.arrays(dtype, shapes, elements=elements(dtype)))
+
+
+class TestQuantizerProperty:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(weight_arrays(), st.sampled_from([4, 8]))
+    def test_codes_and_reconstruction_are_the_literal_formulas(self, weights, nbits):
+        w = weights.astype(np.float64)
+        lo, hi = float(w.min()), float(w.max())
+        tau = (hi - lo) / ((1 << nbits) - 1)
+        try:
+            q = quantize(weights, nbits)
+        except InvalidGridError:  # only a step that underflows is refused
+            assert 0 < hi - lo and not (tau and (hi - lo) / tau + 0.5 < 1 << nbits)
+            return
+        expected = np.zeros(w.shape) if hi == lo else np.floor((w - lo) / tau + 0.5)
+        assert (q.w_min, q.w_max, q.tau) == (lo, hi, tau)
+        assert q.codes.dtype == np.uint8 and np.array_equal(q.codes, expected)
+        assert dequantize(q).tobytes() == (lo + tau * q.codes.astype(np.float64)).tobytes()
 
 
 class TestQuantizedAffineForward:

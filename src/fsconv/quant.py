@@ -56,16 +56,14 @@ def _trusted(cls, *values):
     """An instance of the frozen dataclass `cls` holding `values`, its fields in order, built
     without __post_init__: only for callers that have just made its checks themselves."""
     made = object.__new__(cls)
-    made.__dict__.update(zip(cls.__dataclass_fields__, values))
+    made.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
     return made
 
 
 def _read_only(values, dtype) -> np.ndarray:
-    """`values` as a read-only `dtype` view, of a copy if they are writable: no flag can be reset."""
-    array = np.asarray(values)
-    if array.dtype != dtype or array.flags.writeable:
-        array = array.astype(dtype)
-        array.flags.writeable = False
+    """A read-only `dtype` copy of `values`, as a view: numpy will not set its flag back."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
     return array.view()
 
 

@@ -287,7 +287,7 @@ def stored_arrays(layer):
 
 class TestReadOnlyLayers:
     def test_raised_q4_code_refused_at_the_assignment(self):
-        layer = one_layer("q4")  # CANON_GEOM: at the parent this was written masked, read back as 15
+        layer = one_layer("q4")  # CANON_GEOM: a writable 255 was written masked, read back as 15
         codes = layer.quant.codes.copy()
         with pytest.raises(ValueError, match="^assignment destination is read-only$"):
             layer.quant.codes[1] = 255
@@ -312,11 +312,28 @@ class TestReadOnlyLayers:
         weights[0] = alphas[0] = 1.0  # does not reach the layer
         assert layer.weights[0] == layer.alphas[0] == 0.0
         again = ModelLayer("c", CANON_GEOM, "f32", weights=layer.weights, alphas=layer.alphas)
-        assert np.shares_memory(again.weights, layer.weights)  # read-only: not copied
-        assert np.shares_memory(again.alphas, layer.alphas)
+        assert not np.shares_memory(again.weights, layer.weights)  # read-only too: still copied
+        assert not np.shares_memory(again.alphas, layer.alphas)
         for stored in (layer.weights, layer.alphas):
             with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
                 stored.flags.writeable = True
+
+    def test_a_read_only_array_made_writable_again_does_not_reach_the_file(self):
+        alphas = np.zeros(CANON_GEOM.c_out)
+        codes = quantize(FilterSummary.random(CANON_GEOM, seed=11).weights, 4).codes.copy()
+        for owned in (alphas, codes):
+            owned.flags.writeable = False  # the caller owns both, so it may set the flag back
+        weights = np.zeros(63, dtype=np.float32)
+        f32 = ModelLayer("c", CANON_GEOM, "f32", weights=weights, alphas=alphas)
+        q4 = ModelLayer("c", CANON_GEOM, "q4", quant=QuantizedSummary(codes, 4, 0.0, 1.0))
+        blob, kept = dump_model([f32, q4]), codes.copy()
+        for owned in (alphas, codes):
+            owned.flags.writeable = True
+        alphas[0], codes[1] = np.nan, 255  # neither the NaN nor the code past 15 may reach a file
+        assert np.array_equal(f32.alphas, np.zeros(CANON_GEOM.c_out))
+        assert np.array_equal(q4.quant.codes, kept)
+        assert dump_model([f32, q4]) == blob
+        assert np.array_equal(load_model(blob)[1].quant.codes, kept)
 
     def test_loaded_payload_does_not_follow_the_callers_bytearray(self):
         blob = bytearray(dump_model([one_layer("f32")]))

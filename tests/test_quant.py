@@ -165,10 +165,14 @@ class TestQuantize:
         assert codes.flags.writeable and not stored.flags.writeable
         codes[0] = 9
         assert stored.tolist() == [1, 2]
-        assert np.shares_memory(QuantizedSummary(stored, 4, 0.0, 1.0).codes, stored)  # not copied
+        assert not np.shares_memory(QuantizedSummary(stored, 4, 0.0, 1.0).codes, stored)  # copied
         for frozen in (q.codes, stored):
             with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
                 frozen.flags.writeable = True
+
+    def test_trusted_build_refuses_a_wrong_field_count(self):
+        with pytest.raises(ValueError, match="shorter"):  # not an instance without w_min, w_max
+            QuantizedSummary._trusted(np.zeros(2, dtype=np.uint8), 4)
 
     @pytest.mark.parametrize("grid", [{}, {"w_min": -1.0, "w_max": 1.0}], ids=["own", "shared"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

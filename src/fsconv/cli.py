@@ -31,7 +31,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidRatioError,
 )
-from .fcfs import FcfsPlan, convolve, measured_acceleration
+from .fcfs import FcfsPlan, convolve, fcfs_conv, measured_acceleration
 from .formats import (
     ArchSpec,
     ConvSpec,
@@ -143,12 +143,10 @@ def cmd_plan(args) -> int:
         else:
             params = count_params(geom, layout)
             baseline, fs = params.baseline, params.fs
-            pred = predicted_acceleration(geom, layout, 1, 1)
             fields = dict(K=geom.filter_len, L=layout.length, s=layout.stride,
                           phys=layout.phys_length, baseline=baseline, fs=fs, cr=params.cr,
-                          cr_nominal=params.cr_nominal, accelerable=int(pred.accelerable))
-            if pred.accelerable:
-                fields["pred_ratio"] = pred.ratio
+                          cr_nominal=params.cr_nominal,
+                          pred_ratio=predicted_acceleration(geom, layout, 1, 1).ratio)
         _emit("layer", name=layer.name, **arch_fields(layer), **fields)
         baseline_total += baseline
         fsnet_total += fs
@@ -309,7 +307,9 @@ def cmd_bench(args) -> int:
             plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
             acc = measured_acceleration(fs, fmap)  # caches the plan: fcfs_ms is execution
             naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
-            fcfs_ms, fast = _time_best(lambda: convolve(fs, fmap)[0], args.repeat)
+            fcfs_ms, fast = _time_best(lambda: fcfs_conv(fs, fmap)[0], args.repeat)
+            picked = convolve(fs, fmap)[1]  # the engine conv runs, and why not fcfs
+            reason = {} if picked.fallback is None else dict(reason=picked.fallback)
             _emit(
                 "layer",
                 name=layer.name,
@@ -324,6 +324,8 @@ def cmd_bench(args) -> int:
                 dev=rel_dev(fast.data, reference.data),
                 plan_ms=plan_ms,
                 work_bytes=plan.nbytes(fast.data.itemsize),
+                engine=picked.engine,
+                **reason,
             )
         except MemoryError as exc:
             raise InvalidArgumentError(f"--spatial {d1} {d2} is too big: {exc}") from exc

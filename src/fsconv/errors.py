@@ -22,7 +22,7 @@ class OutOfRangeError(FilterSummaryError, IndexError):
 
 
 class UnsupportedGeometryError(FilterSummaryError, ValueError):
-    """A layer the integral-line engine does not run: one fcfs_fallback refuses."""
+    """A layer the integral-line engine does not run: a stride off a multiple of c_in."""
 
 
 class EmptyInputError(FilterSummaryError, ValueError):

@@ -9,9 +9,9 @@ s1 entries of each window along that step into one table; stage 3 reads one
 strided view of the windows and adds the s2 slices per output in order,
 bit-identical at a fixed BLAS thread count.
 
-geometry.fcfs_fallback is the one rule for which layers this engine runs;
-FcfsPlan.build refuses the rest. convolve is the entry point, the one run of
-stages 1-3 and the one place that picks the engine; fcfs_conv reads its report.
+geometry.fcfs_fallback is the one structural rule, and FcfsPlan.build refuses
+what it refuses. convolve is the entry point and picks the engine by exact counts;
+fcfs_conv runs stages 1-3 on every layer with a plan.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
 
 @dataclass(frozen=True)
 class FcfsPlan:
-    """Everything fcfs_conv needs that does not depend on the data.
+    """Everything one fcfs execution needs that does not depend on the data.
 
     cells, summary  P padded cells, Q summary cells up to the last one read:
                     stage 1 writes G[r, q] at r*Q + q of a flat table, and
@@ -165,36 +165,41 @@ class RunReport:
 
 
 def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOutput, RunReport]:
-    """Convolve with "naive" or "fcfs". On a layer fcfs_fallback refuses,
-    "fcfs" quietly runs the reference engine and the report says why."""
+    """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv exactly where fcfs_fallback accepts
+    the layer and the cached plan's multiplies + lookups are fewer than the reference engine's
+    c_out*d1*d2*K; elsewhere it quietly runs the reference engine and the report says why.
+    The plan reads only the map's size: the engine that runs checks the input, once."""
     if engine not in ("naive", "fcfs"):
         raise InvalidArgumentError(f"engine must be 'naive' or 'fcfs', got {engine!r}")
-    fallback = fcfs_fallback(fs.geom, fs.layout) if engine == "fcfs" else None
-    if engine == "naive" or fallback is not None:
-        counter = MultCounter()
-        return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
-    plan, geom = _plan(fs, fmap), fs.geom
-    windows = plan.view(plan.window_sums(plan.products(fmap, fs.weights)))
-    out = np.add(windows[0], windows[1], order="C")  # (d2, d1, c_out), channel-major; s2 >= 2
-    for per_slice in windows[2:]:  # fixed order: bit-stable
-        out += per_slice
-    counts = MultCounter(plan.multiplies, plan.additions, plan.lookups)
-    return ConvOutput(geom.c_out, fmap.d1, fmap.d2, out.ravel()), RunReport("fcfs", None, counts)
+    geom, fallback = fs.geom, None
+    if engine == "fcfs" and (fallback := fcfs_fallback(geom, fs.layout)) is None:
+        plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
+        if plan.multiplies + plan.lookups < geom.c_out * fmap.d1 * fmap.d2 * geom.filter_len:
+            out, counts = fcfs_conv(fs, fmap)
+            return out, RunReport("fcfs", None, counts)
+        fallback = Fallback.MORE_MULTIPLIES  # an empty map too, which the reference refuses
+    counter = MultCounter()
+    return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """convolve(fs, fmap, "fcfs") with loud fallbacks: raises for s2 == 1 before running
-    anything, and warns when convolve ran the reference engine for a filter stride that is
-    not channel-aligned. Equals naive_conv up to floating reassociation of the same products."""
-    if fcfs_fallback(fs.geom, fs.layout) is Fallback.S2_IS_1:
-        raise UnsupportedGeometryError("the integral-line path only pays off for s2 > 1; "
-                                       "use the reference engine for s2 == 1 layers")
-    out, report = convolve(fs, fmap)
-    if report.fallback is not None:
+    """Stages 1-3 on every layer with a channel-aligned filter stride, whatever the counts
+    (convolve picks the engine by them); an unaligned stride runs the reference engine and
+    warns. Equals naive_conv up to floating reassociation of the same products."""
+    if fcfs_fallback(fs.geom, fs.layout) is not None:
+        out, report = convolve(fs, fmap, "naive")
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-    return out, report.counts
+        return out, report.counts
+    plan = _plan(fs, fmap)
+    windows = plan.view(plan.window_sums(plan.products(fmap, fs.weights)))
+    # (d2, d1, c_out), channel-major; for s2 = 1 each output is one slice's window
+    out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
+    for per_slice in windows[2:]:  # fixed order: bit-stable
+        out += per_slice
+    counts = MultCounter(plan.multiplies, plan.additions, plan.lookups)
+    return ConvOutput(fs.geom.c_out, fmap.d1, fmap.d2, out.ravel()), counts
 
 
 def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:

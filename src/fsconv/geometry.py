@@ -160,21 +160,18 @@ def derive_layout(geom: ConvGeometry) -> Layout:
 
 
 class Fallback(enum.Enum):
-    """Why the integral-line engine cannot run a layer."""
+    """Why convolve's "fcfs" ran the reference engine: a filter stride off a multiple of c_in
+    (fcfs_fallback), or a plan with multiplies + lookups >= c_out*d1*d2*K (fcfs.convolve)."""
 
-    S2_IS_1 = "s2_is_1"
     UNALIGNED_STRIDE = "unaligned_stride"
+    MORE_MULTIPLIES = "more_multiplies"
 
 
 def fcfs_fallback(geom: ConvGeometry, layout: Layout) -> Fallback | None:
-    """None if the integral-line engine can run the layer, else why not: one
-    filter column shares nothing, and a filter stride off a multiple of c_in
-    scatters the diagonals across channel residues."""
-    if geom.s2 == 1:
-        return Fallback.S2_IS_1
-    if layout.stride % geom.c_in:
-        return Fallback.UNALIGNED_STRIDE
-    return None
+    """None if the integral-line engine can run the layer, else UNALIGNED_STRIDE:
+    a filter stride off a multiple of c_in scatters the diagonals across channel
+    residues. Filters overlap in the summary whatever s2 is, so s2 = 1 runs too."""
+    return Fallback.UNALIGNED_STRIDE if layout.stride % geom.c_in else None
 
 
 @dataclass(frozen=True)
@@ -214,15 +211,11 @@ class PredictedAcceleration:
                  the integral-line path (first stage plus s2 lookups per
                  output element); exact rational since `slices` is
     ratio        naive_mults / fcfs_mults
-    accelerable  False when s2 == 1: the integral-line path cannot beat the
-                 direct one there and the ratio must not be read as a
-                 speedup
     """
 
     naive_mults: int
     fcfs_mults: Fraction
     ratio: Fraction
-    accelerable: bool
 
 
 def predicted_acceleration(
@@ -232,9 +225,4 @@ def predicted_acceleration(
         raise ShapeMismatchError(f"spatial size must be >= 1, got {d1}x{d2}")
     naive = geom.c_out * d1 * d2 * geom.filter_len
     fcfs = geom.c_in * d1 * d2 * layout.slices + geom.c_out * d1 * d2 * geom.s2
-    return PredictedAcceleration(
-        naive_mults=naive,
-        fcfs_mults=fcfs,
-        ratio=Fraction(naive) / fcfs,
-        accelerable=fcfs_fallback(geom, layout) is not Fallback.S2_IS_1,
-    )
+    return PredictedAcceleration(naive_mults=naive, fcfs_mults=fcfs, ratio=Fraction(naive) / fcfs)

@@ -82,11 +82,13 @@ class QuantizedSummary:
 
     def __post_init__(self):
         _check_grid(self.nbits, self.w_min, self.w_max)
-        codes, top = np.asarray(self.codes), self.levels - 1
-        for bad, what in ((np.floor(codes) != codes, "is not an integer"), (codes < 0, "is below 0"),
-                          (codes > top, f"exceeds {top}")):  # as given: uint8 wraps 300 to 44
-            if bad.any():
-                raise InvalidGridError(f"code {codes[bad][0]} {what}")
+        codes, top = np.asarray(self.codes), self.levels - 1  # as given: uint8 wraps 300 to 44
+        if codes.dtype.kind not in "biu" and not (np.floor(codes) == codes).all():
+            raise InvalidGridError(f"code {codes[np.floor(codes) != codes][0]} is not an integer")
+        if codes.size and not 0 <= codes.min() <= codes.max() <= top:  # a mask only to name one
+            bad, what = ((codes < 0, "is below 0") if codes.min() < 0
+                         else (codes > top, f"exceeds {top}"))
+            raise InvalidGridError(f"code {codes[bad][0]} {what}")
         object.__setattr__(self, "codes", _read_only(codes, np.uint8))
 
     _trusted = classmethod(_trusted)  # (codes, nbits, w_min, w_max): read-only uint8 codes

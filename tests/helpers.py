@@ -30,8 +30,8 @@ def random_fast_geometry(
     r_max=6,
     policy=StridePolicy.CHANNEL_ALIGNED,
 ):
-    """A geometry the fast path supports: s2 >= 2, and ratio <= c_out so the
-    summary is at least one filter long."""
+    """A random geometry, channel-aligned unless `policy` says otherwise, with
+    ratio <= c_out so the summary is at least one filter long."""
     c_in_v = int(rng.integers(c_in[0], c_in[1] + 1))
     s1_v = int(rng.integers(s1[0], s1[1] + 1))
     s2_v = int(rng.integers(s2[0], s2[1] + 1))

@@ -201,14 +201,16 @@ class TestPlan:
         assert bn == {"name": "b", "kind": "bn", "channels": "8", "params": "16"}
         assert fc == {"name": "f", "kind": "fc", "in": "8", "out": "2", "bias": "0", "params": "16"}
 
-    def test_s2_one_not_reported_as_acceleration(self, capsys, tmp_path):
+    def test_s2_one_reports_pred_ratio(self, capsys, tmp_path):
+        # one filter column is an ordinary layer: K = 24, 4 slices, so the
+        # closed form at 1x1 is 8*24 / (8*4 + 8*1)
         arch = tmp_path / "one_col.arch"
         arch.write_text("layer c kind=conv c_in=8 s1=3 s2=1 c_out=8 r=2\n")
         code, records, _ = run(capsys, "plan", arch)
         assert code == 0
         (layer,) = records_of(records, "layer")
-        assert layer["accelerable"] == "0"
-        assert "pred_ratio" not in layer
+        assert "accelerable" not in layer
+        assert layer["pred_ratio"] == "4.8"
 
 
 class TestConv:
@@ -240,18 +242,24 @@ class TestConv:
         assert float(layer["dev"]) == 0.0
         assert not np.load(tmp_path / "zero.out.npy").any()
 
-    def test_fcfs_on_s2_one_falls_back_with_warning(self, capsys, tmp_path):
-        geom = ConvGeometry(2, 3, 1, 4, 2)
-        fs = FilterSummary.random(geom, seed=3, dtype=np.float32)
+    def test_fcfs_by_counts_falls_back_with_warning(self, capsys, tmp_path):
+        # at 4x4, the s2 = 1 layer runs fcfs (288 products + 64 lookups < 384
+        # multiplies); the next one does not save (288 + 48 >= 192) and falls
+        # back with the count reason
+        column, loses = ConvGeometry(2, 3, 1, 4, 2), ConvGeometry(4, 1, 3, 1, 1)
         model = tmp_path / "m.fsn"
-        write_model(model, [ModelLayer("c", geom, "f32", weights=fs.weights)])
+        write_model(model, [
+            ModelLayer(name, geom, "f32",
+                       weights=FilterSummary.random(geom, seed=3, dtype=np.float32).weights)
+            for name, geom in (("c", column), ("n", loses))])
         inp = tmp_path / "i.npy"
-        np.save(inp, np.zeros((2, 4, 4)))
+        np.save(inp, np.random.default_rng(4).uniform(-1, 1, (2, 4, 4)))
         code, records, err = run(capsys, "conv", model, inp, "--engine", "fcfs")
         assert code == 0
-        (layer,) = records_of(records, "layer")
-        assert layer["fallback"] == "1"
-        assert err == "warning layer=c fcfs_unsupported=s2_is_1 fallback=naive\n"
+        c_row, n_row = records_of(records, "layer")
+        assert (c_row["fallback"], c_row["fcfs_mults"], c_row["fcfs_lookups"]) == ("0", "288", "64")
+        assert (n_row["fallback"], n_row["fcfs_mults"], n_row["fcfs_lookups"]) == ("1", "192", "0")
+        assert err == "warning layer=n fcfs_unsupported=more_multiplies fallback=naive\n"
 
     def test_filters_that_coincide_warned_and_computed_exactly(self, capsys, tmp_path):
         geom = ConvGeometry(16, 3, 3, 16, 16)  # channel-aligned stride 0
@@ -304,11 +312,13 @@ class TestConv:
 
     def test_both_runs_the_reference_once_per_fallback_layer(self, capsys, tmp_path, monkeypatch):
         generic = ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC)  # stride 13, c_in 3
-        aligned = ConvGeometry(4, 3, 3, 3, 2)
+        aligned = ConvGeometry(4, 3, 3, 8, 4)  # at 5x4: 3,864 products + 480 lookups < 5,760
+        loses = ConvGeometry(8, 1, 3, 1, 1)  # at 5x4: 720 products + 60 lookups >= 480
         model = tmp_path / "m.fsn"
         write_model(model, [
             ModelLayer("g", generic, "f32", weights=FilterSummary.random(generic, seed=3).weights),
             ModelLayer("a", aligned, "f32", weights=FilterSummary.random(aligned, seed=4).weights),
+            ModelLayer("n", loses, "f32", weights=FilterSummary.random(loses, seed=6).weights),
         ])
         inp = tmp_path / "i.npy"
         np.save(inp, np.random.default_rng(5).uniform(-1, 1, (3, 5, 4)))
@@ -317,13 +327,17 @@ class TestConv:
         monkeypatch.setattr(fsconv.fcfs, "naive_conv", lambda *a: calls.append(1) or real(*a))
         code, records, err = run(capsys, "conv", model, inp, "--engine", "both")
         assert code == 0
-        assert len(calls) == 2  # "g" once, as the fallback that is also the reference; "a" once
-        g_row, a_row = records_of(records, "layer")
+        assert len(calls) == 3  # "g" and "n" once, as the fallback that is also the reference
+        g_row, a_row, n_row = records_of(records, "layer")
         mults = str(4 * 20 * generic.filter_len)
         assert g_row == dict(name="g", engine="both", dev="0", naive_mults=mults,
                              fcfs_mults=mults, fcfs_lookups="0", fallback="1")
         assert a_row["fallback"] == "0"
-        assert err == "warning layer=g fcfs_unsupported=unaligned_stride fallback=naive\n"
+        mults = str(20 * loses.filter_len)
+        assert n_row == dict(name="n", engine="both", dev="0", naive_mults=mults,
+                             fcfs_mults=mults, fcfs_lookups="0", fallback="1")
+        assert err == ("warning layer=g fcfs_unsupported=unaligned_stride fallback=naive\n"
+                       "warning layer=n fcfs_unsupported=more_multiplies fallback=naive\n")
         fallback_out = np.load(tmp_path / "i.out.npy")
         run(capsys, "conv", model, inp, "--engine", "naive")
         assert np.array_equal(np.load(tmp_path / "i.out.npy"), fallback_out)
@@ -723,12 +737,13 @@ class TestBench:
         assert code == 0
         layers = records_of(records, "layer")
         assert len(layers) == 2
-        main_row = layers[0]
-        assert int(main_row["naive_mults"]) == 8 * 64 * 36
-        assert float(main_row["dev"]) <= 1e-12
-        assert float(main_row["measured"]) > 0
-        assert float(main_row["predicted"]) > 0
-        assert layers[1]["skipped"] == "s2_is_1"
+        for row, k in zip(layers, (36, 12)):  # the s2 = 1 layer is timed like any other
+            assert int(row["naive_mults"]) == 8 * 64 * k
+            assert float(row["dev"]) <= 1e-12
+            assert float(row["measured"]) > 1
+            assert float(row["predicted"]) > 0
+            assert row["engine"] == "fcfs" and "reason" not in row
+        assert int(layers[1]["fcfs_lookups"]) == 8 * 64
 
     def test_worked_example_prediction(self, capsys, tmp_path):
         arch = tmp_path / "big.arch"
@@ -798,7 +813,7 @@ class TestBench:
         with pytest.raises(ValueError, match="view leaves its array"):
             main(["bench", "resnet110", "--ratio", "4", "--spatial", "8", "8", "--repeat", "1"])
 
-    def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path):
+    def test_layers_fcfs_cannot_run_are_skipped_with_reason(self, capsys, tmp_path, monkeypatch):
         arch = tmp_path / "skip.arch"
         arch.write_text(
             "ratio 2\n"
@@ -806,11 +821,20 @@ class TestBench:
             "layer narrow kind=conv c_in=4 s1=3 s2=1 c_out=8\n"
             "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8\n"
         )
-        code, records, err = run(capsys, "bench", arch, "--spatial", "5", "4", "--repeat", "1")
+        calls = []
+        real = fsconv.cli.fcfs_conv
+        monkeypatch.setattr(fsconv.cli, "fcfs_conv", lambda *a: calls.append(1) or real(*a))
+        code, records, err = run(capsys, "bench", arch, "--spatial", "5", "4", "--repeat", "2")
         assert code == 0
         assert err == ""
-        skipped = [layer.get("skipped") for layer in records_of(records, "layer")]
-        assert skipped == ["unaligned_stride", "s2_is_1", None]
+        layers = records_of(records, "layer")
+        assert [layer.get("skipped") for layer in layers] == ["unaligned_stride", None, None]
+        # "main" loses by counts at 5x4 (6,216 products + 480 lookups >= 5,760): conv would
+        # run the reference engine, and fcfs_ms still times the fcfs arithmetic
+        assert [(row["engine"], row.get("reason")) for row in layers[1:]] == [
+            ("fcfs", None), ("naive", "more_multiplies")]
+        assert float(layers[2]["measured"]) < 1
+        assert len(calls) == 2 * 2
 
     def test_one_by_one_output_is_benched(self, capsys, tmp_path):
         # s1 = 1 on a 1x1 map: fcfs_fallback accepts the layer, so it runs
@@ -825,8 +849,8 @@ class TestBench:
 
     @pytest.mark.parametrize("text, skipped", [
         ("layer bn1 kind=bn channels=16\n", []),
-        ("layer n kind=conv c_in=4 s1=3 s2=1 c_out=8 r=2\n", ["s2_is_1"]),
-    ], ids=["bn_only", "s2_is_1_only"])
+        ("layer g kind=conv c_in=3 s1=3 s2=3 c_out=4 r=2 policy=generic\n", ["unaligned_stride"]),
+    ], ids=["bn_only", "unaligned_only"])
     def test_nothing_timed_is_input_error(self, capsys, tmp_path, text, skipped):
         arch = tmp_path / "untimed.arch"
         arch.write_text(text)
@@ -918,7 +942,7 @@ class TestLayerSettings:
         assert [layer.get("error") for layer in layers] == ["degenerate_stride", None, None, None]
         assert layers[1]["s"] == layers[2]["s"] == "0"
         skipped = [layer.get("skipped") for layer in records_of(benched, "layer")]
-        assert skipped == ["degenerate_stride", "s2_is_1", "s2_is_1", None]
+        assert skipped == ["degenerate_stride", None, None, None]
 
     @pytest.mark.parametrize("command", ["plan", "bench"])
     def test_layer_without_ratio_refused_before_any_record(self, capsys, tmp_path, command):

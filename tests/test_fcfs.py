@@ -28,6 +28,7 @@ from fsconv import (
     Fallback,
     Layout,
     MultCounter,
+    RunReport,
     StridePolicy,
     build_integrals,
     convolve,
@@ -198,20 +199,29 @@ class TestRequiredDiagonals:
         cells = enumerate_cells(geom, fs.layout, 1, 1)
         assert len(cells) == geom.s2 * geom.slice_len
 
-    def test_s2_one_unsupported(self):
-        geom = ConvGeometry(2, 3, 1, 4, 2)
-        fs = FilterSummary.random(geom, seed=6)
-        with pytest.raises(UnsupportedGeometryError):
-            required_diagonals(fs, FeatureMap.random(2, 3, 3, seed=7))
+    def test_s2_one_matches_enumeration_oracle(self):
+        # one filter column: filters still overlap in the summary, so the plan
+        # is the same grid, and the products it reads are the enumerated ones
+        for geom, d1, d2 in [(ConvGeometry(2, 3, 1, 4, 2), 3, 3),
+                             (ConvGeometry(3, 1, 1, 5, 2), 4, 2),
+                             (ConvGeometry(1, 4, 1, 6, 3), 2, 5)]:
+            fs = FilterSummary.random(geom, seed=6)
+            plan = required_diagonals(fs, FeatureMap.random(geom.c_in, d1, d2, seed=7))
+            cells = enumerate_cells(geom, fs.layout, d1, d2)
+            assert plan_cells(plan) == cells
+            planned = fcfs_plan(geom, fs.layout, d1, d2)
+            assert planned.needed == len(cells)
+            assert (planned.multiplies, planned.additions, planned.lookups) == grid_counts(
+                geom, fs.layout, d1, d2)
 
 
 class TestPlanGuard:
-    """FcfsPlan.build refuses every layer fcfs_fallback refuses, so no stage
-    of the engine is planned for a layer the engine does not run."""
+    """FcfsPlan.build refuses every layer fcfs_fallback refuses, an unaligned
+    filter stride, so no stage of the engine is planned for a layer the engine
+    cannot run."""
 
     @pytest.mark.parametrize("geom, reason", [
         (ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), "unaligned_stride"),  # stride 13
-        (ConvGeometry(2, 3, 1, 4, 2), "s2_is_1"),
     ])
     def test_refused_layer_has_no_plan(self, geom, reason):
         fs = FilterSummary.random(geom, seed=47)
@@ -506,16 +516,25 @@ class TestFcfsConv:
         assert report.counts == counter
         assert np.array_equal(quiet.data, out.data)
 
-    def test_s2_one_raises(self):
+    def test_s2_one_runs_fcfs(self):
+        # one filter column is an ordinary layer: stage 3 copies each output's
+        # one window; f64 within 1e-12 and f32 within 1e-5 of the reference
         geom = ConvGeometry(2, 3, 1, 4, 2)
         fs = FilterSummary.random(geom, seed=16)
         fmap = FeatureMap.random(2, 3, 3, seed=17)
-        with pytest.raises(UnsupportedGeometryError):
-            fcfs_conv(fs, fmap)
-        out, report = convolve(fs, fmap)
-        assert (report.engine, report.fallback) == ("naive", Fallback.S2_IS_1)
-        assert report.counts.multiplies == geom.c_out * 9 * geom.filter_len
-        assert np.array_equal(out.data, naive_conv(fs, fmap).data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, counter = fcfs_conv(fs, fmap)
+        plan = fcfs_plan(geom, fs.layout, 3, 3)
+        assert counter == MultCounter(plan.multiplies, plan.additions, plan.lookups)
+        assert counter.lookups == geom.c_out * 9
+        assert out.data.flags.c_contiguous and out.data.flags.writeable
+        assert rel_dev(out.data, naive_conv(fs, fmap).data) <= 1e-12
+        fs32 = FilterSummary(geom, fs.layout, fs.weights.astype(np.float32))
+        fmap32 = FeatureMap(2, 3, 3, fmap.data.astype(np.float32))
+        out32, _ = fcfs_conv(fs32, fmap32)
+        assert out32.data.dtype == np.float32
+        assert rel_dev(out32.data, naive_conv(fs32, fmap32).data) <= 1e-5
 
     @pytest.mark.parametrize("d1, d2", [(0, 3), (3, 0), (0, 0)])
     def test_empty_map_raises_typed_error(self, d1, d2):
@@ -534,9 +553,10 @@ class TestFcfsConv:
             fcfs_conv(fs, FeatureMap.random(3, 3, 3, seed=19))
 
     def test_input_checked_once_per_call(self, monkeypatch):
-        # fcfs_conv leaves the check to the engine that runs: the fast path
-        # checks its input once, the unaligned-stride fallback once (in the
-        # reference engine), and an s2 == 1 layer raises before any check
+        # each call checks its input once, in the engine that runs: fcfs_conv
+        # on the fast path (s2 = 1 too) and on the unaligned-stride fallback (in
+        # the reference engine), and convolve where fcfs runs and where the
+        # counts send it to the reference engine
         calls = []
         for module in (fsconv.fcfs, fsconv.oracle):
             real = module.check_conv_input
@@ -544,18 +564,21 @@ class TestFcfsConv:
                                 lambda *a, real=real: calls.append(a) or real(*a))
         fast = FilterSummary.random(ConvGeometry(4, 3, 3, 8, 2), seed=43)
         unaligned = FilterSummary.random(ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), seed=44)
-        for fs in (fast, unaligned):
+        column = FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=46)
+        for fs in (fast, unaligned, column):
             for _ in range(2):
                 calls.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     fcfs_conv(fs, FeatureMap.random(fs.geom.c_in, 5, 4, seed=45))
                 assert len(calls) == 1
-        calls.clear()
-        with pytest.raises(UnsupportedGeometryError):
-            fcfs_conv(FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=46),
-                      FeatureMap.random(2, 3, 3, seed=47))
-        assert calls == []
+        loses = FilterSummary.random(ConvGeometry(1, 1, 3, 1, 1), seed=47)
+        for fs, fmap, engine in [(fast, FeatureMap.random(4, 16, 16, seed=48), "fcfs"),
+                                 (loses, FeatureMap.random(1, 5, 6, seed=49), "naive")]:
+            for _ in range(2):  # the second call finds the plan cached
+                calls.clear()
+                assert convolve(fs, fmap)[1].engine == engine
+                assert len(calls) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a refused map raises before any warning
             with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
@@ -585,18 +608,50 @@ class TestFcfsConv:
 
 class TestConvolve:
     def test_each_engine_runs_where_supported(self):
+        # "fcfs" runs the fcfs arithmetic, bit for bit, exactly where its counts
+        # beat the reference engine's, and the reference engine elsewhere
         rng = np.random.default_rng(27)
-        for _ in range(10):
-            fs, fmap = random_instance(rng)
+        picked = set()
+        for _ in range(20):
+            fs, fmap = random_instance(rng, s2=(1, 5))
             fast, counter = fcfs_conv(fs, fmap)
             out, report = convolve(fs, fmap)
-            assert (report.engine, report.fallback) == ("fcfs", None)
-            assert np.array_equal(out.data, fast.data) and report.counts == counter
+            oracle = fs.geom.c_out * fmap.d1 * fmap.d2 * fs.geom.filter_len
+            saves = counter.multiplies + counter.lookups < oracle
+            picked.add(report.engine)
+            if saves:
+                assert (report.engine, report.fallback) == ("fcfs", None)
+                assert np.array_equal(out.data, fast.data) and report.counts == counter
+            else:
+                assert (report.engine, report.fallback) == ("naive", Fallback.MORE_MULTIPLIES)
+                assert np.array_equal(out.data, naive_conv(fs, fmap).data)
             naive_counter = MultCounter()
             reference = naive_conv(fs, fmap, naive_counter)
             out, report = convolve(fs, fmap, "naive")
             assert (report.engine, report.fallback) == ("naive", None)
             assert np.array_equal(out.data, reference.data) and report.counts == naive_counter
+        assert picked == {"fcfs", "naive"}  # both sides of the rule
+
+    @pytest.mark.parametrize("geom, d1, d2, engine", [
+        (ConvGeometry(1, 1, 3, 1, 1), 5, 6, "naive"),  # 120 products + 90 lookups > 90
+        (ConvGeometry(64, 3, 3, 64, 4), 16, 16, "fcfs"),  # the worked example
+        (ConvGeometry(16, 3, 1, 16, 2), 8, 8, "fcfs"),  # one filter column that saves
+        (ConvGeometry(4, 3, 3, 3, 2), 5, 4, "naive"),  # 2,856 + 180 > 2,160
+    ], ids=["one_column_kernel", "worked_example", "s2_one_saves", "small_map_loses"])
+    def test_engine_follows_exact_counts(self, geom, d1, d2, engine):
+        fs = FilterSummary.random(geom, seed=52)
+        fmap = FeatureMap.random(geom.c_in, d1, d2, seed=53)
+        plan = fcfs_plan(geom, fs.layout, d1, d2)
+        oracle = geom.c_out * d1 * d2 * geom.filter_len
+        assert (plan.multiplies + plan.lookups < oracle) == (engine == "fcfs")
+        out, report = convolve(fs, fmap)
+        if engine == "fcfs":
+            assert report == RunReport("fcfs", None, fcfs_conv(fs, fmap)[1])
+            assert out.data.tobytes() == fcfs_conv(fs, fmap)[0].data.tobytes()
+        else:
+            assert (report.engine, report.fallback) == ("naive", Fallback.MORE_MULTIPLIES)
+            assert report.counts.multiplies == oracle
+            assert out.data.tobytes() == naive_conv(fs, fmap).data.tobytes()
 
     def test_naive_on_s2_one_is_no_fallback(self):
         fs = FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=28)
@@ -618,7 +673,7 @@ class TestConvolve:
         fmap = FeatureMap.random(3, 5, 6, seed=50)
         hidden = naive_conv(first, fmap)
         reference = naive_conv(second, FeatureMap(hidden.c_out, hidden.d1, hidden.d2, hidden.data))
-        fast_hidden, _ = convolve(first, fmap)
+        fast_hidden, _ = fcfs_conv(first, fmap)
         assert isinstance(fast_hidden, FeatureMap) and fast_hidden.c_in == fast_hidden.c_out == 4
         for out in (naive_conv(second, fast_hidden), convolve(second, hidden)[0]):
             assert (out.c_out, out.d1, out.d2) == (5, 5, 6)
@@ -757,6 +812,7 @@ REGIMES = {  # the corners the fixed sweeps miss
     "1xN map": lambda geom, d1, d2: d1 == 1 and d2 > 1,
     "Nx1 map": lambda geom, d1, d2: d2 == 1 and d1 > 1,
     "ratio>=9": lambda geom, d1, d2: geom.ratio >= 9,
+    "s2=1": lambda geom, d1, d2: geom.s2 == 1,
 }
 
 
@@ -770,10 +826,11 @@ def engine_cases(draw):
 
 class TestEngineProperty:
     def test_fcfs_matches_oracle_and_only_stride_zero_coincides(self):
-        """Under every policy, in f64 and f32: fcfs (or its fallback) equals the oracle to
-        the acceptance tolerances, each output of both engines is within its own rounding
-        bound, and two filters of a layout are the same weights exactly when
-        ConvGeometry.filters_coincide says so: at stride 0 with c_out > 1."""
+        """Under every policy, in f64 and f32: the fcfs arithmetic (fcfs_conv, whatever the
+        counts; s2 = 1 too) equals the oracle to the acceptance tolerances on every aligned
+        stride, where an unaligned one runs the oracle, each output of both engines is
+        within its own rounding bound, and two filters of a layout are the same weights
+        exactly when ConvGeometry.filters_coincide says so: at stride 0 with c_out > 1."""
         reached = set()
 
         @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -788,7 +845,9 @@ class TestEngineProperty:
                                if holds(geom, d1, d2))
                 fs = FilterSummary.random(geom, seed=d1, dtype=dtype)
                 fmap = FeatureMap.random(geom.c_in, d1, d2, seed=d2, dtype=dtype)
-                out, report = convolve(fs, fmap)  # fcfs, or the reference engine on a fallback
+                aligned = fcfs_fallback(geom, layout) is None
+                engine = fcfs_conv if aligned else convolve  # convolve: the reference engine
+                out = engine(fs, fmap)[0]
                 reference = naive_conv(fs, fmap)
                 tolerance = 1e-12 if dtype is np.float64 else 1e-5  # the acceptance tolerances
                 assert rel_dev(out.data, reference.data) <= tolerance, (geom, d1, d2)
@@ -798,12 +857,12 @@ class TestEngineProperty:
                 small = reference.data.size * geom.filter_len <= 20_000
                 if LONGDOUBLE_IS_WIDER or dtype is np.float32 or small:
                     depth = geom.filter_len  # the oracle's: one product and K - 1 adds
-                    if report.engine == "fcfs":  # c_in - 1 adds per cell, s1 - 1 per window, s2 - 1
+                    if aligned:  # c_in - 1 adds per cell, s1 - 1 per window, s2 - 1
                         depth = geom.c_in + geom.s1 + geom.s2 - 2
                     columns = fmap.data.reshape(d2, -1).copy()
                     columns[: d2 // 2] *= 2.0**-40
                     for x in (fmap, FeatureMap(geom.c_in, d1, d2, columns.ravel())):
-                        fast, oracle = convolve(fs, x)[0].data, naive_conv(fs, x).data
+                        fast, oracle = engine(fs, x)[0].data, naive_conv(fs, x).data
                         assert rounding_excess(fast, fs, x, depth).max() <= 1, (geom, d1, d2)
                         assert rounding_excess(oracle, fs, x, geom.filter_len).max() <= 1
                 filters = {extract_filter(fs, i).tobytes() for i in range(geom.c_out)}
@@ -826,7 +885,7 @@ class TestEngineProperty:
             for value, reference, scale in zip(long, exact, magnitude):
                 error = abs(Fraction(*value.as_integer_ratio()) - reference)
                 assert error <= Fraction(*(gamma(geom.filter_len, u) * scale).as_integer_ratio())
-            fast, naive = convolve(fs, fmap)[0].data, naive_conv(fs, fmap).data
+            fast, naive = fcfs_conv(fs, fmap)[0].data, naive_conv(fs, fmap).data
             monkeypatch.setattr(helpers, "LONGDOUBLE_IS_WIDER", False)
             assert rounding_excess(fast, fs, fmap, geom.c_in + geom.s1 + geom.s2 - 2).max() <= 1
             assert rounding_excess(naive, fs, fmap, geom.filter_len).max() <= 1

@@ -136,12 +136,15 @@ class TestPredictedAcceleration:
         assert pred.fcfs_mults == 64 * 256 * 48 + 64 * 256 * 3 == 835_584
         assert pred.ratio == Fraction(9_437_184, 835_584)
         assert abs(float(pred.ratio) - 11.294) < 1e-3
-        assert pred.accelerable
 
-    def test_s2_one_flagged_non_accelerable(self):
+    def test_s2_one_predicted_like_any_layer(self):
+        # one filter column: c_in*d1*d2*slices stage-1 products and one lookup
+        # per output; K = 24 and L = 192, 8 slices of 24
         geom = ConvGeometry(8, 3, 1, 16, 2)
         pred = predicted_acceleration(geom, derive_layout(geom), 8, 8)
-        assert not pred.accelerable
+        assert pred.naive_mults == 16 * 64 * 24 == 24_576
+        assert pred.fcfs_mults == 8 * 64 * 8 + 16 * 64 == 5_120
+        assert pred.ratio == Fraction(24, 5)
 
     def test_filter_is_one_slice_column(self):
         # 1x1xs2 filters, single filter, no compression: ratio is exactly 1/2
@@ -161,9 +164,8 @@ class TestPredictedAcceleration:
     [
         (ConvGeometry(**WORKED), None),
         (ConvGeometry(**WORKED, stride_policy=StridePolicy.GENERIC), Fallback.UNALIGNED_STRIDE),
-        (ConvGeometry(4, 3, 1, 8, 2), Fallback.S2_IS_1),
-        # s2 == 1 is named first even where the stride is unaligned too
-        (ConvGeometry(3, 3, 1, 4, 2, StridePolicy.GENERIC), Fallback.S2_IS_1),
+        (ConvGeometry(4, 3, 1, 8, 2), None),  # s2 == 1 is an ordinary layer
+        (ConvGeometry(3, 3, 1, 4, 2, StridePolicy.GENERIC), Fallback.UNALIGNED_STRIDE),
         (ConvGeometry(4, 1, 2, 8, 8, StridePolicy.GENERIC), None),  # stride 0
     ],
 )

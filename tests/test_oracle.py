@@ -9,7 +9,7 @@ from fsconv import (
     FilterSummary,
     MultCounter,
     StridePolicy,
-    convolve,
+    fcfs_conv,
     filter_as_3d,
     naive_conv,
     pad_same,
@@ -202,7 +202,7 @@ class TestLiteralDefinition:
                 out = naive_conv(fs, fmap)
                 assert rel_dev(out.as_3d(), literal_conv(fs, fmap)) <= tol
                 assert out.data.tobytes() == naive_conv(dense, fmap).data.tobytes()
-                assert rel_dev(convolve(fs, fmap)[0].data, out.data) <= tol
+                assert rel_dev(fcfs_conv(fs, fmap)[0].data, out.data) <= tol
                 assert (weights.tobytes(), fmap.data.tobytes()) == before
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32])

@@ -126,6 +126,27 @@ class TestQuantize:
         with pytest.raises(InvalidGridError, match=f"^{message}$"):
             QuantizedSummary(codes, nbits, 0.0, 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+    def test_each_dtype_refused_by_its_first_offending_code(self, dtype):
+        # integer codes skip the integer test, and the range is read from the
+        # extremes; a refusal still names the first offending code in order,
+        # below 0 before above the top, and a fraction before either
+        cases = [([3, 20, 17, 0], "code 20 exceeds 15")]
+        if dtype is not np.uint8:
+            cases.append(([16, 2, -3, -1], "code -3 is below 0"))
+        if dtype is np.float64:
+            cases.append(([-1, 16, 2.5, np.inf], "code 2.5 is not an integer"))
+            cases.append(([1, np.inf], "code inf exceeds 15"))
+        for values, message in cases:
+            codes = np.array(values, dtype)
+            if dtype is np.float64:  # numpy prints a float code with its point
+                message = message.replace("20 ", "20.0 ").replace("-3 ", "-3.0 ")
+            with pytest.raises(InvalidGridError, match=f"^{message}$"):
+                QuantizedSummary(codes, 4, 0.0, 1.0)
+        q = QuantizedSummary(np.array([15, 0, 7], dtype), 4, 0.0, 1.0)
+        assert q.codes.dtype == np.uint8 and q.codes.tolist() == [15, 0, 7]
+        assert QuantizedSummary(np.array([], dtype), 4, 0.0, 1.0).codes.size == 0
+
     def test_whole_codes_of_any_dtype_are_stored_as_uint8(self):
         for codes in (np.array([15.0, 0.0]), [15, 0], np.array([15, 0], dtype=np.int64)):
             q = QuantizedSummary(codes, 4, 0.0, 1.0)

@@ -22,11 +22,13 @@ from .dfs import (
 )
 from .fcfs import (
     AccelerationReport,
+    Fallback,
     FcfsPlan,
     RunReport,
     build_integrals,
     convolve,
     fcfs_conv,
+    fcfs_fallback,
     fcfs_plan,
     measured_acceleration,
     measured_ratio,
@@ -49,14 +51,12 @@ from .formats import (
 )
 from .geometry import (
     ConvGeometry,
-    Fallback,
     Layout,
     ParamCount,
     PredictedAcceleration,
     StridePolicy,
     count_params,
     derive_layout,
-    fcfs_fallback,
     predicted_acceleration,
 )
 from .oracle import ConvOutput, naive_conv, pad_same, rel_dev

@@ -31,7 +31,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidRatioError,
 )
-from .fcfs import FcfsPlan, convolve, fcfs_conv, measured_acceleration
+from .fcfs import Fallback, FcfsPlan, convolve, fcfs_conv, fcfs_fallback, measured_acceleration
 from .formats import (
     ArchSpec,
     ConvSpec,
@@ -48,7 +48,6 @@ from .geometry import (
     StridePolicy,
     count_params,
     derive_layout,
-    fcfs_fallback,
     predicted_acceleration,
 )
 from .oracle import rel_dev
@@ -294,9 +293,9 @@ def cmd_bench(args) -> int:
     for index, (layer, geom, layout) in enumerate(layers):
         if layout is None:  # not a conv layer
             continue
-        skipped = layout if geom is None else fcfs_fallback(geom, layout)
-        if skipped is not None:
-            _emit("layer", name=layer.name, skipped=skipped)
+        fallback = layout if geom is None else fcfs_fallback(geom, layout, d1, d2)
+        if fallback not in (None, Fallback.MORE_MULTIPLIES):  # no layout, or fcfs cannot run it
+            _emit("layer", name=layer.name, skipped=fallback)
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
         try:  # a refused allocation anywhere in the layer means the map is too big
@@ -305,11 +304,9 @@ def cmd_bench(args) -> int:
             except ValueError as exc:  # numpy's "array is too big": past its index range
                 raise MemoryError(str(exc)) from exc
             plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
-            acc = measured_acceleration(fs, fmap)  # caches the plan: fcfs_ms is execution
+            acc = measured_acceleration(fs, fmap)  # the plan is cached: fcfs_ms is execution
             naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
             fcfs_ms, fast = _time_best(lambda: fcfs_conv(fs, fmap)[0], args.repeat)
-            picked = convolve(fs, fmap)[1]  # the engine conv runs, and why not fcfs
-            reason = {} if picked.fallback is None else dict(reason=picked.fallback)
             _emit(
                 "layer",
                 name=layer.name,
@@ -324,8 +321,8 @@ def cmd_bench(args) -> int:
                 dev=rel_dev(fast.data, reference.data),
                 plan_ms=plan_ms,
                 work_bytes=plan.nbytes(fast.data.itemsize),
-                engine=picked.engine,
-                **reason,
+                engine="fcfs" if fallback is None else "naive",  # the engine conv runs
+                **({} if fallback is None else dict(reason=fallback)),
             )
         except MemoryError as exc:
             raise InvalidArgumentError(f"--spatial {d1} {d2} is too big: {exc}") from exc

@@ -9,13 +9,14 @@ s1 entries of each window along that step into one table; stage 3 reads one
 strided view of the windows and adds the s2 slices per output in order,
 bit-identical at a fixed BLAS thread count.
 
-geometry.fcfs_fallback is the one structural rule, and FcfsPlan.build refuses
-what it refuses. convolve is the entry point and picks the engine by exact counts;
-fcfs_conv runs stages 1-3 on every layer with a plan.
+fcfs_fallback(geom, layout, d1, d2) is the one engine rule, and convolve, the
+entry point, reads it. fcfs_conv runs stages 1-3 on every aligned layer, whatever
+the counts; FcfsPlan.build refuses an unaligned stride, where they would be wrong.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import warnings
 from dataclasses import dataclass
@@ -24,18 +25,26 @@ from fractions import Fraction
 import numpy as np
 
 from .counters import MultCounter
-from .errors import InvalidArgumentError, UnsupportedGeometryError
-from .geometry import ConvGeometry, Fallback, Layout, PredictedAcceleration
-from .geometry import fcfs_fallback, predicted_acceleration
+from .errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
+from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
 from .oracle import ConvOutput, check_conv_input, naive_conv, pad_same
 from .tensors import FeatureMap, FilterSummary
 
 __all__ = [
-    "PLAN_CACHE_SIZE", "FcfsPlan", "fcfs_plan", "RunReport", "convolve", "AccelerationReport",
-    "required_diagonals", "build_integrals", "fcfs_conv", "measured_ratio", "measured_acceleration",
+    "PLAN_CACHE_SIZE", "Fallback", "FcfsPlan", "fcfs_plan", "fcfs_fallback", "RunReport", "convolve",
+    "AccelerationReport", "required_diagonals", "build_integrals", "fcfs_conv", "measured_ratio",
+    "measured_acceleration",
 ]
 
 PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
+
+
+class Fallback(enum.Enum):
+    """Why fcfs_fallback sends a layer to the reference engine: a filter stride off a multiple
+    of c_in, or a plan with no fewer multiplies + lookups than the reference's multiplies."""
+
+    UNALIGNED_STRIDE = "unaligned_stride"
+    MORE_MULTIPLIES = "more_multiplies"
 
 
 @dataclass(frozen=True)
@@ -64,12 +73,14 @@ class FcfsPlan:
 
     @classmethod
     def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "FcfsPlan":
-        """Plan one layer at one map size, uncached; raises UnsupportedGeometryError
-        for a layer fcfs_fallback refuses. Slice k of filter i at output
-        (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m with the s1
-        summary cells from q = i*stride/c_in + k*s1: window r*Q + q."""
-        if (fallback := fcfs_fallback(geom, layout)) is not None:
-            raise UnsupportedGeometryError(f"fcfs does not run {fallback.value} layers; use naive")
+        """Plan one layer at one map size, uncached; raises UnsupportedGeometryError for
+        an unaligned stride and ShapeMismatchError for a side below 1. Slice k of
+        filter i at output (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m
+        with the s1 summary cells from q = i*stride/c_in + k*s1: window r*Q + q."""
+        if layout.stride % geom.c_in:  # the diagonals would scatter across channel residues
+            raise UnsupportedGeometryError("fcfs does not run unaligned_stride layers; use naive")
+        if d1 < 1 or d2 < 1:
+            raise ShapeMismatchError(f"feature map is {d1}x{d2}; both sizes must be >= 1")
         s1, s2, c_in = geom.s1, geom.s2, geom.c_in
         p1, shift = d1 + s1 - 1, layout.stride // c_in
         cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
@@ -129,6 +140,16 @@ def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
     return FcfsPlan.build(geom, layout, d1, d2)
 
 
+def fcfs_fallback(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> Fallback | None:
+    """The engine rule, on the plan key alone: UNALIGNED_STRIDE for a filter stride off a
+    multiple of c_in, else MORE_MULTIPLIES where the cached plan's multiplies + lookups are
+    not fewer than the reference engine's c_out*d1*d2*K, else None, and fcfs runs."""
+    if layout.stride % geom.c_in:
+        return Fallback.UNALIGNED_STRIDE
+    plan, oracle = fcfs_plan(geom, layout, d1, d2), geom.c_out * d1 * d2 * geom.filter_len
+    return Fallback.MORE_MULTIPLIES if plan.multiplies + plan.lookups >= oracle else None
+
+
 def _plan(fs: FilterSummary, fmap: FeatureMap) -> FcfsPlan:
     """The cached plan of an input check_conv_input accepts, on a layer FcfsPlan.build accepts."""
     check_conv_input(fs, fmap)
@@ -165,33 +186,30 @@ class RunReport:
 
 
 def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOutput, RunReport]:
-    """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv exactly where fcfs_fallback accepts
-    the layer and the cached plan's multiplies + lookups are fewer than the reference engine's
-    c_out*d1*d2*K; elsewhere it quietly runs the reference engine and the report says why.
-    The plan reads only the map's size: the engine that runs checks the input, once."""
+    """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv where fcfs_fallback
+    returns None; elsewhere it quietly runs the reference engine and the report says
+    why. The engine that runs checks the input, once."""
     if engine not in ("naive", "fcfs"):
         raise InvalidArgumentError(f"engine must be 'naive' or 'fcfs', got {engine!r}")
-    geom, fallback = fs.geom, None
-    if engine == "fcfs" and (fallback := fcfs_fallback(geom, fs.layout)) is None:
-        plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
-        if plan.multiplies + plan.lookups < geom.c_out * fmap.d1 * fmap.d2 * geom.filter_len:
-            out, counts = fcfs_conv(fs, fmap)
-            return out, RunReport("fcfs", None, counts)
-        fallback = Fallback.MORE_MULTIPLIES  # an empty map too, which the reference refuses
+    fallback = fcfs_fallback(fs.geom, fs.layout, fmap.d1, fmap.d2) if engine == "fcfs" else None
+    if engine == "fcfs" and fallback is None:
+        out, counts = fcfs_conv(fs, fmap)
+        return out, RunReport("fcfs", None, counts)
     counter = MultCounter()
     return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """Stages 1-3 on every layer with a channel-aligned filter stride, whatever the counts
-    (convolve picks the engine by them); an unaligned stride runs the reference engine and
-    warns. Equals naive_conv up to floating reassociation of the same products."""
-    if fcfs_fallback(fs.geom, fs.layout) is not None:
-        out, report = convolve(fs, fmap, "naive")
+    """Stages 1-3 on every layer with a channel-aligned filter stride, whatever the
+    counts (convolve reads them through fcfs_fallback); an unaligned stride runs
+    naive_conv and warns. Equals naive_conv up to floating reassociation of the same
+    products."""
+    if fs.layout.stride % fs.geom.c_in:
+        out = naive_conv(fs, fmap, counter := MultCounter())  # a refused map raises first
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-        return out, report.counts
+        return out, counter
     plan = _plan(fs, fmap)
     windows = plan.view(plan.window_sums(plan.products(fmap, fs.weights)))
     # (d2, d1, c_out), channel-major; for s2 = 1 each output is one slice's window

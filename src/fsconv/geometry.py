@@ -20,13 +20,11 @@ from .errors import InvalidRatioError, ShapeMismatchError
 
 __all__ = [
     "StridePolicy",
-    "Fallback",
     "ConvGeometry",
     "Layout",
     "ParamCount",
     "PredictedAcceleration",
     "derive_layout",
-    "fcfs_fallback",
     "count_params",
     "predicted_acceleration",
 ]
@@ -157,21 +155,6 @@ def derive_layout(geom: ConvGeometry) -> Layout:
         slices=Fraction(length, geom.slice_len),
         phys_length=phys_length,
     )
-
-
-class Fallback(enum.Enum):
-    """Why convolve's "fcfs" ran the reference engine: a filter stride off a multiple of c_in
-    (fcfs_fallback), or a plan with multiplies + lookups >= c_out*d1*d2*K (fcfs.convolve)."""
-
-    UNALIGNED_STRIDE = "unaligned_stride"
-    MORE_MULTIPLIES = "more_multiplies"
-
-
-def fcfs_fallback(geom: ConvGeometry, layout: Layout) -> Fallback | None:
-    """None if the integral-line engine can run the layer, else UNALIGNED_STRIDE:
-    a filter stride off a multiple of c_in scatters the diagonals across channel
-    residues. Filters overlap in the summary whatever s2 is, so s2 = 1 runs too."""
-    return Fallback.UNALIGNED_STRIDE if layout.stride % geom.c_in else None
 
 
 @dataclass(frozen=True)

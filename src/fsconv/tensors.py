@@ -10,6 +10,7 @@ segment of the summary. All indexing here is 0-based.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,15 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
+        c_in, d1, d2 = operator.index(self.c_in), operator.index(self.d1), operator.index(self.d2)
+        if c_in < 0 or d1 < 0 or d2 < 0:  # an empty side makes a map, which both engines refuse
+            raise ShapeMismatchError(f"feature map sizes must be >= 0, got {c_in}x{d1}x{d2}")
         data = np.asarray(self.data)
-        if data.shape != (self.c_in * self.d1 * self.d2,):
+        if data.shape != (c_in * d1 * d2,):
             raise ShapeMismatchError(
-                f"feature data has shape {data.shape}, expected "
-                f"({self.c_in * self.d1 * self.d2},) for "
-                f"{self.c_in}x{self.d1}x{self.d2}"
+                f"feature data has shape {data.shape}, expected ({c_in * d1 * d2},) for {c_in}x{d1}x{d2}"
             )
-        object.__setattr__(self, "data", data)
+        vars(self).update(c_in=c_in, d1=d1, d2=d2, data=data)  # frozen: past __setattr__
 
     def as_3d(self) -> np.ndarray:
         """The (c_in, d1, d2) array, a view of the data: the inverse of unwrap."""

@@ -836,14 +836,35 @@ class TestBench:
         assert float(layers[2]["measured"]) < 1
         assert len(calls) == 2 * 2
 
+    def test_engine_is_decided_not_run(self, capsys, tmp_path, monkeypatch):
+        # convolve runs only in the timed --repeat loop: fcfs_fallback gives engine=
+        # and reason= without running the layer once more
+        arch = tmp_path / "rule.arch"
+        arch.write_text(
+            "ratio 2\n"
+            "layer generic kind=conv c_in=3 s1=3 s2=3 c_out=4 policy=generic\n"
+            "layer narrow kind=conv c_in=4 s1=3 s2=1 c_out=8\n"
+            "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8\n"
+        )
+        calls = []
+        real = fsconv.cli.convolve
+        monkeypatch.setattr(fsconv.cli, "convolve", lambda *a: calls.append(a[2:]) or real(*a))
+        code, records, _ = run(capsys, "bench", arch, "--spatial", "5", "4", "--repeat", "3")
+        assert code == 0
+        timed = [layer for layer in records_of(records, "layer") if "skipped" not in layer]
+        assert [layer["engine"] for layer in timed] == ["fcfs", "naive"]
+        assert calls == [("naive",)] * 3 * len(timed)
+
     def test_one_by_one_output_is_benched(self, capsys, tmp_path):
-        # s1 = 1 on a 1x1 map: fcfs_fallback accepts the layer, so it runs
+        # s1 = 1 on a 1x1 map: fcfs_fallback(geom, layout, 1, 1) sends the layer to the
+        # reference engine by count (120 products + 24 lookups >= 96), and bench times it
         arch = tmp_path / "one.arch"
         arch.write_text("layer c kind=conv c_in=4 s1=1 s2=3 c_out=8 r=2\n")
         code, records, _ = run(capsys, "bench", arch, "--spatial", "1", "1", "--repeat", "1")
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert "skipped" not in layer
+        assert (layer["engine"], layer["reason"]) == ("naive", "more_multiplies")
         assert int(layer["fcfs_lookups"]) == 3 * 8
         assert float(layer["dev"]) <= 1e-12
 

@@ -42,6 +42,7 @@ from fsconv import (
     pad_same,
     rel_dev,
     required_diagonals,
+    unwrap,
 )
 from fsconv.errors import (
     InvalidArgumentError,
@@ -216,9 +217,9 @@ class TestRequiredDiagonals:
 
 
 class TestPlanGuard:
-    """FcfsPlan.build refuses every layer fcfs_fallback refuses, an unaligned
-    filter stride, so no stage of the engine is planned for a layer the engine
-    cannot run."""
+    """FcfsPlan.build refuses every layer fcfs_fallback refuses whatever the map
+    size, an unaligned filter stride, so no stage of the engine is planned for a
+    layer the engine cannot run."""
 
     @pytest.mark.parametrize("geom, reason", [
         (ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), "unaligned_stride"),  # stride 13
@@ -226,7 +227,7 @@ class TestPlanGuard:
     def test_refused_layer_has_no_plan(self, geom, reason):
         fs = FilterSummary.random(geom, seed=47)
         fmap = FeatureMap.random(geom.c_in, 4, 4, seed=48)
-        assert fcfs_fallback(geom, fs.layout).value == reason
+        assert fcfs_fallback(geom, fs.layout, 4, 4).value == reason
         calls = (lambda: FcfsPlan.build(geom, fs.layout, 4, 4),
                  lambda: fcfs_plan(geom, fs.layout, 4, 4),
                  lambda: required_diagonals(fs, fmap),
@@ -395,7 +396,7 @@ class TestStageThreeViews:
         rng = np.random.default_rng(40)
         for geom, d1, d2 in self.EDGE_CASES + list(self.random_cases(rng, 40)):
             fs = FilterSummary.random(geom, seed=int(rng.integers(2**31)))
-            assert fcfs_fallback(geom, fs.layout) is None
+            assert fcfs_fallback(geom, fs.layout, d1, d2) is not Fallback.UNALIGNED_STRIDE
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
             plan = fcfs_plan(geom, fs.layout, d1, d2)
             # slice k of filter i at output (m, n) starts at padded cell r and
@@ -513,8 +514,23 @@ class TestFcfsConv:
             warnings.simplefilter("error")  # convolve falls back without a warning
             quiet, report = convolve(fs, fmap)
         assert (report.engine, report.fallback) == ("naive", Fallback.UNALIGNED_STRIDE)
+        assert report.fallback is fcfs_fallback(geom, fs.layout, 4, 4)
         assert report.counts == counter
         assert np.array_equal(quiet.data, out.data)
+
+    def test_unaligned_stride_runs_the_reference_engine_itself(self, monkeypatch):
+        # fcfs_conv's fallback is naive_conv, called directly: convolve is never entered
+        def refuse(*args):
+            raise AssertionError("fcfs_conv called convolve")
+
+        monkeypatch.setattr(fsconv.fcfs, "convolve", refuse)
+        fs = FilterSummary.random(ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), seed=14)
+        fmap = FeatureMap.random(3, 4, 4, seed=15)
+        with pytest.warns(UserWarning, match="not a multiple"):
+            out, counter = fcfs_conv(fs, fmap)
+        reference = MultCounter()
+        assert out.data.tobytes() == naive_conv(fs, fmap, reference).data.tobytes()
+        assert counter == reference
 
     def test_s2_one_runs_fcfs(self):
         # one filter column is an ordinary layer: stage 3 copies each output's
@@ -645,6 +661,7 @@ class TestConvolve:
         oracle = geom.c_out * d1 * d2 * geom.filter_len
         assert (plan.multiplies + plan.lookups < oracle) == (engine == "fcfs")
         out, report = convolve(fs, fmap)
+        assert report.fallback is fcfs_fallback(geom, fs.layout, d1, d2)
         if engine == "fcfs":
             assert report == RunReport("fcfs", None, fcfs_conv(fs, fmap)[1])
             assert out.data.tobytes() == fcfs_conv(fs, fmap)[0].data.tobytes()
@@ -652,6 +669,39 @@ class TestConvolve:
             assert (report.engine, report.fallback) == ("naive", Fallback.MORE_MULTIPLIES)
             assert report.counts.multiplies == oracle
             assert out.data.tobytes() == naive_conv(fs, fmap).data.tobytes()
+
+    def test_report_is_the_rule_on_seeded_geometries(self):
+        # convolve reports exactly what fcfs_fallback decides, on every policy and on
+        # both sides of the count boundary (the named cases: test_engine_follows_exact_counts
+        # and test_unaligned_stride_falls_back_with_warning)
+        rng = np.random.default_rng(56)
+        seen = set()
+        for _ in range(240):
+            policy = list(StridePolicy)[int(rng.integers(3))]
+            fs, fmap = random_instance(rng, c_in=(1, 6), s1=(1, 4), s2=(1, 4), c_out=(1, 10),
+                                       d=(1, 7), policy=policy)
+            fallback = fcfs_fallback(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            report = convolve(fs, fmap)[1]
+            assert report.fallback is fallback, (fs.geom, fmap.d1, fmap.d2)
+            assert report.engine == ("fcfs" if fallback is None else "naive")
+            seen.add(fallback)
+        assert seen == {None, *Fallback}
+
+    def test_empty_map_caches_no_plan(self):
+        # a map side below 1 is refused before any plan is kept, by every path
+        geom = ConvGeometry(2, 2, 2, 2, 1)
+        fs = FilterSummary.random(geom, seed=57)
+        fcfs_plan.cache_clear()
+        for fmap in (FeatureMap(2, 0, 5, np.zeros(0)), unwrap(np.zeros((2, 0, 5)))):
+            for call in (lambda: convolve(fs, fmap), lambda: fcfs_conv(fs, fmap)):
+                with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+                    call()
+            assert fcfs_plan.cache_info().currsize == 0
+            for call in (lambda: fcfs_fallback(geom, fs.layout, fmap.d1, fmap.d2),
+                         lambda: FcfsPlan.build(geom, fs.layout, fmap.d1, fmap.d2)):
+                with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+                    call()
+        assert fcfs_plan.cache_info().currsize == 0
 
     def test_naive_on_s2_one_is_no_fallback(self):
         fs = FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=28)
@@ -845,7 +895,7 @@ class TestEngineProperty:
                                if holds(geom, d1, d2))
                 fs = FilterSummary.random(geom, seed=d1, dtype=dtype)
                 fmap = FeatureMap.random(geom.c_in, d1, d2, seed=d2, dtype=dtype)
-                aligned = fcfs_fallback(geom, layout) is None
+                aligned = fcfs_fallback(geom, layout, d1, d2) is not Fallback.UNALIGNED_STRIDE
                 engine = fcfs_conv if aligned else convolve  # convolve: the reference engine
                 out = engine(fs, fmap)[0]
                 reference = naive_conv(fs, fmap)

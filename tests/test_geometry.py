@@ -167,10 +167,12 @@ class TestPredictedAcceleration:
         (ConvGeometry(4, 3, 1, 8, 2), None),  # s2 == 1 is an ordinary layer
         (ConvGeometry(3, 3, 1, 4, 2, StridePolicy.GENERIC), Fallback.UNALIGNED_STRIDE),
         (ConvGeometry(4, 1, 2, 8, 8, StridePolicy.GENERIC), None),  # stride 0
+        (ConvGeometry(1, 1, 3, 1, 1), Fallback.MORE_MULTIPLIES),  # 864 + 768 >= 768
     ],
 )
 def test_fcfs_fallback_policy(geom, reason):
-    assert fcfs_fallback(geom, derive_layout(geom)) is reason
+    # the engine rule lives in fcfs.py; it reads the layout this module derives
+    assert fcfs_fallback(geom, derive_layout(geom), 16, 16) is reason
 
 
 class TestLayoutProperties:

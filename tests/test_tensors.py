@@ -67,6 +67,18 @@ class TestUnwrapWrap:
         with pytest.raises(ShapeMismatchError):
             FeatureMap(2, 2, 2, np.zeros(7))
 
+    def test_sizes_checked_where_the_map_is_made(self):
+        # integer sizes >= 0, coerced as ConvGeometry coerces its own; an empty side
+        # makes a map, which both engines refuse
+        with pytest.raises(ShapeMismatchError, match="sizes must be >= 0"):
+            FeatureMap(2, -1, -3, np.zeros(6))
+        with pytest.raises(TypeError):
+            FeatureMap(2, 1.5, 2, np.zeros(6))
+        fmap = FeatureMap(np.int64(2), np.uint8(3), True, np.zeros(6))
+        assert [type(n) for n in (fmap.c_in, fmap.d1, fmap.d2)] == [int, int, int]
+        assert (fmap.c_in, fmap.d1, fmap.d2) == (2, 3, 1)
+        assert FeatureMap(2, 0, 5, np.zeros(0)).data.size == 0
+
 
 class TestExtractFilter:
     def test_hand_slice(self):

@@ -59,7 +59,7 @@ from .geometry import (
     derive_layout,
     predicted_acceleration,
 )
-from .oracle import ConvOutput, naive_conv, pad_same, rel_dev
+from .oracle import ConvOutput, naive_conv, naive_nbytes, pad_same, rel_dev
 from .quant import (
     QuantizedSummary,
     dequantize,

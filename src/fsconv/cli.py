@@ -50,7 +50,7 @@ from .geometry import (
     derive_layout,
     predicted_acceleration,
 )
-from .oracle import rel_dev
+from .oracle import naive_nbytes, rel_dev
 from .quant import BIT_WIDTHS, effective_params, quantize
 from .tensors import FeatureMap, FilterSummary, unwrap
 
@@ -321,6 +321,7 @@ def cmd_bench(args) -> int:
                 dev=rel_dev(fast.data, reference.data),
                 plan_ms=plan_ms,
                 work_bytes=plan.nbytes(fast.data.itemsize),
+                naive_bytes=naive_nbytes(geom, d1, d2, reference.data.itemsize),
                 engine="fcfs" if fallback is None else "naive",  # the engine conv runs
                 **({} if fallback is None else dict(reason=fallback)),
             )

@@ -27,7 +27,7 @@ import numpy as np
 from .counters import MultCounter
 from .errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
 from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
-from .oracle import ConvOutput, check_conv_input, naive_conv, pad_same
+from .oracle import ConvOutput, _lowered_conv, check_conv_input, naive_conv, pad_same
 from .tensors import FeatureMap, FilterSummary
 
 __all__ = [
@@ -188,15 +188,16 @@ class RunReport:
 def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOutput, RunReport]:
     """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv where fcfs_fallback
     returns None; elsewhere it quietly runs the reference engine and the report says
-    why. The engine that runs checks the input, once."""
+    why. The input is checked once, before any plan is looked up or cached."""
     if engine not in ("naive", "fcfs"):
         raise InvalidArgumentError(f"engine must be 'naive' or 'fcfs', got {engine!r}")
+    check_conv_input(fs, fmap)
     fallback = fcfs_fallback(fs.geom, fs.layout, fmap.d1, fmap.d2) if engine == "fcfs" else None
     if engine == "fcfs" and fallback is None:
-        out, counts = fcfs_conv(fs, fmap)
+        out, counts = _execute(fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2), fs, fmap)
         return out, RunReport("fcfs", None, counts)
     counter = MultCounter()
-    return naive_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
+    return _lowered_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
@@ -210,14 +211,18 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
         return out, counter
-    plan = _plan(fs, fmap)
+    return _execute(_plan(fs, fmap), fs, fmap)
+
+
+def _execute(plan: FcfsPlan, fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
+    """Stages 1-3 of `plan` on an input check_conv_input accepts."""
     windows = plan.view(plan.window_sums(plan.products(fmap, fs.weights)))
     # (d2, d1, c_out), channel-major; for s2 = 1 each output is one slice's window
     out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
     for per_slice in windows[2:]:  # fixed order: bit-stable
         out += per_slice
     counts = MultCounter(plan.multiplies, plan.additions, plan.lookups)
-    return ConvOutput(fs.geom.c_out, fmap.d1, fmap.d2, out.ravel()), counts
+    return ConvOutput._trusted(fs.geom.c_out, fmap.d1, fmap.d2, out.ravel()), counts
 
 
 def measured_ratio(naive: MultCounter, fast: MultCounter) -> Fraction:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import FilterSummaryError, FormatError, ShapeMismatchError
 from .geometry import ConvGeometry, Layout, StridePolicy, derive_layout
-from .quant import QuantizedSummary, _check_grid, _read_only, _trusted, dequantize
-from .tensors import FilterSummary
+from .quant import QuantizedSummary, _check_grid, _read_only, dequantize
+from .tensors import FilterSummary, _trusted
 
 __all__ = [
     "ModelLayer",

@@ -1,10 +1,13 @@
 """Reference convolution: one inner product per (filter, output position).
 
 This is the ground truth the fast path is checked against: a plain stride-1,
-same-padding cross-correlation with no bias, computed as one matrix product of
-the patches, a strided view of the padded map, and the filter bank. Every
-output element costs exactly K multiplies, so an instrumented run over a
-(d1, d2) map totals c_out*d1*d2*K.
+same-padding cross-correlation with no bias. It lowers the padded map along
+its rows only (MEC: Cho & Brand, "MEC: Memory-efficient Convolution for Deep
+Neural Network", ICML 2017): row m of padded column c is the s1*c_in values
+a window starting at (m, c) reads, and the output is the sum of s2 matrix
+products of overlapping row blocks of that one matrix with the filter bank's
+s2 column blocks. Every output element costs exactly K multiplies, so an
+instrumented run over a (d1, d2) map totals c_out*d1*d2*K.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import numpy as np
 
 from .counters import MultCounter
 from .errors import InvalidDtypeError, ShapeMismatchError
+from .geometry import ConvGeometry
 from .tensors import FeatureMap, FilterSummary
 
-__all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "rel_dev"]
+__all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "naive_nbytes", "rel_dev"]
 
 
 class ConvOutput(FeatureMap):
@@ -32,7 +36,8 @@ def pad_same(fmap: FeatureMap, s1: int, s2: int) -> FeatureMap:
     lead1, lead2 = (s1 - 1) // 2, (s2 - 1) // 2
     padded = np.zeros((fmap.d2 + s2 - 1, fmap.d1 + s1 - 1, fmap.c_in), fmap.data.dtype)
     padded[lead2 : lead2 + fmap.d2, lead1 : lead1 + fmap.d1] = fmap.data.reshape(fmap.d2, fmap.d1, -1)
-    return FeatureMap(fmap.c_in, fmap.d1 + s1 - 1, fmap.d2 + s2 - 1, padded.ravel())
+    p2, p1, _ = padded.shape  # ints, whatever types s1 and s2 came in
+    return FeatureMap._trusted(fmap.c_in, p1, p2, padded.ravel())
 
 
 def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
@@ -51,26 +56,48 @@ def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None 
     """Same-padding cross-correlation of every filter with the feature map.
 
     output(o, m, n) = sum_{i,j,k} filter_o[i, j, k] * padded[i, m+j, n+k].
-    Filter o is the K summary entries from o*stride on, copied to one bank, as
-    BLAS is faster on it than on overlapping rows. The patch at (m, n) is s2
-    padded columns of c_in*s1 contiguous entries, in filter order; patches in
-    (n, m) order times the bank's transpose is the channel-major output, the
-    same bytes every run. A counter gets K multiplies, K-1 additions per output.
+    A counter gets K multiplies, K-1 additions per output.
     """
     check_conv_input(fs, fmap)
+    return _lowered_conv(fs, fmap, counter)
+
+
+def _lowered_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None) -> ConvOutput:
+    """naive_conv on an input check_conv_input accepts, without checking it again.
+
+    Filter o is the K summary entries from o*stride on, copied to one bank, as
+    BLAS is faster on it than on overlapping rows. Row c*d1 + m of the lowered
+    matrix is the L = s1*c_in contiguous entries of padded column c from row m
+    on, so row (n+k)*d1 + m is column k of output (m, n)'s window, and the
+    contiguous block rows[k*d1 : k*d1 + d1*d2] holds it for every output in
+    (n, m) order. The output is sum_k block_k @ bank[:, k*L : (k+1)*L].T, added
+    in order k = 0 .. s2-1: channel-major, the same bytes every run. For s1 = 1
+    (or d1 = 1) the rows are a view of the padded map; for s2 = 1 they are the
+    whole patch matrix.
+    """
     geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, np.ascontiguousarray(fs.weights)
-    filters = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
-                         (fs.layout.stride * w.itemsize, w.itemsize)).copy()
+    bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
+                      (fs.layout.stride * w.itemsize, w.itemsize)).copy()
     x = pad_same(fmap, geom.s1, geom.s2).data
-    cell = geom.c_in * x.itemsize  # the c_in channels at one padded (row, column)
-    column = (d1 + geom.s1 - 1) * cell
-    patches = np.ndarray((d2, d1, geom.s2, geom.slice_len), x.dtype, x, 0,
-                         (column, cell, column, x.itemsize))
-    out = patches.reshape(d2 * d1, geom.filter_len) @ filters.T
+    cell, span = geom.c_in * x.itemsize, geom.slice_len  # bytes of one padded cell; L
+    rows = np.ndarray((d2 + geom.s2 - 1, d1, span), x.dtype, x, 0,
+                      ((d1 + geom.s1 - 1) * cell, cell, x.itemsize)).reshape(-1, span)
+    out = rows[: d1 * d2] @ bank[:, :span].T
+    for k in range(1, geom.s2):  # fixed order: bit-stable
+        out += rows[k * d1 : k * d1 + d1 * d2] @ bank[:, k * span : (k + 1) * span].T
     if counter is not None:
         counter.multiplies += geom.c_out * d1 * d2 * geom.filter_len
         counter.additions += geom.c_out * d1 * d2 * (geom.filter_len - 1)
-    return ConvOutput(geom.c_out, d1, d2, out.ravel())
+    return ConvOutput._trusted(geom.c_out, d1, d2, out.ravel())
+
+
+def naive_nbytes(geom: ConvGeometry, d1: int, d2: int, itemsize: int) -> int:
+    """Bytes one naive_conv call allocates beyond the padded map and the output: the
+    lowered rows, (d2+s2-1)*d1*s1*c_in entries (none for s1 = 1 or d1 = 1, where they
+    are the padded map), the c_out x K bank, and for s2 > 1 one partial product."""
+    rows = (d2 + geom.s2 - 1) * d1 * geom.slice_len if geom.s1 > 1 and d1 > 1 else 0
+    partial = geom.c_out * d1 * d2 if geom.s2 > 1 else 0
+    return itemsize * (rows + geom.c_out * geom.filter_len + partial)
 
 
 def rel_dev(actual, reference) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .counters import MultCounter
 from .errors import EmptyInputError, InvalidGridError, ShapeMismatchError
+from .tensors import _trusted
 
 __all__ = [
     "QuantizedSummary",
@@ -50,14 +51,6 @@ def _check_grid(nbits: int, w_min: float = 0.0, w_max: float = 0.0) -> None:
     if span and not (tau and span / tau + 0.5 < 1 << nbits):  # w_max's code, as quantize computes it
         raise InvalidGridError(f"grid [{w_min}, {w_max}] is too narrow for {nbits} bits:"
                                f" its step {tau} underflows")
-
-
-def _trusted(cls, *values):
-    """An instance of the frozen dataclass `cls` holding `values`, its fields in order, built
-    without __post_init__: only for callers that have just made its checks themselves."""
-    made = object.__new__(cls)
-    made.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
-    return made
 
 
 def _read_only(values, dtype) -> np.ndarray:

@@ -39,6 +39,14 @@ def unwrap_index(i: int, j: int, k: int, c_in: int, d1: int) -> int:
     return k * c_in * d1 + j * c_in + i
 
 
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass `cls` holding `values`, its fields in order, built
+    without __post_init__: only for callers that have just made its checks themselves."""
+    made = object.__new__(cls)
+    made.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return made
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """A (c_in, d1, d2) activation tensor stored as its channel-major vector."""
@@ -58,6 +66,8 @@ class FeatureMap:
                 f"feature data has shape {data.shape}, expected ({c_in * d1 * d2},) for {c_in}x{d1}x{d2}"
             )
         vars(self).update(c_in=c_in, d1=d1, d2=d2, data=data)  # frozen: past __setattr__
+
+    _trusted = classmethod(_trusted)  # (c_in, d1, d2, data): int sizes, a 1D array that fits
 
     def as_3d(self) -> np.ndarray:
         """The (c_in, d1, d2) array, a view of the data: the inverse of unwrap."""

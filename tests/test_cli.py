@@ -323,8 +323,8 @@ class TestConv:
         inp = tmp_path / "i.npy"
         np.save(inp, np.random.default_rng(5).uniform(-1, 1, (3, 5, 4)))
         calls = []
-        real = fsconv.fcfs.naive_conv
-        monkeypatch.setattr(fsconv.fcfs, "naive_conv", lambda *a: calls.append(1) or real(*a))
+        real = fsconv.fcfs._lowered_conv  # the reference engine's body, whoever checked the input
+        monkeypatch.setattr(fsconv.fcfs, "_lowered_conv", lambda *a: calls.append(1) or real(*a))
         code, records, err = run(capsys, "conv", model, inp, "--engine", "both")
         assert code == 0
         assert len(calls) == 3  # "g" and "n" once, as the fallback that is also the reference
@@ -770,6 +770,9 @@ class TestBench:
         # (P-2)*Q - 2 windows: P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary
         # cells (channel-aligned stride 16)
         assert int(layer["work_bytes"]) == 8 * (56 * 37 + 54 * 37 - 2)
+        # the oracle's, from the same kind of closed form: 7 padded columns of 6
+        # windows of 3 * 4 entries, the 8 x 36 bank and one 8 x 6 x 5 partial
+        assert int(layer["naive_bytes"]) == 8 * (7 * 6 * 12 + 8 * 36 + 8 * 30)
         assert float(layer["fcfs_ms"]) > 0
 
     def test_spatial_past_numpy_index_range_is_input_error(self, capsys):

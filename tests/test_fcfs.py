@@ -22,6 +22,7 @@ import fsconv.fcfs
 import fsconv.oracle
 from fsconv import (
     ConvGeometry,
+    ConvSpec,
     FcfsPlan,
     FeatureMap,
     FilterSummary,
@@ -31,6 +32,7 @@ from fsconv import (
     RunReport,
     StridePolicy,
     build_integrals,
+    bundled_arch,
     convolve,
     derive_layout,
     extract_filter,
@@ -40,6 +42,7 @@ from fsconv import (
     measured_acceleration,
     naive_conv,
     pad_same,
+    read_arch,
     rel_dev,
     required_diagonals,
     unwrap,
@@ -702,6 +705,41 @@ class TestConvolve:
                 with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
                     call()
         assert fcfs_plan.cache_info().currsize == 0
+
+    def test_wrong_channel_map_caches_no_plan(self):
+        # every path checks the map before it looks a plan up: a refused map
+        # takes none of the PLAN_CACHE_SIZE slots, so it evicts no good plan
+        fs = FilterSummary.random(ConvGeometry(2, 3, 3, 4, 2), seed=58)
+        fmap = FeatureMap.random(3, 6, 6, seed=59)
+        fcfs_plan.cache_clear()
+        before = fcfs_plan.cache_info()
+        for call in (lambda: convolve(fs, fmap), lambda: convolve(fs, fmap, "naive"),
+                     lambda: fcfs_conv(fs, fmap)):
+            with pytest.raises(ShapeMismatchError, match="has 3 channels, layer expects 2"):
+                call()
+        assert fcfs_plan.cache_info() == before
+
+    def test_engines_build_their_maps_unchecked(self, monkeypatch):
+        # on the 109-layer ResNet-110 chain, through both engines, FeatureMap's
+        # checks run only for the maps the caller makes with unwrap: the padded
+        # maps and outputs the engines compute are made without them
+        calls = []
+        checks = FeatureMap.__post_init__
+        monkeypatch.setattr(FeatureMap, "__post_init__",
+                            lambda self: calls.append(type(self)) or checks(self))
+        x = np.random.default_rng(60).standard_normal((3, 32, 32)).astype(np.float32)
+        convs = [spec for spec in read_arch(bundled_arch("resnet110")).layers
+                 if isinstance(spec, ConvSpec)]
+        for index, spec in enumerate(convs):
+            geom = ConvGeometry(spec.c_in, spec.s1, spec.s2, spec.c_out, 4)
+            fs = FilterSummary.random(geom, seed=index, dtype=np.float32)
+            fmap = unwrap(x)
+            reference, fast = naive_conv(fs, fmap), convolve(fs, fmap)[0]
+            assert rel_dev(fast.data, reference.data) <= 1e-5
+            x = reference.as_3d() / np.abs(reference.data).max()  # keeps f32 in range
+            if spec.name.endswith("block01.conv1") and not spec.name.startswith("stage1"):
+                x = x[:, ::2, ::2]  # 32, then 16, then 8
+        assert len(convs) == 109 and calls == [FeatureMap] * 109
 
     def test_naive_on_s2_one_is_no_fallback(self):
         fs = FilterSummary.random(ConvGeometry(2, 3, 1, 4, 2), seed=28)

@@ -1,5 +1,7 @@
 """The brute-force reference engine: padding, hand convolutions, counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fsconv import (
     fcfs_conv,
     filter_as_3d,
     naive_conv,
+    naive_nbytes,
     pad_same,
     rel_dev,
     unwrap,
@@ -145,6 +148,43 @@ class TestOracleProperties:
             counter = MultCounter()
             naive_conv(fs, fmap, counter)
             assert counter.multiplies == geom.c_out * d1 * d2 * geom.filter_len
+
+
+class TestLoweredMemory:
+    @pytest.mark.parametrize("geom, d1, d2, dtype, rows", [
+        (ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC), 14, 16, np.float64, 20 * 14 * 220),
+        (ConvGeometry(16, 3, 3, 16, 4), 32, 32, np.float32, 34 * 32 * 48),
+        (ConvGeometry(64, 1, 3, 64, 4), 32, 32, np.float64, 0),
+    ], ids=["55->56 4x5 f64", "16->16 3x3 f32", "64->64 1x3 f64"])
+    def test_call_allocates_rows_bank_and_one_partial(self, geom, d1, d2, dtype, rows):
+        # beyond the padded map and the output, one call holds the row-lowered
+        # matrix, (d2+s2-1)*d1 windows of s1*c_in entries, the c_out x K bank
+        # and one d1*d2*c_out partial product. A d1*d2 x K patch copy (1.97 MB
+        # on the first layer) would push the peak past its bound; so would any
+        # lowered copy at s1 = 1, where the rows are the padded map (557,056
+        # bytes on the last layer)
+        itemsize = np.dtype(dtype).itemsize
+        extra = naive_nbytes(geom, d1, d2, itemsize)
+        assert extra == itemsize * (rows + geom.c_out * geom.filter_len + geom.c_out * d1 * d2)
+        padded = geom.c_in * (d1 + geom.s1 - 1) * (d2 + geom.s2 - 1)
+        bound = itemsize * (padded + geom.c_out * d1 * d2) + extra + 64 * 1024
+        fs = FilterSummary.random(geom, seed=61, dtype=dtype)
+        fmap = FeatureMap.random(geom.c_in, d1, d2, seed=62, dtype=dtype)
+        naive_conv(fs, fmap)
+        tracemalloc.start()
+        try:
+            out = naive_conv(fs, fmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == dtype
+        assert peak <= bound
+
+    def test_closed_form_counts_no_rows_where_they_are_the_padded_map(self):
+        geom = ConvGeometry(3, 3, 1, 2, 1)  # s2 = 1: no partial product either
+        assert naive_nbytes(geom, 1, 5, 8) == 8 * 2 * 9
+        assert naive_nbytes(geom, 2, 5, 8) == 8 * (5 * 2 * 9 + 2 * 9)
+        assert naive_nbytes(ConvGeometry(3, 1, 2, 2, 1), 4, 5, 4) == 4 * (2 * 6 + 2 * 4 * 5)
 
 
 def literal_conv(fs, fmap):

@@ -19,7 +19,7 @@ from fsconv import (
     MultCounter,
     StridePolicy,
     convolve,
-    fcfs_plan,
+    layer_plan,
     measured_acceleration,
     naive_conv,
     required_diagonals,
@@ -48,7 +48,7 @@ print()
 print("=== where the products actually live ===")
 runs = required_diagonals(fs, fmap)
 extents = sum(hi - lo for spans in runs.values() for lo, hi in spans)
-plan = fcfs_plan(geom, fs.layout, fmap.d1, fmap.d2)
+plan = layer_plan(geom, fs.layout, fmap.d1, fmap.d2).fcfs  # the layer's record: rule and plan
 print(f"slices read {extents} element products on {len(runs)} diagonals: the floor")
 print(f"(equal to plan.needed: {extents == plan.needed})")
 print(f"stage 1 is one matrix product over all {plan.cells} x {plan.summary} cell pairs, "
@@ -67,7 +67,7 @@ print(f"integral multiplies: {report.fcfs.multiplies} + {report.fcfs.lookups} lo
 print(f"measured ratio:  {float(report.measured_ratio):.2f}")
 print(f"predicted ratio: {float(report.predicted.ratio):.2f}")
 closed = geom.c_in * 16 * 16 * fs.layout.slices
-floor = fcfs_plan(geom, fs.layout, 16, 16).needed
+floor = layer_plan(geom, fs.layout, 16, 16).fcfs.needed
 print(f"stage-1 products: {report.fcfs.multiplies} executed, {floor} needed, "
       f"{float(closed):.0f} in the closed form ({float(report.fcfs.multiplies / closed):.2f}x)")
 print("the closed form assumes each padded position meets one slice residue;")

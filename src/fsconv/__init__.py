@@ -24,12 +24,12 @@ from .fcfs import (
     AccelerationReport,
     Fallback,
     FcfsPlan,
+    LayerPlan,
     RunReport,
     build_integrals,
     convolve,
     fcfs_conv,
-    fcfs_fallback,
-    fcfs_plan,
+    layer_plan,
     measured_acceleration,
     measured_ratio,
     required_diagonals,

@@ -31,7 +31,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidRatioError,
 )
-from .fcfs import Fallback, FcfsPlan, convolve, fcfs_conv, fcfs_fallback, measured_acceleration
+from .fcfs import LayerPlan, convolve, fcfs_conv, layer_plan, measured_ratio
 from .formats import (
     ArchSpec,
     ConvSpec,
@@ -293,9 +293,9 @@ def cmd_bench(args) -> int:
     for index, (layer, geom, layout) in enumerate(layers):
         if layout is None:  # not a conv layer
             continue
-        fallback = layout if geom is None else fcfs_fallback(geom, layout, d1, d2)
-        if fallback not in (None, Fallback.MORE_MULTIPLIES):  # no layout, or fcfs cannot run it
-            _emit("layer", name=layer.name, skipped=fallback)
+        record = None if geom is None else layer_plan(geom, layout, d1, d2)
+        if record is None or record.fcfs is None:  # no layout, or fcfs cannot run it
+            _emit("layer", name=layer.name, skipped=layout if record is None else record.fallback)
             continue
         fs = FilterSummary.random(geom, seed=args.seed + index)
         try:  # a refused allocation anywhere in the layer means the map is too big
@@ -303,27 +303,26 @@ def cmd_bench(args) -> int:
                 fmap = FeatureMap.random(geom.c_in, d1, d2, seed=args.seed + index + 1)
             except ValueError as exc:  # numpy's "array is too big": past its index range
                 raise MemoryError(str(exc)) from exc
-            plan_ms, plan = _time_best(lambda: FcfsPlan.build(geom, layout, d1, d2), 1)
-            acc = measured_acceleration(fs, fmap)  # the plan is cached: fcfs_ms is execution
-            naive_ms, reference = _time_best(lambda: convolve(fs, fmap, "naive")[0], args.repeat)
-            fcfs_ms, fast = _time_best(lambda: fcfs_conv(fs, fmap)[0], args.repeat)
+            plan_ms, plan = _time_best(lambda: LayerPlan.build(geom, layout, d1, d2).fcfs, 1)
+            naive_ms, (reference, report) = _time_best(lambda: convolve(fs, fmap, "naive"), args.repeat)
+            fcfs_ms, (fast, counts) = _time_best(lambda: fcfs_conv(fs, fmap), args.repeat)
             _emit(
                 "layer",
                 name=layer.name,
-                naive_mults=acc.naive.multiplies,
-                fcfs_mults=acc.fcfs.multiplies,
+                naive_mults=report.counts.multiplies,
+                fcfs_mults=counts.multiplies,
                 fcfs_floor=plan.needed,
-                fcfs_lookups=acc.fcfs.lookups,
-                measured=acc.measured_ratio,
-                predicted=acc.predicted.ratio,
+                fcfs_lookups=counts.lookups,
+                measured=measured_ratio(report.counts, counts),
+                predicted=predicted_acceleration(geom, layout, d1, d2).ratio,
                 naive_ms=naive_ms,
                 fcfs_ms=fcfs_ms,
                 dev=rel_dev(fast.data, reference.data),
                 plan_ms=plan_ms,
                 work_bytes=plan.nbytes(fast.data.itemsize),
                 naive_bytes=naive_nbytes(geom, d1, d2, reference.data.itemsize),
-                engine="fcfs" if fallback is None else "naive",  # the engine conv runs
-                **({} if fallback is None else dict(reason=fallback)),
+                engine="fcfs" if record.fallback is None else "naive",  # the engine conv runs
+                **({} if record.fallback is None else dict(reason=record.fallback)),
             )
         except MemoryError as exc:
             raise InvalidArgumentError(f"--spatial {d1} {d2} is too big: {exc}") from exc

@@ -14,7 +14,7 @@ class ShapeMismatchError(FilterSummaryError, ValueError):
 
 
 class InvalidDtypeError(FilterSummaryError, ValueError):
-    """Input map whose values are not real numbers: complex, string or object."""
+    """A feature map or summary whose values are not real numbers: complex, string or object."""
 
 
 class OutOfRangeError(FilterSummaryError, IndexError):

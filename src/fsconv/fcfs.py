@@ -9,9 +9,9 @@ s1 entries of each window along that step into one table; stage 3 reads one
 strided view of the windows and adds the s2 slices per output in order,
 bit-identical at a fixed BLAS thread count.
 
-fcfs_fallback(geom, layout, d1, d2) is the one engine rule, and convolve, the
-entry point, reads it. fcfs_conv runs stages 1-3 on every aligned layer, whatever
-the counts; FcfsPlan.build refuses an unaligned stride, where they would be wrong.
+LayerPlan.build(geom, layout, d1, d2) is the engine rule and the fcfs plan in one record,
+which layer_plan caches and convolve, the entry point, reads. fcfs_conv runs stages 1-3 on
+every aligned layer, whatever the counts; no record plans an unaligned stride.
 """
 
 from __future__ import annotations
@@ -27,21 +27,21 @@ import numpy as np
 from .counters import MultCounter
 from .errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
 from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
-from .oracle import ConvOutput, _lowered_conv, check_conv_input, naive_conv, pad_same
+from .oracle import ConvOutput, _lowered_conv, check_conv_input, pad_same
 from .tensors import FeatureMap, FilterSummary
 
 __all__ = [
-    "PLAN_CACHE_SIZE", "Fallback", "FcfsPlan", "fcfs_plan", "fcfs_fallback", "RunReport", "convolve",
+    "PLAN_CACHE_SIZE", "Fallback", "FcfsPlan", "LayerPlan", "layer_plan", "RunReport", "convolve",
     "AccelerationReport", "required_diagonals", "build_integrals", "fcfs_conv", "measured_ratio",
     "measured_acceleration",
 ]
 
-PLAN_CACHE_SIZE = 32  # plans kept by fcfs_plan; ResNet-110 needs 6
+PLAN_CACHE_SIZE = 32  # records kept by layer_plan; ResNet-110 needs 6
 
 
 class Fallback(enum.Enum):
-    """Why fcfs_fallback sends a layer to the reference engine: a filter stride off a multiple
-    of c_in, or a plan with no fewer multiplies + lookups than the reference's multiplies."""
+    """Why a layer's LayerPlan sends "fcfs" to the reference engine: a filter stride off a
+    multiple of c_in, else a plan whose multiplies + lookups are not fewer than c_out*d1*d2*K."""
 
     UNALIGNED_STRIDE = "unaligned_stride"
     MORE_MULTIPLIES = "more_multiplies"
@@ -49,7 +49,7 @@ class Fallback(enum.Enum):
 
 @dataclass(frozen=True)
 class FcfsPlan:
-    """Everything one fcfs execution needs that does not depend on the data.
+    """Everything one fcfs execution needs that does not depend on the data (see LayerPlan.build).
 
     cells, summary  P padded cells, Q summary cells up to the last one read:
                     stage 1 writes G[r, q] at r*Q + q of a flat table, and
@@ -70,27 +70,6 @@ class FcfsPlan:
     multiplies: int
     additions: int
     lookups: int
-
-    @classmethod
-    def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "FcfsPlan":
-        """Plan one layer at one map size, uncached; raises UnsupportedGeometryError for
-        an unaligned stride and ShapeMismatchError for a side below 1. Slice k of
-        filter i at output (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m
-        with the s1 summary cells from q = i*stride/c_in + k*s1: window r*Q + q."""
-        if layout.stride % geom.c_in:  # the diagonals would scatter across channel residues
-            raise UnsupportedGeometryError("fcfs does not run unaligned_stride layers; use naive")
-        if d1 < 1 or d2 < 1:
-            raise ShapeMismatchError(f"feature map is {d1}x{d2}; both sizes must be >= 1")
-        s1, s2, c_in = geom.s1, geom.s2, geom.c_in
-        p1, shift = d1 + s1 - 1, layout.stride // c_in
-        cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
-        step = summary + 1  # along a diagonal; no window read wraps past row P-1
-        windows = cells * summary - (s1 - 1) * step
-        lookups = s2 * d2 * d1 * geom.c_out
-        additions = (c_in - 1) * cells * summary + (s1 - 1) * windows + lookups // s2 * (s2 - 1)
-        return cls(cells, summary, s1, windows, (s2, d2, d1, geom.c_out),
-                   (p1 * summary + s1, p1 * summary, summary, shift),  # (k, n, m, i)
-                   c_in * cells * summary, additions, lookups)
 
     @functools.cached_property
     def needed(self) -> int:  # no execution needs the floor: not a field
@@ -134,26 +113,49 @@ def _reads(plan: FcfsPlan) -> np.ndarray:
     return mask.reshape(plan.cells, plan.summary)
 
 
+@dataclass(frozen=True)
+class LayerPlan:
+    """One layer at one map size, which no data changes: `fallback`, why "fcfs" runs the
+    reference engine (None: fcfs runs), and `fcfs`, the FcfsPlan (None: unaligned stride)."""
+
+    fallback: Fallback | None
+    fcfs: FcfsPlan | None
+
+    @classmethod
+    def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "LayerPlan":
+        """The record of one key, uncached; raises ShapeMismatchError for a side below 1.
+        Slice k of filter i at output (m, n) pairs the s1 padded cells from r = (n+k)*p1 + m
+        with the s1 summary cells from q = i*stride/c_in + k*s1: window r*Q + q."""
+        if d1 < 1 or d2 < 1:
+            raise ShapeMismatchError(f"feature map is {d1}x{d2}; both sizes must be >= 1")
+        if layout.stride % geom.c_in:  # the diagonals would scatter across channel residues
+            return cls(Fallback.UNALIGNED_STRIDE, None)
+        s1, s2, c_in = geom.s1, geom.s2, geom.c_in
+        p1, shift = d1 + s1 - 1, layout.stride // c_in
+        cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
+        step = summary + 1  # along a diagonal; no window read wraps past row P-1
+        windows = cells * summary - (s1 - 1) * step
+        lookups = s2 * d2 * d1 * geom.c_out
+        additions = (c_in - 1) * cells * summary + (s1 - 1) * windows + lookups // s2 * (s2 - 1)
+        plan = FcfsPlan(cells, summary, s1, windows, (s2, d2, d1, geom.c_out),
+                        (p1 * summary + s1, p1 * summary, summary, shift),  # (k, n, m, i)
+                        c_in * cells * summary, additions, lookups)
+        loses = plan.multiplies + lookups >= geom.c_out * d1 * d2 * geom.filter_len
+        return cls(Fallback.MORE_MULTIPLIES if loses else None, plan)
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def fcfs_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> FcfsPlan:
-    """The cached plan for one key; a summary may carry any layout, so it is part of the key."""
-    return FcfsPlan.build(geom, layout, d1, d2)
-
-
-def fcfs_fallback(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> Fallback | None:
-    """The engine rule, on the plan key alone: UNALIGNED_STRIDE for a filter stride off a
-    multiple of c_in, else MORE_MULTIPLIES where the cached plan's multiplies + lookups are
-    not fewer than the reference engine's c_out*d1*d2*K, else None, and fcfs runs."""
-    if layout.stride % geom.c_in:
-        return Fallback.UNALIGNED_STRIDE
-    plan, oracle = fcfs_plan(geom, layout, d1, d2), geom.c_out * d1 * d2 * geom.filter_len
-    return Fallback.MORE_MULTIPLIES if plan.multiplies + plan.lookups >= oracle else None
+def layer_plan(geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> LayerPlan:
+    """The cached record for one key; a summary may carry any layout, so it is part of the key."""
+    return LayerPlan.build(geom, layout, d1, d2)
 
 
 def _plan(fs: FilterSummary, fmap: FeatureMap) -> FcfsPlan:
-    """The cached plan of an input check_conv_input accepts, on a layer FcfsPlan.build accepts."""
+    """The cached fcfs plan of an input check_conv_input accepts; refuses an unaligned stride."""
     check_conv_input(fs, fmap)
-    return fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+    if (plan := layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs) is None:
+        raise UnsupportedGeometryError("fcfs does not run unaligned_stride layers; use naive")
+    return plan
 
 
 def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tuple[int, int]]]:
@@ -186,32 +188,31 @@ class RunReport:
 
 
 def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOutput, RunReport]:
-    """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv where fcfs_fallback
-    returns None; elsewhere it quietly runs the reference engine and the report says
-    why. The input is checked once, before any plan is looked up or cached."""
+    """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv where the layer's LayerPlan has
+    no fallback; elsewhere it quietly runs the reference engine and the report says why. The
+    input is checked once, before a record is looked up or cached; "naive" reads none."""
     if engine not in ("naive", "fcfs"):
         raise InvalidArgumentError(f"engine must be 'naive' or 'fcfs', got {engine!r}")
     check_conv_input(fs, fmap)
-    fallback = fcfs_fallback(fs.geom, fs.layout, fmap.d1, fmap.d2) if engine == "fcfs" else None
-    if engine == "fcfs" and fallback is None:
-        out, counts = _execute(fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2), fs, fmap)
+    record = layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2) if engine == "fcfs" else None
+    if record is not None and record.fallback is None:
+        out, counts = _execute(record.fcfs, fs, fmap)
         return out, RunReport("fcfs", None, counts)
     counter = MultCounter()
-    return _lowered_conv(fs, fmap, counter), RunReport("naive", fallback, counter)
+    return _lowered_conv(fs, fmap, counter), RunReport("naive", record and record.fallback, counter)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
-    """Stages 1-3 on every layer with a channel-aligned filter stride, whatever the
-    counts (convolve reads them through fcfs_fallback); an unaligned stride runs
-    naive_conv and warns. Equals naive_conv up to floating reassociation of the same
-    products."""
-    if fs.layout.stride % fs.geom.c_in:
-        out = naive_conv(fs, fmap, counter := MultCounter())  # a refused map raises first
+    """Stages 1-3 on every layer with a channel-aligned filter stride, whatever the counts
+    (convolve reads them from the layer's LayerPlan); an unaligned stride, which has no fcfs
+    plan, runs the reference engine and warns. Equals naive_conv up to reassociation."""
+    check_conv_input(fs, fmap)
+    if (plan := layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs) is None:
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-        return out, counter
-    return _execute(_plan(fs, fmap), fs, fmap)
+        return _lowered_conv(fs, fmap, counter := MultCounter()), counter
+    return _execute(plan, fs, fmap)
 
 
 def _execute(plan: FcfsPlan, fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import MultCounter
-from .errors import InvalidDtypeError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .geometry import ConvGeometry
-from .tensors import FeatureMap, FilterSummary
+from .tensors import FeatureMap, FilterSummary, _check_real
 
 __all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "naive_nbytes", "rel_dev"]
 
@@ -48,8 +48,7 @@ def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
             f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}")
     if fmap.d1 < 1 or fmap.d2 < 1:
         raise ShapeMismatchError(f"feature map is {fmap.d1}x{fmap.d2}; both sizes must be >= 1")
-    if fmap.data.dtype.kind not in "biuf":
-        raise InvalidDtypeError(f"feature map has dtype {fmap.data.dtype}; need bool, int or float")
+    _check_real(fmap.data, "feature map")
 
 
 def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None = None) -> ConvOutput:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError
+from .errors import InvalidDtypeError, OutOfRangeError, ShapeMismatchError
 from .geometry import ConvGeometry, Layout, derive_layout
 
 __all__ = [
@@ -37,6 +37,12 @@ def unwrap_index(i: int, j: int, k: int, c_in: int, d1: int) -> int:
     if k < 0:
         raise OutOfRangeError(f"column {k} negative")
     return k * c_in * d1 + j * c_in + i
+
+
+def _check_real(values: np.ndarray, name: str) -> None:
+    """Refuse values that are not real numbers; bool, int and float are."""
+    if values.dtype.kind not in "biuf":
+        raise InvalidDtypeError(f"{name} has dtype {values.dtype}; need bool, int or float")
 
 
 def _trusted(cls, *values):
@@ -97,9 +103,10 @@ class FilterSummary:
     length are the padding that keeps the last filter in bounds and are
     ordinary trainable values. A layout whose stride would put a filter
     outside the summary is refused, since the reference engine reads the
-    filters through a strided view. Filter views returned by extract_filter /
-    filter_as_3d alias this array, so mutating the summary is reflected in
-    previously extracted filters.
+    filters through a strided view, and so are weights that are not real
+    numbers. Filter views returned by extract_filter / filter_as_3d alias
+    this array, so mutating the summary is reflected in previously
+    extracted filters.
     """
 
     geom: ConvGeometry
@@ -112,6 +119,7 @@ class FilterSummary:
             raise ShapeMismatchError(
                 f"summary has shape {w.shape}, expected ({self.layout.phys_length},)"
             )
+        _check_real(w, "summary")
         last_end = (self.geom.c_out - 1) * self.layout.stride + self.geom.filter_len
         if self.layout.stride < 0 or last_end > w.shape[0]:
             raise ShapeMismatchError(

@@ -812,7 +812,7 @@ class TestBench:
         def fault(fs, fmap):
             raise ValueError("view leaves its array")
 
-        monkeypatch.setattr(fsconv.cli, "measured_acceleration", fault)
+        monkeypatch.setattr(fsconv.cli, "fcfs_conv", fault)
         with pytest.raises(ValueError, match="view leaves its array"):
             main(["bench", "resnet110", "--ratio", "4", "--spatial", "8", "8", "--repeat", "1"])
 
@@ -840,8 +840,11 @@ class TestBench:
         assert len(calls) == 2 * 2
 
     def test_engine_is_decided_not_run(self, capsys, tmp_path, monkeypatch):
-        # convolve runs only in the timed --repeat loop: fcfs_fallback gives engine=
-        # and reason= without running the layer once more
+        # convolve runs only in the timed --repeat loop: the layer's record gives engine=
+        # and reason= without running the layer once more, and the counts and measured=
+        # come from the timed runs. Each engine's body, counted whoever calls it, runs
+        # exactly --repeat times per timed layer (fcfs.py calls the reference body by
+        # the name it imported from oracle.py)
         arch = tmp_path / "rule.arch"
         arch.write_text(
             "ratio 2\n"
@@ -849,17 +852,22 @@ class TestBench:
             "layer narrow kind=conv c_in=4 s1=3 s2=1 c_out=8\n"
             "layer main kind=conv c_in=4 s1=3 s2=3 c_out=8\n"
         )
-        calls = []
+        calls, bodies = [], []
         real = fsconv.cli.convolve
         monkeypatch.setattr(fsconv.cli, "convolve", lambda *a: calls.append(a[2:]) or real(*a))
+        execute, lowered = fsconv.fcfs._execute, fsconv.oracle._lowered_conv
+        monkeypatch.setattr(fsconv.fcfs, "_execute", lambda *a: bodies.append("fcfs") or execute(*a))
+        for module in (fsconv.fcfs, fsconv.oracle):
+            monkeypatch.setattr(module, "_lowered_conv", lambda *a: bodies.append("naive") or lowered(*a))
         code, records, _ = run(capsys, "bench", arch, "--spatial", "5", "4", "--repeat", "3")
         assert code == 0
         timed = [layer for layer in records_of(records, "layer") if "skipped" not in layer]
         assert [layer["engine"] for layer in timed] == ["fcfs", "naive"]
         assert calls == [("naive",)] * 3 * len(timed)
+        assert sorted(bodies) == ["fcfs"] * 3 * len(timed) + ["naive"] * 3 * len(timed)
 
     def test_one_by_one_output_is_benched(self, capsys, tmp_path):
-        # s1 = 1 on a 1x1 map: fcfs_fallback(geom, layout, 1, 1) sends the layer to the
+        # s1 = 1 on a 1x1 map: layer_plan(geom, layout, 1, 1) sends the layer to the
         # reference engine by count (120 products + 24 lookups >= 96), and bench times it
         arch = tmp_path / "one.arch"
         arch.write_text("layer c kind=conv c_in=4 s1=1 s2=3 c_out=8 r=2\n")

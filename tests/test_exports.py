@@ -23,3 +23,17 @@ def test_each_reexport_is_in_exactly_one_modules_all():
     for name, module in imported.items():
         assert declared.get(name) == [module], (name, module, declared.get(name))
         assert hasattr(fsconv, name)
+
+
+def test_one_layer_record_and_no_alias_beside_it():
+    # the engine rule and the fcfs plan are one record behind one cache: the names
+    # they replaced are gone from the package and from fcfs.py
+    import fsconv.fcfs
+
+    for module in (fsconv, fsconv.fcfs):
+        for name in ("fcfs_fallback", "fcfs_plan"):
+            assert not hasattr(module, name), (module.__name__, name)
+    for name in ("LayerPlan", "layer_plan"):
+        declared = [path.stem for path in SRC.glob("[!_]*.py")
+                    if name in getattr(importlib.import_module(f"fsconv.{path.stem}"), "__all__", ())]
+        assert declared == ["fcfs"], (name, declared)

@@ -23,10 +23,10 @@ import fsconv.oracle
 from fsconv import (
     ConvGeometry,
     ConvSpec,
-    FcfsPlan,
     FeatureMap,
     FilterSummary,
     Fallback,
+    LayerPlan,
     Layout,
     MultCounter,
     RunReport,
@@ -37,8 +37,7 @@ from fsconv import (
     derive_layout,
     extract_filter,
     fcfs_conv,
-    fcfs_fallback,
-    fcfs_plan,
+    layer_plan,
     measured_acceleration,
     naive_conv,
     pad_same,
@@ -177,7 +176,7 @@ class TestRequiredDiagonals:
             plan = required_diagonals(fs, fmap)
             cells = enumerate_cells(geom, fs.layout, d1, d2)
             assert plan_cells(plan) == cells
-            planned = fcfs_plan(geom, fs.layout, d1, d2)
+            planned = layer_plan(geom, fs.layout, d1, d2).fcfs
             assert planned.needed == len(cells)
             counts = (planned.multiplies, planned.additions, planned.lookups)
             assert counts == grid_counts(geom, fs.layout, d1, d2)
@@ -213,16 +212,16 @@ class TestRequiredDiagonals:
             plan = required_diagonals(fs, FeatureMap.random(geom.c_in, d1, d2, seed=7))
             cells = enumerate_cells(geom, fs.layout, d1, d2)
             assert plan_cells(plan) == cells
-            planned = fcfs_plan(geom, fs.layout, d1, d2)
+            planned = layer_plan(geom, fs.layout, d1, d2).fcfs
             assert planned.needed == len(cells)
             assert (planned.multiplies, planned.additions, planned.lookups) == grid_counts(
                 geom, fs.layout, d1, d2)
 
 
 class TestPlanGuard:
-    """FcfsPlan.build refuses every layer fcfs_fallback refuses whatever the map
-    size, an unaligned filter stride, so no stage of the engine is planned for a
-    layer the engine cannot run."""
+    """A layer's record holds no fcfs plan where its rule refuses the layer whatever the
+    map size, an unaligned filter stride, so no stage of the engine is planned for a
+    layer the engine cannot run, and every caller of the plan refuses it."""
 
     @pytest.mark.parametrize("geom, reason", [
         (ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), "unaligned_stride"),  # stride 13
@@ -230,12 +229,10 @@ class TestPlanGuard:
     def test_refused_layer_has_no_plan(self, geom, reason):
         fs = FilterSummary.random(geom, seed=47)
         fmap = FeatureMap.random(geom.c_in, 4, 4, seed=48)
-        assert fcfs_fallback(geom, fs.layout, 4, 4).value == reason
-        calls = (lambda: FcfsPlan.build(geom, fs.layout, 4, 4),
-                 lambda: fcfs_plan(geom, fs.layout, 4, 4),
-                 lambda: required_diagonals(fs, fmap),
-                 lambda: build_integrals(fs, fmap))
-        for call in calls:
+        for record in (LayerPlan.build(geom, fs.layout, 4, 4), layer_plan(geom, fs.layout, 4, 4)):
+            assert record.fallback.value == reason
+            assert record.fcfs is None
+        for call in (lambda: required_diagonals(fs, fmap), lambda: build_integrals(fs, fmap)):
             with pytest.raises(UnsupportedGeometryError, match=reason):
                 call()
 
@@ -247,7 +244,7 @@ class TestStageTwo:
         # t < s1, added in that order, and the adds that run are s1-1 per
         # window, the plan's stage-2 count
         geom = ConvGeometry(2, s1, 2, 3, 2)
-        plan = FcfsPlan.build(geom, derive_layout(geom), 3, 2)
+        plan = LayerPlan.build(geom, derive_layout(geom), 3, 2).fcfs
         grid = np.empty(plan.cells * plan.summary, object)
         grid[:] = [Term(j) for j in range(grid.size)]
         Term.adds = 0
@@ -266,11 +263,11 @@ class TestPlanFloor:
         rng = np.random.default_rng(46)
         for _ in range(15):
             fs, fmap = random_instance(rng, c_in=(1, 5), s1=(1, 3), s2=(2, 3), c_out=(1, 8), d=(1, 5))
-            plan = FcfsPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            plan = LayerPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs
             assert "needed" not in vars(plan)
             assert plan.needed == len(enumerate_cells(fs.geom, fs.layout, fmap.d1, fmap.d2))
             assert "needed" in vars(plan)
-            assert plan == FcfsPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            assert plan == LayerPlan.build(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs
 
     def test_build_allocates_no_read_mask(self):
         # 16->32 at 32x32: the (P, Q) bool read mask is 1156 x 71 bytes,
@@ -279,7 +276,7 @@ class TestPlanFloor:
         layout = derive_layout(geom)
         tracemalloc.start()
         try:
-            plan = FcfsPlan.build(geom, layout, 32, 32)
+            plan = LayerPlan.build(geom, layout, 32, 32).fcfs
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             assert plan.needed > 0
@@ -303,7 +300,7 @@ class TestBuildIntegrals:
         geom = ConvGeometry(1, 1, 2, 1, 1)
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
         fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
-        plan = fcfs_plan(geom, fs.layout, 1, 2)
+        plan = layer_plan(geom, fs.layout, 1, 2).fcfs
         assert np.array_equal(plan.products(fmap, fs.weights), [3, 6, 4, 8, 0, 0])
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
         assert np.array_equal(table, [3, 6, 4, 8, 0, 0])
@@ -323,7 +320,7 @@ class TestBuildIntegrals:
         fs = FilterSummary(geom, template.layout, np.zeros_like(template.weights))
         fmap = FeatureMap.random(2, 3, 3, seed=8)
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
-        plan = fcfs_plan(geom, fs.layout, 3, 3)
+        plan = layer_plan(geom, fs.layout, 3, 3).fcfs
         assert table.size == plan.windows == (plan.cells - 1) * plan.summary - 1 > 0
         assert not table.any()
 
@@ -333,7 +330,7 @@ class TestBuildIntegrals:
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
-            plan = fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            plan = layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs
             direct = literal_products(fs, fmap, plan)
             products = plan.products(fmap, fs.weights)
             assert products.shape == direct.shape == (plan.cells * plan.summary,)
@@ -368,7 +365,7 @@ class TestBuildIntegrals:
         geom = ConvGeometry(c_in, s1, s2, c_out, ratio)
         fs = FilterSummary.random(geom, seed=49)
         fmap = FeatureMap.random(c_in, d1, d2, seed=50)
-        plan = FcfsPlan.build(geom, fs.layout, d1, d2)
+        plan = LayerPlan.build(geom, fs.layout, d1, d2).fcfs
         table = plan.window_sums(plan.products(fmap, fs.weights))
         assert_windows_are_slice_dots(fs, fmap, plan, table)
         grid, step = literal_products(fs, fmap, plan), plan.summary + 1
@@ -399,9 +396,9 @@ class TestStageThreeViews:
         rng = np.random.default_rng(40)
         for geom, d1, d2 in self.EDGE_CASES + list(self.random_cases(rng, 40)):
             fs = FilterSummary.random(geom, seed=int(rng.integers(2**31)))
-            assert fcfs_fallback(geom, fs.layout, d1, d2) is not Fallback.UNALIGNED_STRIDE
+            assert layer_plan(geom, fs.layout, d1, d2).fallback is not Fallback.UNALIGNED_STRIDE
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)))
-            plan = fcfs_plan(geom, fs.layout, d1, d2)
+            plan = layer_plan(geom, fs.layout, d1, d2).fcfs
             # slice k of filter i at output (m, n) starts at padded cell r and
             # summary cell q; its window is entry r*Q + q of the flat table
             s1, p1, shift = geom.s1, d1 + geom.s1 - 1, fs.layout.stride // geom.c_in
@@ -424,7 +421,7 @@ class TestStageThreeViews:
         geom = ConvGeometry(2, 3, 3, 4, 2)
         fs = FilterSummary.random(geom, seed=43)
         table = build_integrals(fs, FeatureMap.random(2, 4, 5, seed=44))
-        plan = fcfs_plan(geom, fs.layout, 4, 5)
+        plan = layer_plan(geom, fs.layout, 4, 5).fcfs
         assert plan.view(table).shape == (3, 5, 4, 4)
         with pytest.raises(ValueError):
             plan.view(table[:-1])  # too short
@@ -446,7 +443,7 @@ class TestStageThreeViews:
         fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
         fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
         convolve(fs, fmap)  # plans the layer
-        plan = fcfs_plan(geom, fs.layout, 32, 32)
+        plan = layer_plan(geom, fs.layout, 32, 32).fcfs
         windows = (cells - s1 + 1) * summary - s1 + 1
         assert (plan.cells, plan.summary, plan.windows) == (cells, summary, windows)
         work_bytes = plan.nbytes(4)
@@ -517,7 +514,7 @@ class TestFcfsConv:
             warnings.simplefilter("error")  # convolve falls back without a warning
             quiet, report = convolve(fs, fmap)
         assert (report.engine, report.fallback) == ("naive", Fallback.UNALIGNED_STRIDE)
-        assert report.fallback is fcfs_fallback(geom, fs.layout, 4, 4)
+        assert report.fallback is layer_plan(geom, fs.layout, 4, 4).fallback
         assert report.counts == counter
         assert np.array_equal(quiet.data, out.data)
 
@@ -544,7 +541,7 @@ class TestFcfsConv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, counter = fcfs_conv(fs, fmap)
-        plan = fcfs_plan(geom, fs.layout, 3, 3)
+        plan = layer_plan(geom, fs.layout, 3, 3).fcfs
         assert counter == MultCounter(plan.multiplies, plan.additions, plan.lookups)
         assert counter.lookups == geom.c_out * 9
         assert out.data.flags.c_contiguous and out.data.flags.writeable
@@ -618,7 +615,7 @@ class TestFcfsConv:
         for _ in range(15):
             fs, fmap = random_instance(rng, c_in=(1, 5), s1=(1, 3), s2=(2, 3), c_out=(1, 8), d=(1, 5))
             _, counter = fcfs_conv(fs, fmap)
-            plan = fcfs_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            plan = layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs
             cells = enumerate_cells(fs.geom, fs.layout, fmap.d1, fmap.d2)
             assert plan.needed == len(cells) <= counter.multiplies == plan.multiplies
             runs = required_diagonals(fs, fmap)
@@ -660,11 +657,11 @@ class TestConvolve:
     def test_engine_follows_exact_counts(self, geom, d1, d2, engine):
         fs = FilterSummary.random(geom, seed=52)
         fmap = FeatureMap.random(geom.c_in, d1, d2, seed=53)
-        plan = fcfs_plan(geom, fs.layout, d1, d2)
+        plan = layer_plan(geom, fs.layout, d1, d2).fcfs
         oracle = geom.c_out * d1 * d2 * geom.filter_len
         assert (plan.multiplies + plan.lookups < oracle) == (engine == "fcfs")
         out, report = convolve(fs, fmap)
-        assert report.fallback is fcfs_fallback(geom, fs.layout, d1, d2)
+        assert report.fallback is layer_plan(geom, fs.layout, d1, d2).fallback
         if engine == "fcfs":
             assert report == RunReport("fcfs", None, fcfs_conv(fs, fmap)[1])
             assert out.data.tobytes() == fcfs_conv(fs, fmap)[0].data.tobytes()
@@ -674,7 +671,8 @@ class TestConvolve:
             assert out.data.tobytes() == naive_conv(fs, fmap).data.tobytes()
 
     def test_report_is_the_rule_on_seeded_geometries(self):
-        # convolve reports exactly what fcfs_fallback decides, on every policy and on
+        # the record's fallback is the rule, written out here on the stride and the
+        # enumerated grid counts, and convolve reports exactly that, on every policy and on
         # both sides of the count boundary (the named cases: test_engine_follows_exact_counts
         # and test_unaligned_stride_falls_back_with_warning)
         rng = np.random.default_rng(56)
@@ -683,41 +681,57 @@ class TestConvolve:
             policy = list(StridePolicy)[int(rng.integers(3))]
             fs, fmap = random_instance(rng, c_in=(1, 6), s1=(1, 4), s2=(1, 4), c_out=(1, 10),
                                        d=(1, 7), policy=policy)
-            fallback = fcfs_fallback(fs.geom, fs.layout, fmap.d1, fmap.d2)
+            geom, d1, d2 = fs.geom, fmap.d1, fmap.d2
+            record = layer_plan(geom, fs.layout, d1, d2)
+            if fs.layout.stride % geom.c_in:
+                rule = Fallback.UNALIGNED_STRIDE
+                assert record.fcfs is None
+            else:
+                multiplies, additions, lookups = grid_counts(geom, fs.layout, d1, d2)
+                loses = multiplies + lookups >= geom.c_out * d1 * d2 * geom.filter_len
+                rule = Fallback.MORE_MULTIPLIES if loses else None
+                plan = record.fcfs
+                assert (plan.multiplies, plan.additions, plan.lookups) == (multiplies, additions, lookups)
+            assert record.fallback is rule, (geom, d1, d2)
+            assert record == LayerPlan.build(geom, fs.layout, d1, d2)
             report = convolve(fs, fmap)[1]
-            assert report.fallback is fallback, (fs.geom, fmap.d1, fmap.d2)
-            assert report.engine == ("fcfs" if fallback is None else "naive")
-            seen.add(fallback)
+            assert report.fallback is rule
+            assert report.engine == ("fcfs" if rule is None else "naive")
+            seen.add(rule)
         assert seen == {None, *Fallback}
 
     def test_empty_map_caches_no_plan(self):
-        # a map side below 1 is refused before any plan is kept, by every path
-        geom = ConvGeometry(2, 2, 2, 2, 1)
-        fs = FilterSummary.random(geom, seed=57)
-        fcfs_plan.cache_clear()
-        for fmap in (FeatureMap(2, 0, 5, np.zeros(0)), unwrap(np.zeros((2, 0, 5)))):
-            for call in (lambda: convolve(fs, fmap), lambda: fcfs_conv(fs, fmap)):
-                with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
-                    call()
-            assert fcfs_plan.cache_info().currsize == 0
-            for call in (lambda: fcfs_fallback(geom, fs.layout, fmap.d1, fmap.d2),
-                         lambda: FcfsPlan.build(geom, fs.layout, fmap.d1, fmap.d2)):
-                with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
-                    call()
-        assert fcfs_plan.cache_info().currsize == 0
+        # a map side below 1 is refused before any record is kept, by every path, on an
+        # aligned layer and on an unaligned one (stride 13, c_in 3), whose record the
+        # cache keeps too
+        layer_plan.cache_clear()
+        for geom in (ConvGeometry(2, 2, 2, 2, 1), ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC)):
+            fs, c_in = FilterSummary.random(geom, seed=57), geom.c_in
+            for fmap in (FeatureMap(c_in, 0, 5, np.zeros(0)), unwrap(np.zeros((c_in, 0, 5)))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # refused before fcfs_conv would warn
+                    for call in (lambda: convolve(fs, fmap), lambda: fcfs_conv(fs, fmap)):
+                        with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+                            call()
+                assert layer_plan.cache_info().currsize == 0
+                for call in (lambda: layer_plan(geom, fs.layout, fmap.d1, fmap.d2),
+                             lambda: LayerPlan.build(geom, fs.layout, fmap.d1, fmap.d2)):
+                    with pytest.raises(ShapeMismatchError, match="sizes must be >= 1"):
+                        call()
+        assert layer_plan.cache_info().currsize == 0
 
     def test_wrong_channel_map_caches_no_plan(self):
         # every path checks the map before it looks a plan up: a refused map
         # takes none of the PLAN_CACHE_SIZE slots, so it evicts no good plan
         fs = FilterSummary.random(ConvGeometry(2, 3, 3, 4, 2), seed=58)
         fmap = FeatureMap.random(3, 6, 6, seed=59)
-        fcfs_plan.cache_clear()
-        before = fcfs_plan.cache_info()
+        layer_plan.cache_clear()
+        before = layer_plan.cache_info()
         for call in (lambda: convolve(fs, fmap), lambda: convolve(fs, fmap, "naive"),
                      lambda: fcfs_conv(fs, fmap)):
             with pytest.raises(ShapeMismatchError, match="has 3 channels, layer expects 2"):
                 call()
-        assert fcfs_plan.cache_info() == before
+        assert layer_plan.cache_info() == before
 
     def test_engines_build_their_maps_unchecked(self, monkeypatch):
         # on the 109-layer ResNet-110 chain, through both engines, FeatureMap's
@@ -786,23 +800,23 @@ class TestPlanCache:
         fast, _ = fcfs_conv(fs, fmap)
         assert rel_dev(fast.data, naive_conv(fs, fmap).data) <= 1e-12
         assert not np.array_equal(fast.data, out.data)
-        assert fcfs_plan(geom, other, 6, 5) is not fcfs_plan(geom, layout, 6, 5)
+        assert layer_plan(geom, other, 6, 5).fcfs is not layer_plan(geom, layout, 6, 5).fcfs
 
     def test_repeated_key_reuses_plan_bit_identical_to_cold_build(self):
         rng = np.random.default_rng(32)
         fs, fmap = random_instance(rng)
         key = (fs.geom, fs.layout, fmap.d1, fmap.d2)
-        fcfs_plan.cache_clear()
+        layer_plan.cache_clear()
         cold, cold_counter = fcfs_conv(fs, fmap)
-        assert fcfs_plan.cache_info().misses == 1
+        assert layer_plan.cache_info().misses == 1
         warm, warm_counter = fcfs_conv(fs, fmap)
-        info = fcfs_plan.cache_info()
+        info = layer_plan.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert fcfs_plan(*key) is fcfs_plan(*key)
+        assert layer_plan(*key).fcfs is layer_plan(*key).fcfs
         assert warm.data.tobytes() == cold.data.tobytes()
         assert warm_counter == cold_counter
-        fresh = FcfsPlan.build(*key)
-        cached = fcfs_plan(*key)
+        fresh = LayerPlan.build(*key).fcfs
+        cached = layer_plan(*key).fcfs
         assert fresh == cached and fresh is not cached
         # the plan holds plain numbers and tuples, nothing a caller could mutate
         assert all(isinstance(getattr(cached, f.name), (int, tuple)) for f in fields(cached))
@@ -816,23 +830,42 @@ class TestPlanCache:
         # layout's, so a hit runs no Python-level Fraction.__hash__
         geom = ConvGeometry(4, 3, 3, 8, Fraction(7, 2))
         layout = derive_layout(geom)
-        plan = fcfs_plan(geom, layout, 6, 5)
-        hits = fcfs_plan.cache_info().hits
+        plan = layer_plan(geom, layout, 6, 5).fcfs
+        hits = layer_plan.cache_info().hits
 
         def refuse(self):
             raise AssertionError("a Fraction was hashed")
 
         monkeypatch.setattr(Fraction, "__hash__", refuse)
-        assert fcfs_plan(geom, layout, 6, 5) is plan
-        assert fcfs_plan.cache_info().hits == hits + 1
+        assert layer_plan(geom, layout, 6, 5).fcfs is plan
+        assert layer_plan.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("geom, fallback", [
+        (ConvGeometry(4, 3, 3, 8, 4), None),  # at 5x4: 3,864 products + 480 lookups < 5,760
+        (ConvGeometry(4, 3, 3, 3, 2), Fallback.MORE_MULTIPLIES),  # 2,856 + 180 >= 2,160
+        (ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), Fallback.UNALIGNED_STRIDE),
+    ], ids=["fcfs", "more_multiplies", "unaligned_stride"])
+    def test_one_record_lookup_per_call(self, geom, fallback):
+        # convolve(engine="fcfs") looks the layer's record up exactly once per call, cold
+        # or warm, on both sides of the rule, and engine="naive" needs nothing from it
+        fs = FilterSummary.random(geom, seed=61)
+        fmap = FeatureMap.random(geom.c_in, 5, 4, seed=62)
+        layer_plan.cache_clear()
+        for engine, lookups in [("fcfs", 1), ("fcfs", 1), ("naive", 0), ("fcfs", 1), ("naive", 0)]:
+            before = layer_plan.cache_info()
+            report = convolve(fs, fmap, engine)[1]
+            after = layer_plan.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + lookups, engine
+            assert report.fallback is (fallback if engine == "fcfs" else None)
+        assert layer_plan.cache_info().misses == 1
 
     def test_cache_size_stays_bounded(self):
         geom = ConvGeometry(1, 1, 2, 2, 1)
         fs = FilterSummary.random(geom, seed=33)
-        fcfs_plan.cache_clear()
+        layer_plan.cache_clear()
         for d2 in range(1, PLAN_CACHE_SIZE + 6):
             fcfs_conv(fs, FeatureMap.random(1, 2, d2, seed=d2))
-        info = fcfs_plan.cache_info()
+        info = layer_plan.cache_info()
         assert info.maxsize == PLAN_CACHE_SIZE
         assert info.currsize == PLAN_CACHE_SIZE
         assert info.misses == PLAN_CACHE_SIZE + 5
@@ -842,10 +875,10 @@ class TestPlanCache:
         fs, fmap = random_instance(rng)
         fs32 = FilterSummary(fs.geom, fs.layout, fs.weights.astype(np.float32))
         fmap32 = FeatureMap(fmap.c_in, fmap.d1, fmap.d2, fmap.data.astype(np.float32))
-        fcfs_plan.cache_clear()
+        layer_plan.cache_clear()
         out64, counter64 = fcfs_conv(fs, fmap)
         out32, counter32 = fcfs_conv(fs32, fmap32)
-        info = fcfs_plan.cache_info()
+        info = layer_plan.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert (out64.data.dtype, out32.data.dtype) == (np.float64, np.float32)
         assert counter64 == counter32
@@ -933,7 +966,7 @@ class TestEngineProperty:
                                if holds(geom, d1, d2))
                 fs = FilterSummary.random(geom, seed=d1, dtype=dtype)
                 fmap = FeatureMap.random(geom.c_in, d1, d2, seed=d2, dtype=dtype)
-                aligned = fcfs_fallback(geom, layout, d1, d2) is not Fallback.UNALIGNED_STRIDE
+                aligned = layer_plan(geom, layout, d1, d2).fallback is not Fallback.UNALIGNED_STRIDE
                 engine = fcfs_conv if aligned else convolve  # convolve: the reference engine
                 out = engine(fs, fmap)[0]
                 reference = naive_conv(fs, fmap)

@@ -13,7 +13,7 @@ from fsconv import (
     StridePolicy,
     count_params,
     derive_layout,
-    fcfs_fallback,
+    layer_plan,
     predicted_acceleration,
 )
 from fsconv.errors import InvalidRatioError, ShapeMismatchError
@@ -171,8 +171,8 @@ class TestPredictedAcceleration:
     ],
 )
 def test_fcfs_fallback_policy(geom, reason):
-    # the engine rule lives in fcfs.py; it reads the layout this module derives
-    assert fcfs_fallback(geom, derive_layout(geom), 16, 16) is reason
+    # the engine rule is fcfs.py's LayerPlan; it reads the layout this module derives
+    assert layer_plan(geom, derive_layout(geom), 16, 16).fallback is reason
 
 
 class TestLayoutProperties:

@@ -1,5 +1,6 @@
 """Channel-major flattening, filter segment views, coverage and overlap."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from fsconv import (
     unwrap,
     unwrap_index,
 )
-from fsconv.errors import OutOfRangeError, ShapeMismatchError
+from fsconv.errors import InvalidDtypeError, OutOfRangeError, ShapeMismatchError
 
 from helpers import random_fast_geometry
 
@@ -123,6 +124,26 @@ class TestExtractFilter:
         geom = ConvGeometry(1, 3, 1, 3, Fraction(9, 5), StridePolicy.GENERIC)  # phys 5
         with pytest.raises(ShapeMismatchError, match=r"^summary has shape \(4,\), expected \(5,\)$"):
             FilterSummary(geom, derive_layout(geom), np.arange(4.0))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, "U3", object], ids=["complex", "string", "object"])
+    def test_non_real_weights_refused(self, dtype):
+        # refused where the summary is made, with the map's error: no engine returns a
+        # complex output, or fails in numpy's matmul, on weights that are not real numbers
+        geom = ConvGeometry(2, 1, 2, 2, 1)
+        weights = FilterSummary.random(geom, seed=14).weights.astype(dtype)
+        message = re.escape(f"summary has dtype {weights.dtype}; need bool, int or float")
+        with pytest.raises(InvalidDtypeError, match=f"^{message}$"):
+            FilterSummary(geom, derive_layout(geom), weights)
+        with pytest.raises(InvalidDtypeError, match=f"^{message}$"):
+            FilterSummary.from_weights(geom, weights)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.float32, np.float64])
+    def test_real_weights_accepted(self, dtype):
+        geom = ConvGeometry(2, 1, 2, 2, 1)
+        values = np.random.default_rng(15).integers(0, 2, derive_layout(geom).phys_length)
+        fs = FilterSummary.from_weights(geom, values.astype(dtype))
+        assert fs.weights.dtype == dtype
+        assert np.array_equal(fs.weights, values)
 
     def test_index_validation(self):
         geom = ConvGeometry(1, 3, 1, 3, Fraction(9, 5))

@@ -51,10 +51,11 @@ extents = sum(hi - lo for spans in runs.values() for lo, hi in spans)
 plan = layer_plan(geom, fs.layout, fmap.d1, fmap.d2).fcfs  # the layer's record: rule and plan
 print(f"slices read {extents} element products on {len(runs)} diagonals: the floor")
 print(f"(equal to plan.needed: {extents == plan.needed})")
-print(f"stage 1 is one matrix product over all {plan.cells} x {plan.summary} cell pairs, "
-      f"{fast_counter.multiplies} multiplies ({fast_counter.multiplies / plan.needed:.3f}x the floor)")
+print(f"stage 1 multiplies all {plan.cells} x {plan.summary} cell pairs, "
+      f"{fast_counter.multiplies} multiplies ({fast_counter.multiplies / plan.needed:.3f}x the floor), "
+      f"in {plan.blocks(fast.data.itemsize)} row block(s)")
 print(f"stage 2 sums each of {plan.windows} windows of {plan.window} products in "
-      f"s1 - 1 = {plan.window - 1} adds, into one table")
+      f"s1 - 1 = {plan.window - 1} adds, into one table, block by block")
 
 print()
 print("=== measured vs predicted on the classic 64x64 3x3 layer ===")

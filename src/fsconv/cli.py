@@ -320,7 +320,8 @@ def cmd_bench(args) -> int:
                 dev=rel_dev(fast.data, reference.data),
                 plan_ms=plan_ms,
                 work_bytes=plan.nbytes(fast.data.itemsize),
-                naive_bytes=naive_nbytes(geom, d1, d2, reference.data.itemsize),
+                blocks=plan.blocks(fast.data.itemsize),
+                naive_bytes=naive_nbytes(geom, layout, d1, d2, reference.data.itemsize),
                 engine="fcfs" if record.fallback is None else "naive",  # the engine conv runs
                 **({} if record.fallback is None else dict(reason=record.fallback)),
             )

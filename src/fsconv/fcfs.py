@@ -3,11 +3,13 @@
 A cell is the c_in values at one padded position, or c_in consecutive
 summary weights. Under a channel-aligned filter stride each slice inner
 product sums a window of s1 consecutive entries on one diagonal of the cell
-products G[r, q] = x_cell[r] . w_cell[q]. Stage 1 is one matrix product into
-a flat C-ordered (P, Q) table, where a diagonal steps by Q+1; stage 2 adds the
-s1 entries of each window along that step into one table; stage 3 reads one
-strided view of the windows and adds the s2 slices per output in order,
-bit-identical at a fixed BLAS thread count.
+products G[r, q] = x_cell[r] . w_cell[q], flat and C-ordered, where a diagonal
+steps by Q+1. Stages 1 and 2 run in row blocks of G that fit BLOCK_BYTES:
+stage 1 multiplies one block of rows into one buffer, and stage 2 adds each of
+its entries into the windows it belongs to, so every window adds its s1
+entries in order and the window table is the same bytes however G is cut.
+Stage 3 reads one strided view of the windows and adds the s2 slices per
+output in order, bit-identical at a fixed BLAS thread count.
 
 LayerPlan.build(geom, layout, d1, d2) is the engine rule and the fcfs plan in one record,
 which layer_plan caches and convolve, the entry point, reads. fcfs_conv runs stages 1-3 on
@@ -27,16 +29,17 @@ import numpy as np
 from .counters import MultCounter
 from .errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
 from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
-from .oracle import ConvOutput, _lowered_conv, check_conv_input, pad_same
-from .tensors import FeatureMap, FilterSummary
+from .oracle import ConvOutput, _lowered_conv, _padded, check_conv_input
+from .tensors import FeatureMap, FilterSummary, _compute_dtype
 
 __all__ = [
-    "PLAN_CACHE_SIZE", "Fallback", "FcfsPlan", "LayerPlan", "layer_plan", "RunReport", "convolve",
-    "AccelerationReport", "required_diagonals", "build_integrals", "fcfs_conv", "measured_ratio",
-    "measured_acceleration",
+    "PLAN_CACHE_SIZE", "BLOCK_BYTES", "Fallback", "FcfsPlan", "LayerPlan", "layer_plan", "RunReport",
+    "convolve", "AccelerationReport", "required_diagonals", "build_integrals", "fcfs_conv",
+    "measured_ratio", "measured_acceleration",
 ]
 
 PLAN_CACHE_SIZE = 32  # records kept by layer_plan; ResNet-110 needs 6
+BLOCK_BYTES = 256 * 1024  # the stage-1 block budget: G's rows that fit in cache
 
 
 class Fallback(enum.Enum):
@@ -75,27 +78,74 @@ class FcfsPlan:
     def needed(self) -> int:  # no execution needs the floor: not a field
         return self.multiplies // self.cells // self.summary * int(_reads(self).sum())
 
-    def nbytes(self, itemsize: int) -> int:
-        """Bytes one execution allocates beyond the padded map and output: G, and
-        for s1 > 1 the window table."""
-        return itemsize * (self.cells * self.summary + (self.windows if self.window > 1 else 0))
-
-    def products(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
-        """Pad the map, then stage 1: the flat (P, Q) table G of cell products."""
-        x = pad_same(fmap, self.window, self.shape[0]).data.reshape(self.cells, -1)
-        w = weights[: self.summary * x.shape[1]].reshape(self.summary, -1)
-        return np.matmul(x, w.T).ravel()  # in the common type of map and weights
-
-    def window_sums(self, products: np.ndarray) -> np.ndarray:
-        """Stage 2: the `windows` window sums of flat G (G itself for s1 = 1), adding
-        the s1 entries of each window in order into one new table."""
+    def rows(self, itemsize: int) -> int:
+        """Rows of G per stage-1 block: as many as BLOCK_BYTES holds, at least one, and all
+        P for s1 = 1, where G is the window table."""
         if self.window == 1:
-            return products
-        step, n = self.summary + 1, self.windows
-        table = np.add(products[:n], products[step : step + n])
-        for t in range(2, self.window):
-            table += products[t * step : t * step + n]
+            return self.cells
+        rows = BLOCK_BYTES // (self.summary * itemsize)
+        return self.cells if rows >= self.cells else rows or 1
+
+    def blocks(self, itemsize: int) -> int:
+        """Stage-1 row blocks of one execution."""
+        return -(-self.cells // self.rows(itemsize))
+
+    def nbytes(self, itemsize: int) -> int:
+        """Bytes one execution allocates beyond its output: the window table, for s1 > 1
+        one block of G, and where G takes more than one block the padded map (c_in*P
+        entries), which then lives through stage 2; for one block it goes before the table
+        comes, so it is not counted."""
+        rows = self.rows(itemsize)
+        block = rows * self.summary if self.window > 1 else 0
+        padded = self.multiplies // self.summary if rows < self.cells else 0
+        return itemsize * (padded + block + self.windows)
+
+    def integrals(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
+        """Pad the map, then stages 1 and 2 in row blocks of G: each block of rows goes into
+        one buffer (np.matmul, out=), then into the window table (add_block). The padded map
+        goes once its last block is made and the table comes after the first, so for G of
+        one block they come and go in the unblocked order, which takes fewer page faults."""
+        x = _padded(fmap, self.window, self.shape[0]).reshape(self.cells, -1)
+        w = weights[: self.summary * x.shape[1]].reshape(self.summary, -1).T
+        dtype = _compute_dtype(x, w)
+        rows = self.rows(dtype.itemsize)
+        block, table = np.empty((rows, self.summary), dtype), None  # one buffer for every block
+        for r0 in range(0, self.cells, rows):
+            products = np.matmul(x[r0 : r0 + rows], w, block[: self.cells - r0], dtype=dtype).ravel()
+            if r0 + rows >= self.cells:
+                del x
+            if self.window == 1:  # G, one block, is the table
+                return products
+            if table is None:
+                table = np.empty(self.windows, dtype)
+            self.add_block(table, products, r0 * self.summary)
         return table
+
+    def add_block(self, table: np.ndarray, block: np.ndarray, start: int) -> None:
+        """Stage 2 of G's flat entries [start, start + block.size), for s1 > 1: entry j adds
+        into window j - t*(Q+1) for each t < s1. Blocks come in order and t ascends within
+        one, so each window adds its entries t = 0 .. s1-1 in order: its first two in one
+        np.add where both lie in this block, else the first by assignment, and each later
+        one by +=. One block of all of G makes G[:n] + G[step : step + n], then s1-2 passes
+        of += G[t*step : t*step + n]."""
+        # conditional expressions, not min and max: on small layers those calls cost as much
+        # as the adds
+        step, n, size = self.summary + 1, self.windows, block.size
+        first = n - start if n - start < size else size  # windows from `start` on: entry 0 here
+        pair = first if first < size - step else size - step  # those whose entry 1 is here too
+        if pair < 0:
+            pair = 0
+        np.add(block[:pair], block[step : step + pair], table[start : start + pair])
+        if pair < first:
+            table[start + pair : start + first] = block[pair:first]
+        paired = start if start < n else n  # entry 1 of the windows from here on came above
+        for t in range(1 if start else 2, self.window):  # t = 1: windows before `start`
+            at = start - t * step  # the window whose entry t is the block's first
+            lo, hi, cap = (at if at > 0 else 0), at + size, (n if t > 1 else paired)
+            if hi > cap:
+                hi = cap
+            if lo < hi:
+                table[lo:hi] += block[lo - at : hi - at]
 
     def view(self, flat: np.ndarray) -> np.ndarray:
         """The window of each slice pair in the contiguous `flat`, as a read-only (s2, d2,
@@ -173,8 +223,7 @@ def required_diagonals(fs: FilterSummary, fmap: FeatureMap) -> dict[int, list[tu
 
 def build_integrals(fs: FilterSummary, fmap: FeatureMap, diagonals=None) -> np.ndarray:
     """Stages 1 and 2 on this input: the flat window sums (see FcfsPlan); `diagonals` is not read."""
-    plan = _plan(fs, fmap)
-    return plan.window_sums(plan.products(fmap, fs.weights))
+    return _plan(fs, fmap).integrals(fmap, fs.weights)
 
 
 @dataclass(frozen=True)
@@ -217,7 +266,7 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
 
 def _execute(plan: FcfsPlan, fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
     """Stages 1-3 of `plan` on an input check_conv_input accepts."""
-    windows = plan.view(plan.window_sums(plan.products(fmap, fs.weights)))
+    windows = plan.view(plan.integrals(fmap, fs.weights))
     # (d2, d1, c_out), channel-major; for s2 = 1 each output is one slice's window
     out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
     for per_slice in windows[2:]:  # fixed order: bit-stable

@@ -16,8 +16,8 @@ import numpy as np
 
 from .counters import MultCounter
 from .errors import ShapeMismatchError
-from .geometry import ConvGeometry
-from .tensors import FeatureMap, FilterSummary, _check_real
+from .geometry import ConvGeometry, Layout
+from .tensors import FeatureMap, FilterSummary, _check_real, _compute_dtype
 
 __all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "naive_nbytes", "rel_dev"]
 
@@ -33,11 +33,17 @@ class ConvOutput(FeatureMap):
 def pad_same(fmap: FeatureMap, s1: int, s2: int) -> FeatureMap:
     """Zero-pad to spatial size (d1+s1-1, d2+s2-1), content centered with
     floor((s1-1)/2) leading rows and floor((s2-1)/2) leading columns."""
+    padded = _padded(fmap, s1, s2)
+    p2, p1, _ = padded.shape  # ints, whatever types s1 and s2 came in
+    return FeatureMap._trusted(fmap.c_in, p1, p2, padded.ravel())
+
+
+def _padded(fmap: FeatureMap, s1: int, s2: int) -> np.ndarray:
+    """pad_same's (d2+s2-1, d1+s1-1, c_in) array, which the engines read without a FeatureMap."""
     lead1, lead2 = (s1 - 1) // 2, (s2 - 1) // 2
     padded = np.zeros((fmap.d2 + s2 - 1, fmap.d1 + s1 - 1, fmap.c_in), fmap.data.dtype)
     padded[lead2 : lead2 + fmap.d2, lead1 : lead1 + fmap.d1] = fmap.data.reshape(fmap.d2, fmap.d1, -1)
-    p2, p1, _ = padded.shape  # ints, whatever types s1 and s2 came in
-    return FeatureMap._trusted(fmap.c_in, p1, p2, padded.ravel())
+    return padded
 
 
 def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
@@ -64,21 +70,26 @@ def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None 
 def _lowered_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None) -> ConvOutput:
     """naive_conv on an input check_conv_input accepts, without checking it again.
 
-    Filter o is the K summary entries from o*stride on, copied to one bank, as
-    BLAS is faster on it than on overlapping rows. Row c*d1 + m of the lowered
-    matrix is the L = s1*c_in contiguous entries of padded column c from row m
-    on, so row (n+k)*d1 + m is column k of output (m, n)'s window, and the
-    contiguous block rows[k*d1 : k*d1 + d1*d2] holds it for every output in
-    (n, m) order. The output is sum_k block_k @ bank[:, k*L : (k+1)*L].T, added
-    in order k = 0 .. s2-1: channel-major, the same bytes every run. For s1 = 1
-    (or d1 = 1) the rows are a view of the padded map; for s2 = 1 they are the
+    Filter o is the K summary entries from o*stride on. Where the stride is at
+    least L = s1*c_in, no two filters overlap within a column block of that
+    bank, so BLAS reads it in place; elsewhere, or for a summary not in the
+    compute type, it reads a copy. Row c*d1 + m of the lowered matrix is the L
+    contiguous entries of padded column c from row m on, so row (n+k)*d1 + m
+    is column k of output (m, n)'s window, and the contiguous block
+    rows[k*d1 : k*d1 + d1*d2] holds it for every output in (n, m) order. The
+    output is sum_k block_k @ bank[:, k*L : (k+1)*L].T, added in order
+    k = 0 .. s2-1: channel-major, the same bytes every run. For s1 = 1 (or
+    d1 = 1) the rows are a view of the padded map; for s2 = 1 they are the
     whole patch matrix.
     """
     geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, np.ascontiguousarray(fs.weights)
+    dtype, span = _compute_dtype(fmap.data, w), geom.slice_len
     bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
-                      (fs.layout.stride * w.itemsize, w.itemsize)).copy()
-    x = pad_same(fmap, geom.s1, geom.s2).data
-    cell, span = geom.c_in * x.itemsize, geom.slice_len  # bytes of one padded cell; L
+                      (fs.layout.stride * w.itemsize, w.itemsize))
+    if fs.layout.stride < span or w.dtype != dtype:  # overlapping rows, which BLAS cannot read
+        bank = bank.astype(dtype, order="C")
+    x = _padded(fmap, geom.s1, geom.s2).astype(dtype, copy=False)
+    cell = geom.c_in * x.itemsize  # bytes of one padded cell
     rows = np.ndarray((d2 + geom.s2 - 1, d1, span), x.dtype, x, 0,
                       ((d1 + geom.s1 - 1) * cell, cell, x.itemsize)).reshape(-1, span)
     out = rows[: d1 * d2] @ bank[:, :span].T
@@ -90,13 +101,16 @@ def _lowered_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | No
     return ConvOutput._trusted(geom.c_out, d1, d2, out.ravel())
 
 
-def naive_nbytes(geom: ConvGeometry, d1: int, d2: int, itemsize: int) -> int:
-    """Bytes one naive_conv call allocates beyond the padded map and the output: the
-    lowered rows, (d2+s2-1)*d1*s1*c_in entries (none for s1 = 1 or d1 = 1, where they
-    are the padded map), the c_out x K bank, and for s2 > 1 one partial product."""
+def naive_nbytes(geom: ConvGeometry, layout: Layout, d1: int, d2: int, itemsize: int) -> int:
+    """Bytes one naive_conv call on a map and summary of one float type allocates beyond
+    the padded map and the output: the lowered rows, (d2+s2-1)*d1*s1*c_in entries (none
+    for s1 = 1 or d1 = 1, where they are the padded map), the c_out x K bank where the
+    filter stride is below s1*c_in (none elsewhere: it is read in place), and for s2 > 1
+    one partial product."""
     rows = (d2 + geom.s2 - 1) * d1 * geom.slice_len if geom.s1 > 1 and d1 > 1 else 0
+    bank = geom.c_out * geom.filter_len if layout.stride < geom.slice_len else 0
     partial = geom.c_out * d1 * d2 if geom.s2 > 1 else 0
-    return itemsize * (rows + geom.c_out * geom.filter_len + partial)
+    return itemsize * (rows + bank + partial)
 
 
 def rel_dev(actual, reference) -> float:

@@ -45,6 +45,14 @@ def _check_real(values: np.ndarray, name: str) -> None:
         raise InvalidDtypeError(f"{name} has dtype {values.dtype}; need bool, int or float")
 
 
+def _compute_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
+    """The type both engines multiply and add in: the common type of two float arrays,
+    else float64, where a sum of bool or int products neither saturates nor wraps."""
+    if a.dtype.kind == b.dtype.kind == "f":
+        return np.promote_types(a.dtype, b.dtype)
+    return np.dtype(np.float64)
+
+
 def _trusted(cls, *values):
     """An instance of the frozen dataclass `cls` holding `values`, its fields in order, built
     without __post_init__: only for callers that have just made its checks themselves."""

@@ -758,6 +758,10 @@ class TestBench:
         # per element pair a slice reads
         assert int(layer["fcfs_mults"]) == 64 * 324 * 135 == 2_799_360
         assert int(layer["fcfs_floor"]) == 2_751_488
+        # stages 1 and 2 in blocks of 262,144 // (8 * 135) = 242 of the 324 rows of
+        # G, so the padded map, 64 x 324 entries, lives through stage 2
+        assert int(layer["blocks"]) == 2
+        assert int(layer["work_bytes"]) == 8 * (64 * 324 + 242 * 135 + 322 * 135 - 2)
 
     def test_plan_reported_apart_from_execution(self, capsys, tmp_path):
         arch = tmp_path / "bench.arch"
@@ -766,13 +770,15 @@ class TestBench:
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert float(layer["plan_ms"]) > 0
-        # one f64 execution allocates the P x Q cell products and the
+        # one f64 execution allocates the P x Q cell products, one block, and the
         # (P-2)*Q - 2 windows: P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary
         # cells (channel-aligned stride 16)
         assert int(layer["work_bytes"]) == 8 * (56 * 37 + 54 * 37 - 2)
+        assert int(layer["blocks"]) == 1
         # the oracle's, from the same kind of closed form: 7 padded columns of 6
-        # windows of 3 * 4 entries, the 8 x 36 bank and one 8 x 6 x 5 partial
-        assert int(layer["naive_bytes"]) == 8 * (7 * 6 * 12 + 8 * 36 + 8 * 30)
+        # windows of 3 * 4 entries and one 8 x 6 x 5 partial; no bank, which it
+        # reads in place, as the stride 16 is at least s1 * c_in = 12
+        assert int(layer["naive_bytes"]) == 8 * (7 * 6 * 12 + 8 * 30)
         assert float(layer["fcfs_ms"]) > 0
 
     def test_spatial_past_numpy_index_range_is_input_error(self, capsys):

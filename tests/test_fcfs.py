@@ -237,25 +237,88 @@ class TestPlanGuard:
                 call()
 
 
+def unblocked_windows(plan, grid):
+    """Stage 2 with no blocks: G[:n] + G[step : step + n], then += G[t*step : t*step + n]
+    for t = 2 .. s1-1, one new table (G itself for s1 = 1)."""
+    if plan.window == 1:
+        return grid
+    step, n = plan.summary + 1, plan.windows
+    table = np.add(grid[:n], grid[step : step + n])
+    for t in range(2, plan.window):
+        table += grid[t * step : t * step + n]
+    return table
+
+
+def blocked_windows(plan, grid, itemsize):
+    """Stage 2 of a given flat G through add_block, in the row blocks an execution in
+    `itemsize`-byte entries takes."""
+    table, rows, q = np.empty(plan.windows, grid.dtype), plan.rows(itemsize), plan.summary
+    for r0 in range(0, plan.cells, rows):
+        plan.add_block(table, grid[r0 * q : (r0 + rows) * q], r0 * q)
+    return table
+
+
+BUDGETS = [64, 4096, fsconv.fcfs.BLOCK_BYTES]
+
+
 class TestStageTwo:
     @pytest.mark.parametrize("s1", range(1, 13))
-    def test_windows_by_doubling(self, s1):
+    def test_windows_by_doubling(self, s1, monkeypatch):
         # on symbolic entries: window j sums exactly G's entries j + t*(Q+1),
         # t < s1, added in that order, and the adds that run are s1-1 per
-        # window, the plan's stage-2 count
+        # window, the plan's stage-2 count, in one block or in many
         geom = ConvGeometry(2, s1, 2, 3, 2)
         plan = LayerPlan.build(geom, derive_layout(geom), 3, 2).fcfs
         grid = np.empty(plan.cells * plan.summary, object)
         grid[:] = [Term(j) for j in range(grid.size)]
-        Term.adds = 0
-        windows = plan.window_sums(grid)
         step = plan.summary + 1
         assert plan.windows == plan.cells * plan.summary - (s1 - 1) * step
-        assert [w.indices for w in windows] == [
-            tuple(j + t * step for t in range(s1)) for j in range(plan.windows)]
         outputs = geom.c_out * 3 * 2
         stage2 = plan.additions - (geom.c_in - 1) * grid.size - (geom.s2 - 1) * outputs
-        assert Term.adds == stage2 == (s1 - 1) * plan.windows
+        blocks = set()
+        for budget in BUDGETS:
+            monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", budget)
+            Term.adds = 0
+            windows = grid if s1 == 1 else blocked_windows(plan, grid, 8)
+            assert [w.indices for w in windows] == [
+                tuple(j + t * step for t in range(s1)) for j in range(plan.windows)]
+            assert Term.adds == stage2 == (s1 - 1) * plan.windows
+            blocks.add(plan.blocks(8))
+        assert min(blocks) == 1 and (max(blocks) > 1) == (s1 > 1)
+
+    def test_blocked_table_is_the_unblocked_bytes(self, monkeypatch):
+        # given one G, with signed zeros, the table add_block fills in any row blocks
+        # is byte for byte the unblocked one, whose adds run in the same order
+        rng = np.random.default_rng(51)
+        for case in range(60):
+            geom = random_fast_geometry(rng, c_in=(1, 4), s1=(2, 11), s2=(1, 4), c_out=(1, 9))
+            layout = derive_layout(geom)
+            d1, d2 = (int(v) for v in rng.integers(1, 16, 2))
+            plan = layer_plan(geom, layout, d1, d2).fcfs
+            dtype = (np.float32, np.float64)[case % 2]
+            grid = rng.standard_normal(plan.cells * plan.summary).astype(dtype)
+            grid[rng.random(grid.size) < 0.1] = -0.0
+            expected = unblocked_windows(plan, grid).tobytes()
+            for budget in BUDGETS:
+                monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", budget)
+                assert blocked_windows(plan, grid, grid.itemsize).tobytes() == expected
+
+    def test_rows_per_block(self, monkeypatch):
+        # B = BLOCK_BYTES // (Q * itemsize) rows, at least one and at most P; s1 = 1 is
+        # one block whatever the budget, as G is the table
+        geom = ConvGeometry(16, 3, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
+        plan = layer_plan(geom, derive_layout(geom), 32, 32).fcfs
+        assert (plan.cells, plan.summary) == (1156, 71)
+        assert (plan.rows(4), plan.blocks(4)) == (262144 // 284, 2) == (923, 2)
+        assert (plan.rows(8), plan.blocks(8)) == (461, 3)
+        monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 64)
+        assert (plan.rows(8), plan.blocks(8)) == (1, 1156)
+        monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 1 << 30)
+        assert (plan.rows(8), plan.blocks(8)) == (1156, 1)
+        monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 64)
+        narrow = ConvGeometry(16, 1, 3, 32, 4, StridePolicy.CHANNEL_ALIGNED)
+        plan = layer_plan(narrow, derive_layout(narrow), 32, 32).fcfs
+        assert (plan.rows(8), plan.blocks(8)) == (plan.cells, 1)
 
 
 class TestPlanFloor:
@@ -301,7 +364,7 @@ class TestBuildIntegrals:
         fs = FilterSummary.from_weights(geom, np.array([1.0, 2.0]))
         fmap = FeatureMap(1, 1, 2, np.array([3.0, 4.0]))
         plan = layer_plan(geom, fs.layout, 1, 2).fcfs
-        assert np.array_equal(plan.products(fmap, fs.weights), [3, 6, 4, 8, 0, 0])
+        assert np.array_equal(plan.integrals(fmap, fs.weights), [3, 6, 4, 8, 0, 0])
         table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
         assert np.array_equal(table, [3, 6, 4, 8, 0, 0])
         assert (plan.cells, plan.summary, plan.window, plan.windows) == (3, 2, 1, 6)
@@ -309,7 +372,7 @@ class TestBuildIntegrals:
         # (c_in = s1 = 1), 4 lookups and 2 slice additions; 4 products read
         assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (6, 2, 4, 4)
         assert (plan.shape, plan.strides) == ((2, 2, 1, 1), (3, 2, 2, 1))
-        assert plan.nbytes(8) == 8 * 6  # G, which is also the windows
+        assert plan.nbytes(8) == 8 * 6  # G, one block, which is also the windows
         windows = plan.view(table)
         assert np.array_equal(windows.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
@@ -324,15 +387,32 @@ class TestBuildIntegrals:
         assert table.size == plan.windows == (plan.cells - 1) * plan.summary - 1 > 0
         assert not table.any()
 
-    def test_windows_match_direct_dot(self):
-        # every entry of G against its cell dot product, every window against
-        # the literal sum of its s1 diagonal products, within 1e-12 in f64
+    def test_windows_match_direct_dot(self, monkeypatch):
+        # every entry of G, as the row blocks stage 2 reads (budget 64 B, a few
+        # rows each) or as the table for s1 = 1, against its cell dot product,
+        # every window against the literal sum of its s1 diagonal products,
+        # within 1e-12 in f64
+        monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 64)
+        seen = []
+
+        def add_block(plan, table, block, start):
+            seen.append((start, block.copy()))
+            add_block.original(plan, table, block, start)
+
+        add_block.original = fsconv.fcfs.FcfsPlan.add_block
+        monkeypatch.setattr(fsconv.fcfs.FcfsPlan, "add_block", add_block)
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
             plan = layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs
             direct = literal_products(fs, fmap, plan)
-            products = plan.products(fmap, fs.weights)
+            seen.clear()
+            integrals = plan.integrals(fmap, fs.weights)
+            if plan.window == 1:
+                seen.append((0, integrals))
+            starts = range(0, direct.size, plan.rows(8) * plan.summary)
+            assert [start for start, _ in seen] == list(starts)
+            products = np.concatenate([block for _, block in seen])
             assert products.shape == direct.shape == (plan.cells * plan.summary,)
             assert np.all(np.abs(products - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
             table = build_integrals(fs, fmap, required_diagonals(fs, fmap))
@@ -357,21 +437,23 @@ class TestBuildIntegrals:
     ]
 
     @pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: "s1=%d" % c[0][1])
-    def test_windows_by_doubling_are_slice_dots(self, case):
+    def test_windows_by_doubling_are_slice_dots(self, case, monkeypatch):
         # each window the stage-3 view reads is its slice pair's direct dot
-        # product, every window the literal sum of its diagonal, and repeated
-        # calls give the same bytes
+        # product, every window the literal sum of its diagonal, in one row
+        # block or in many, and repeated calls give the same bytes
         (c_in, s1, s2, c_out, ratio), d1, d2 = case
         geom = ConvGeometry(c_in, s1, s2, c_out, ratio)
         fs = FilterSummary.random(geom, seed=49)
         fmap = FeatureMap.random(c_in, d1, d2, seed=50)
         plan = LayerPlan.build(geom, fs.layout, d1, d2).fcfs
-        table = plan.window_sums(plan.products(fmap, fs.weights))
-        assert_windows_are_slice_dots(fs, fmap, plan, table)
         grid, step = literal_products(fs, fmap, plan), plan.summary + 1
         literal = sum(grid[t * step : t * step + plan.windows] for t in range(s1))
-        assert np.all(np.abs(table - literal) <= 1e-12 * np.maximum(1.0, np.abs(literal)))
-        assert build_integrals(fs, fmap).tobytes() == table.tobytes()
+        for budget in BUDGETS:
+            monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", budget)
+            table = plan.integrals(fmap, fs.weights)
+            assert_windows_are_slice_dots(fs, fmap, plan, table)
+            assert np.all(np.abs(table - literal) <= 1e-12 * np.maximum(1.0, np.abs(literal)))
+            assert build_integrals(fs, fmap).tobytes() == table.tobytes()
 
 
 class TestStageThreeViews:
@@ -430,15 +512,19 @@ class TestStageThreeViews:
 
     @pytest.mark.parametrize("s1, cells, summary", [(3, 1156, 71), (5, 1296, 211), (7, 1444, 421)],
                              ids=["s1=3", "s1=5", "s1=7"])
-    def test_warm_call_allocates_products_and_windows(self, s1, cells, summary):
+    def test_warm_call_allocates_products_and_windows(self, s1, cells, summary, monkeypatch):
         # one f32 16->32 s1 x s1 layer at 32x32: P = (31+s1)^2 padded cells,
         # Q = 31*shift + s1^2 summary cells, and (P-s1+1)*Q - s1 + 1 windows in
-        # one array. Stages 1 and 2 hold exactly nbytes of numpy data, and that
-        # is the peak of the call: the padded map (at most 92,416 bytes) goes
-        # before stage 2 and the output (131,072) comes after G goes, both
-        # smaller than the windows. A second stage-2 table, a map kept past
-        # stage 1, a gathered index or a slice-sum temporary (393,216 bytes at
-        # s1 = 3) would push a peak past its bound.
+        # one array. Every s1 here takes more than one block of B = 262,144 //
+        # (4*Q) rows of G, so while stage 2 runs on a block before the last a
+        # call holds exactly nbytes of numpy data: the padded map (16*P
+        # entries), one block and the windows; on the last block, the map has
+        # gone. That is the peak of the call: the output (131,072 bytes) comes
+        # after the block goes. A second block buffer, a G of all P rows, a
+        # second stage-2 table, a gathered index or a slice-sum temporary
+        # (393,216 bytes at s1 = 3) would push a peak past its bound. At s1 = 5
+        # and 7 the peak is below 4*(P*Q + windows), the bytes of an unblocked
+        # G and table.
         geom = ConvGeometry(16, s1, s1, 32, 4, StridePolicy.CHANNEL_ALIGNED)
         fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
         fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
@@ -446,25 +532,114 @@ class TestStageThreeViews:
         plan = layer_plan(geom, fs.layout, 32, 32).fcfs
         windows = (cells - s1 + 1) * summary - s1 + 1
         assert (plan.cells, plan.summary, plan.windows) == (cells, summary, windows)
+        rows = 262_144 // (4 * summary)
+        assert (plan.rows(4), plan.blocks(4)) == (rows, -(-cells // rows)) and rows < cells
         work_bytes = plan.nbytes(4)
-        assert work_bytes == 4 * (cells * summary + windows)
+        assert work_bytes == 4 * (16 * cells + rows * summary + windows)
         numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        held = []
+
+        def add_block(plan, table, block, start):
+            add_block.original(plan, table, block, start)
+            snapshot = tracemalloc.take_snapshot().filter_traces([numpy_data])
+            held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+
+        add_block.original = fsconv.fcfs.FcfsPlan.add_block
         tracemalloc.start()
         try:
-            products = plan.products(fmap, fs.weights)
-            table = plan.window_sums(products)
-            fill_peak = tracemalloc.get_traced_memory()[1]
-            held = tracemalloc.take_snapshot().filter_traces([numpy_data])
-            del products, table
+            with monkeypatch.context() as patched:
+                patched.setattr(fsconv.fcfs.FcfsPlan, "add_block", add_block)
+                plan.integrals(fmap, fs.weights)
             tracemalloc.reset_peak()
             out, _ = convolve(fs, fmap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(stat.size for stat in held.statistics("filename")) == work_bytes
+        assert held == [work_bytes] * (plan.blocks(4) - 1) + [work_bytes - 4 * 16 * cells]
         assert out.data.dtype == np.float32
-        assert fill_peak <= work_bytes + 64 * 1024
         assert peak <= work_bytes + 64 * 1024
+        if s1 > 3:
+            assert peak < 4 * (cells * summary + windows)
+
+
+def unblocked_conv(plan, fs, fmap):
+    """fcfs with stages 1 and 2 unblocked: one product over all of G, unblocked_windows,
+    then stage 3 as the engine runs it, v[0] + v[1], then += v[k] (v[0] for s2 = 1)."""
+    x = pad_same(fmap, plan.window, plan.shape[0]).data.reshape(plan.cells, -1)
+    w = fs.weights[: plan.summary * x.shape[1]].reshape(plan.summary, -1)
+    windows = plan.view(unblocked_windows(plan, np.matmul(x, w.T).ravel()))
+    out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
+    for per_slice in windows[2:]:
+        out += per_slice
+    return out.ravel()
+
+
+class TestRowBlocks:
+    """Stages 1 and 2 in row blocks of G change no f32 byte on the paper's target
+    network, and no f64 output past its rounding bound."""
+
+    def test_resnet110_chain_f32_bytes_of_unblocked_stages(self):
+        # on the 109-layer chain at the default budget, every fcfs_conv output is
+        # the bytes of one product over all of G, the unblocked window table and
+        # the same stage 3; 16->32 at 32x32 is the one layer that takes two blocks
+        x = np.random.default_rng(61).standard_normal((3, 32, 32)).astype(np.float32)
+        convs = [spec for spec in read_arch(bundled_arch("resnet110")).layers
+                 if isinstance(spec, ConvSpec)]
+        blocks = {}
+        for index, spec in enumerate(convs):
+            geom = ConvGeometry(spec.c_in, spec.s1, spec.s2, spec.c_out, 4)
+            fs = FilterSummary.random(geom, seed=index, dtype=np.float32)
+            fmap = unwrap(x)
+            plan = layer_plan(geom, fs.layout, fmap.d1, fmap.d2).fcfs
+            out = fcfs_conv(fs, fmap)[0]
+            assert out.data.tobytes() == unblocked_conv(plan, fs, fmap).tobytes(), spec.name
+            blocks[geom.c_in, geom.c_out, fmap.d1] = plan.blocks(4)
+            x = out.as_3d() / np.abs(out.data).max()  # keeps f32 in range
+            if spec.name.endswith("block01.conv1") and not spec.name.startswith("stage1"):
+                x = x[:, ::2, ::2]  # 32, then 16, then 8
+        assert len(convs) == 109
+        assert {key for key, count in blocks.items() if count > 1} == {(16, 32, 32)}
+        assert blocks[16, 32, 32] == 2
+
+    def test_f64_blocks_within_rounding_bound(self, monkeypatch):
+        # a block's GEMM may take other BLAS kernels than one over all of G, so f64
+        # need not keep the unblocked bytes: each output stays within its rounding
+        # bound, and a repeated call gives the same bytes, at every budget
+        rng = np.random.default_rng(62)
+        cases = [random_instance(rng, c_in=(1, 6), s1=(1, 9), s2=(1, 4), c_out=(1, 12), d=(1, 14))
+                 for _ in range(12)]
+        for budget in BUDGETS:
+            monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", budget)
+            for fs, fmap in cases:
+                geom = fs.geom
+                fast = fcfs_conv(fs, fmap)[0].data
+                assert fast.tobytes() == fcfs_conv(fs, fmap)[0].data.tobytes()
+                depth = geom.c_in + geom.s1 + geom.s2 - 2
+                small = fast.size * geom.filter_len <= 20_000
+                if LONGDOUBLE_IS_WIDER or small:
+                    assert rounding_excess(fast, fs, fmap, depth).max() <= 1, (geom, budget)
+                assert rel_dev(fast, naive_conv(fs, fmap).data) <= 1e-12
+
+
+class TestNarrowTypes:
+    """Bool and int maps and summaries compute in float64, where their sums fit."""
+
+    @pytest.mark.parametrize("dtype, value, sums", [
+        (bool, True, (4, 2)),
+        (np.int8, 100, (40_000, 20_000)),
+    ], ids=["bool", "int8"])
+    def test_sums_do_not_saturate_or_wrap(self, dtype, value, sums):
+        # every weight and map value `value` on a 2 -> 2 1x2 layer at 2x2: the
+        # first output column sums both padded columns of 2 channels, the last one
+        # (its right neighbour is padding), so 4 and 2 products
+        geom = ConvGeometry(2, 1, 2, 2, 1)
+        fs = FilterSummary.from_weights(geom, np.full(derive_layout(geom).phys_length, value, dtype))
+        fmap = FeatureMap(2, 2, 2, np.full(8, value, dtype))
+        cube = np.broadcast_to(np.array(sums, float), (2, 2, 2))  # (c_out, d1, d2): by column
+        for out in (naive_conv(fs, fmap), fcfs_conv(fs, fmap)[0], convolve(fs, fmap)[0],
+                    convolve(fs, fmap, "naive")[0]):
+            assert out.data.dtype == np.float64
+            assert np.array_equal(out.as_3d(), cube)
 
 
 class TestFcfsConv:

@@ -10,7 +10,9 @@ from fsconv import (
     FeatureMap,
     FilterSummary,
     MultCounter,
+    Layout,
     StridePolicy,
+    derive_layout,
     fcfs_conv,
     filter_as_3d,
     naive_conv,
@@ -150,22 +152,42 @@ class TestOracleProperties:
             assert counter.multiplies == geom.c_out * d1 * d2 * geom.filter_len
 
 
+def copied_bank_conv(fs, fmap):
+    """The oracle's product sum with the bank always a C-ordered copy of the summary's
+    filters, as before it was read in place: sum_k rows_k @ bank[:, k*L : (k+1)*L].T."""
+    geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, fs.weights
+    bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
+                      (fs.layout.stride * w.itemsize, w.itemsize)).copy()
+    x, span = pad_same(fmap, geom.s1, geom.s2).data, geom.slice_len
+    cell = geom.c_in * x.itemsize
+    rows = np.ndarray((d2 + geom.s2 - 1, d1, span), x.dtype, x, 0,
+                      ((d1 + geom.s1 - 1) * cell, cell, x.itemsize)).reshape(-1, span)
+    out = rows[: d1 * d2] @ bank[:, :span].T
+    for k in range(1, geom.s2):
+        out += rows[k * d1 : k * d1 + d1 * d2] @ bank[:, k * span : (k + 1) * span].T
+    return out.ravel()
+
+
 class TestLoweredMemory:
-    @pytest.mark.parametrize("geom, d1, d2, dtype, rows", [
-        (ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC), 14, 16, np.float64, 20 * 14 * 220),
-        (ConvGeometry(16, 3, 3, 16, 4), 32, 32, np.float32, 34 * 32 * 48),
-        (ConvGeometry(64, 1, 3, 64, 4), 32, 32, np.float64, 0),
+    @pytest.mark.parametrize("geom, d1, d2, dtype, rows, bank", [
+        (ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC), 14, 16, np.float64, 20 * 14 * 220, 0),
+        (ConvGeometry(16, 3, 3, 16, 4), 32, 32, np.float32, 34 * 32 * 48, 16 * 144),
+        (ConvGeometry(64, 1, 3, 64, 4), 32, 32, np.float64, 0, 64 * 192),
     ], ids=["55->56 4x5 f64", "16->16 3x3 f32", "64->64 1x3 f64"])
-    def test_call_allocates_rows_bank_and_one_partial(self, geom, d1, d2, dtype, rows):
+    def test_call_allocates_rows_bank_and_one_partial(self, geom, d1, d2, dtype, rows, bank):
         # beyond the padded map and the output, one call holds the row-lowered
         # matrix, (d2+s2-1)*d1 windows of s1*c_in entries, the c_out x K bank
-        # and one d1*d2*c_out partial product. A d1*d2 x K patch copy (1.97 MB
-        # on the first layer) would push the peak past its bound; so would any
-        # lowered copy at s1 = 1, where the rows are the padded map (557,056
-        # bytes on the last layer)
+        # where the filter stride is below s1*c_in (the last two layers; the
+        # first, at stride 549 >= 220, reads its bank in place) and one
+        # d1*d2*c_out partial product. A d1*d2 x K patch copy (1.97 MB on the
+        # first layer) or a bank copy there (492,800 bytes) would push the peak
+        # past its bound; so would any lowered copy at s1 = 1, where the rows
+        # are the padded map (557,056 bytes on the last layer)
         itemsize = np.dtype(dtype).itemsize
-        extra = naive_nbytes(geom, d1, d2, itemsize)
-        assert extra == itemsize * (rows + geom.c_out * geom.filter_len + geom.c_out * d1 * d2)
+        layout = derive_layout(geom)
+        assert (layout.stride >= geom.slice_len) == (bank == 0)
+        extra = naive_nbytes(geom, layout, d1, d2, itemsize)
+        assert extra == itemsize * (rows + bank + geom.c_out * d1 * d2)
         padded = geom.c_in * (d1 + geom.s1 - 1) * (d2 + geom.s2 - 1)
         bound = itemsize * (padded + geom.c_out * d1 * d2) + extra + 64 * 1024
         fs = FilterSummary.random(geom, seed=61, dtype=dtype)
@@ -181,10 +203,34 @@ class TestLoweredMemory:
         assert peak <= bound
 
     def test_closed_form_counts_no_rows_where_they_are_the_padded_map(self):
-        geom = ConvGeometry(3, 3, 1, 2, 1)  # s2 = 1: no partial product either
-        assert naive_nbytes(geom, 1, 5, 8) == 8 * 2 * 9
-        assert naive_nbytes(geom, 2, 5, 8) == 8 * (5 * 2 * 9 + 2 * 9)
-        assert naive_nbytes(ConvGeometry(3, 1, 2, 2, 1), 4, 5, 4) == 4 * (2 * 6 + 2 * 4 * 5)
+        geom = ConvGeometry(3, 3, 1, 2, 1)  # s2 = 1: no partial product
+        layout = derive_layout(geom)
+        assert layout.stride == 6  # below s1*c_in = 9: a bank copy
+        assert naive_nbytes(geom, layout, 1, 5, 8) == 8 * 2 * 9
+        assert naive_nbytes(geom, layout, 2, 5, 8) == 8 * (5 * 2 * 9 + 2 * 9)
+        apart = Layout(18, 9, layout.slices, 18)  # stride 9: the bank is read in place
+        assert naive_nbytes(geom, apart, 1, 5, 8) == 0
+        assert naive_nbytes(geom, apart, 2, 5, 8) == 8 * 5 * 2 * 9
+        narrow = ConvGeometry(3, 1, 2, 2, 1)  # stride 3 = s1*c_in: in place
+        assert naive_nbytes(narrow, derive_layout(narrow), 4, 5, 4) == 4 * 2 * 4 * 5
+
+    def test_bank_read_in_place_gives_the_bytes_of_a_copy(self):
+        # on seeded layers of every policy, in f32 and f64, the oracle is the
+        # bytes of the same products over a copied bank; a third of them or more
+        # have a filter stride >= s1*c_in, where the bank is read in place
+        rng = np.random.default_rng(63)
+        in_place = 0
+        for case in range(60):
+            policy = list(StridePolicy)[case % 3]
+            geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 5), s2=(1, 4), c_out=(1, 10),
+                                        policy=policy)
+            d1, d2 = (int(v) for v in rng.integers(1, 12, 2))
+            dtype = (np.float32, np.float64)[case % 2]
+            fs = FilterSummary.random(geom, seed=case, dtype=dtype)
+            fmap = FeatureMap.random(geom.c_in, d1, d2, seed=case, dtype=dtype)
+            in_place += fs.layout.stride >= geom.slice_len
+            assert naive_conv(fs, fmap).data.tobytes() == copied_bank_conv(fs, fmap).tobytes(), geom
+        assert in_place >= 20
 
 
 def literal_conv(fs, fmap):

@@ -32,6 +32,7 @@ from .fcfs import (
     layer_plan,
     measured_acceleration,
     measured_ratio,
+    naive_conv,
     required_diagonals,
 )
 from .formats import (
@@ -59,7 +60,7 @@ from .geometry import (
     derive_layout,
     predicted_acceleration,
 )
-from .oracle import ConvOutput, naive_conv, naive_nbytes, pad_same, rel_dev
+from .oracle import ConvOutput, LoweredPlan, pad_same, rel_dev
 from .quant import (
     QuantizedSummary,
     dequantize,

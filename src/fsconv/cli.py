@@ -50,7 +50,7 @@ from .geometry import (
     derive_layout,
     predicted_acceleration,
 )
-from .oracle import naive_nbytes, rel_dev
+from .oracle import rel_dev
 from .quant import BIT_WIDTHS, effective_params, quantize
 from .tensors import FeatureMap, FilterSummary, unwrap
 
@@ -321,7 +321,8 @@ def cmd_bench(args) -> int:
                 plan_ms=plan_ms,
                 work_bytes=plan.nbytes(fast.data.itemsize),
                 blocks=plan.blocks(fast.data.itemsize),
-                naive_bytes=naive_nbytes(geom, layout, d1, d2, reference.data.itemsize),
+                naive_bytes=record.naive.nbytes(reference.data.itemsize),
+                bank=record.naive.bank_layout(reference.data.itemsize),
                 engine="fcfs" if record.fallback is None else "naive",  # the engine conv runs
                 **({} if record.fallback is None else dict(reason=record.fallback)),
             )

@@ -11,9 +11,9 @@ entries in order and the window table is the same bytes however G is cut.
 Stage 3 reads one strided view of the windows and adds the s2 slices per
 output in order, bit-identical at a fixed BLAS thread count.
 
-LayerPlan.build(geom, layout, d1, d2) is the engine rule and the fcfs plan in one record,
-which layer_plan caches and convolve, the entry point, reads. fcfs_conv runs stages 1-3 on
-every aligned layer, whatever the counts; no record plans an unaligned stride.
+LayerPlan.build(geom, layout, d1, d2) is the engine rule, the fcfs plan and the oracle's plan in
+one record, which layer_plan caches and convolve, naive_conv and fcfs_conv read. fcfs_conv runs
+stages 1-3 on every aligned layer, whatever the counts; no record plans fcfs off that alignment.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import numpy as np
 from .counters import MultCounter
 from .errors import InvalidArgumentError, ShapeMismatchError, UnsupportedGeometryError
 from .geometry import ConvGeometry, Layout, PredictedAcceleration, predicted_acceleration
-from .oracle import ConvOutput, _lowered_conv, _padded, check_conv_input
+from .oracle import ConvOutput, LoweredPlan, _lowered_conv, _padded, check_conv_input
 from .tensors import FeatureMap, FilterSummary, _compute_dtype
 
 __all__ = [
     "PLAN_CACHE_SIZE", "BLOCK_BYTES", "Fallback", "FcfsPlan", "LayerPlan", "layer_plan", "RunReport",
-    "convolve", "AccelerationReport", "required_diagonals", "build_integrals", "fcfs_conv",
+    "naive_conv", "convolve", "AccelerationReport", "required_diagonals", "build_integrals", "fcfs_conv",
     "measured_ratio", "measured_acceleration",
 ]
 
@@ -101,23 +101,30 @@ class FcfsPlan:
         return itemsize * (padded + block + self.windows)
 
     def integrals(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
-        """Pad the map, then stages 1 and 2 in row blocks of G: each block of rows goes into
-        one buffer (np.matmul, out=), then into the window table (add_block). The padded map
-        goes once its last block is made and the table comes after the first, so for G of
-        one block they come and go in the unblocked order, which takes fewer page faults."""
+        """Pad the map, then stages 1 and 2. G of one block is one product, and the padded map
+        goes before the table comes, which takes fewer page faults; then G is the table for
+        s1 = 1, else the table is G[:n] + G[step : step + n] and s1-2 passes of += G[t*step :
+        t*step + n], with no buffer and no ranges to work out. Larger G goes in row blocks
+        through one buffer (np.matmul, out=), each into the window table (add_block)."""
         x = _padded(fmap, self.window, self.shape[0]).reshape(self.cells, -1)
         w = weights[: self.summary * x.shape[1]].reshape(self.summary, -1).T
         dtype = _compute_dtype(x, w)
         rows = self.rows(dtype.itemsize)
-        block, table = np.empty((rows, self.summary), dtype), None  # one buffer for every block
-        for r0 in range(0, self.cells, rows):
+        if rows == self.cells:  # one block, as on every ResNet-110 layer but one
+            products = np.matmul(x, w, dtype=dtype).ravel()
+            del x
+            if self.window == 1:  # G is the table
+                return products
+            step, n = self.summary + 1, self.windows
+            table = np.add(products[:n], products[step : step + n])
+            for t in range(2, self.window):  # fixed order: add_block's, bit for bit
+                table += products[t * step : t * step + n]
+            return table
+        block, table = np.empty((rows, self.summary), dtype), np.empty(self.windows, dtype)
+        for r0 in range(0, self.cells, rows):  # one buffer for every block
             products = np.matmul(x[r0 : r0 + rows], w, block[: self.cells - r0], dtype=dtype).ravel()
             if r0 + rows >= self.cells:
                 del x
-            if self.window == 1:  # G, one block, is the table
-                return products
-            if table is None:
-                table = np.empty(self.windows, dtype)
             self.add_block(table, products, r0 * self.summary)
         return table
 
@@ -165,11 +172,12 @@ def _reads(plan: FcfsPlan) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """One layer at one map size, which no data changes: `fallback`, why "fcfs" runs the
-    reference engine (None: fcfs runs), and `fcfs`, the FcfsPlan (None: unaligned stride)."""
+    """One layer at one map size, which no data changes: `fallback`, why "fcfs" runs the reference
+    engine (None: fcfs runs), `fcfs`, its FcfsPlan (None: unaligned stride), `naive`, the oracle's."""
 
     fallback: Fallback | None
     fcfs: FcfsPlan | None
+    naive: LoweredPlan
 
     @classmethod
     def build(cls, geom: ConvGeometry, layout: Layout, d1: int, d2: int) -> "LayerPlan":
@@ -178,20 +186,23 @@ class LayerPlan:
         with the s1 summary cells from q = i*stride/c_in + k*s1: window r*Q + q."""
         if d1 < 1 or d2 < 1:
             raise ShapeMismatchError(f"feature map is {d1}x{d2}; both sizes must be >= 1")
-        if layout.stride % geom.c_in:  # the diagonals would scatter across channel residues
-            return cls(Fallback.UNALIGNED_STRIDE, None)
-        s1, s2, c_in = geom.s1, geom.s2, geom.c_in
+        s1, s2, c_in, k, span = geom.s1, geom.s2, geom.c_in, geom.filter_len, geom.slice_len
+        elements, rows = geom.c_out * d1 * d2, (d2 + s2 - 1) * d1 * span if s1 > 1 and d1 > 1 else 0
+        naive = LoweredPlan(d1 * d2, rows, 0 if layout.stride >= span else geom.c_out * k,
+                            elements if s2 > 1 else 0, elements * k, elements * (k - 1))
+        if layout.stride % c_in:  # the diagonals would scatter across channel residues
+            return cls(Fallback.UNALIGNED_STRIDE, None, naive)
         p1, shift = d1 + s1 - 1, layout.stride // c_in
         cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
         step = summary + 1  # along a diagonal; no window read wraps past row P-1
         windows = cells * summary - (s1 - 1) * step
-        lookups = s2 * d2 * d1 * geom.c_out
-        additions = (c_in - 1) * cells * summary + (s1 - 1) * windows + lookups // s2 * (s2 - 1)
+        lookups = s2 * elements
+        additions = (c_in - 1) * cells * summary + (s1 - 1) * windows + elements * (s2 - 1)
         plan = FcfsPlan(cells, summary, s1, windows, (s2, d2, d1, geom.c_out),
                         (p1 * summary + s1, p1 * summary, summary, shift),  # (k, n, m, i)
                         c_in * cells * summary, additions, lookups)
-        loses = plan.multiplies + lookups >= geom.c_out * d1 * d2 * geom.filter_len
-        return cls(Fallback.MORE_MULTIPLIES if loses else None, plan)
+        loses = plan.multiplies + lookups >= naive.multiplies
+        return cls(Fallback.MORE_MULTIPLIES if loses else None, plan, naive)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -236,19 +247,25 @@ class RunReport:
     counts: MultCounter
 
 
+def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None = None) -> ConvOutput:
+    """The reference engine: output(o, m, n) = sum_{i,j,k} filter_o[i, j, k] * padded[i, m+j, n+k]."""
+    check_conv_input(fs, fmap)
+    return _lowered_conv(layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).naive, fs, fmap, counter)
+
+
 def convolve(fs: FilterSummary, fmap: FeatureMap, engine="fcfs") -> tuple[ConvOutput, RunReport]:
     """Convolve with "naive" or "fcfs". "fcfs" runs fcfs_conv where the layer's LayerPlan has
     no fallback; elsewhere it quietly runs the reference engine and the report says why. The
-    input is checked once, before a record is looked up or cached; "naive" reads none."""
+    input is checked once, before the record is looked up (once per call) or cached."""
     if engine not in ("naive", "fcfs"):
         raise InvalidArgumentError(f"engine must be 'naive' or 'fcfs', got {engine!r}")
     check_conv_input(fs, fmap)
-    record = layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2) if engine == "fcfs" else None
-    if record is not None and record.fallback is None:
+    record = layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)
+    if engine == "fcfs" and record.fallback is None:
         out, counts = _execute(record.fcfs, fs, fmap)
         return out, RunReport("fcfs", None, counts)
-    counter = MultCounter()
-    return _lowered_conv(fs, fmap, counter), RunReport("naive", record and record.fallback, counter)
+    counter, fallback = MultCounter(), record.fallback if engine == "fcfs" else None
+    return _lowered_conv(record.naive, fs, fmap, counter), RunReport("naive", fallback, counter)
 
 
 def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
@@ -256,12 +273,12 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
     (convolve reads them from the layer's LayerPlan); an unaligned stride, which has no fcfs
     plan, runs the reference engine and warns. Equals naive_conv up to reassociation."""
     check_conv_input(fs, fmap)
-    if (plan := layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2).fcfs) is None:
+    if (record := layer_plan(fs.geom, fs.layout, fmap.d1, fmap.d2)).fcfs is None:
         warnings.warn(f"filter stride {fs.layout.stride} is not a multiple of c_in={fs.geom.c_in}; "
                       "diagonal offsets scatter across channel residues, computing with "
                       "the reference engine instead", stacklevel=2)
-        return _lowered_conv(fs, fmap, counter := MultCounter()), counter
-    return _execute(plan, fs, fmap)
+        return _lowered_conv(record.naive, fs, fmap, counter := MultCounter()), counter
+    return _execute(record.fcfs, fs, fmap)
 
 
 def _execute(plan: FcfsPlan, fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:

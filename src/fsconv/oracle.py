@@ -8,18 +8,30 @@ a window starting at (m, c) reads, and the output is the sum of s2 matrix
 products of overlapping row blocks of that one matrix with the filter bank's
 s2 column blocks. Every output element costs exactly K multiplies, so an
 instrumented run over a (d1, d2) map totals c_out*d1*d2*K.
+
+A layer's LoweredPlan, on its LayerPlan record (fcfs.py), decides the bank's layout: read in
+place where the filter stride is at least s1*c_in, else copied K-major (K x c_out, so BLAS
+multiplies each column block untransposed) where at least KMAJOR_OUTPUTS = 36 outputs share a
+bank of at most KMAJOR_BANK_BYTES = 256 KiB, else copied C-ordered: the K-major copy transposes,
+which costs more than it saves on tiny maps and large banks (f32, 16->16 3x3 at 32x32: 119 ->
+97 us; 64->64 at 4x4: 40 -> 50 us; the other shapes at _lowered_conv).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import MultCounter
 from .errors import ShapeMismatchError
-from .geometry import ConvGeometry, Layout
 from .tensors import FeatureMap, FilterSummary, _check_real, _compute_dtype
 
-__all__ = ["ConvOutput", "pad_same", "check_conv_input", "naive_conv", "naive_nbytes", "rel_dev"]
+__all__ = ["KMAJOR_OUTPUTS", "KMAJOR_BANK_BYTES", "ConvOutput", "LoweredPlan", "pad_same",
+           "check_conv_input", "rel_dev"]
+
+KMAJOR_OUTPUTS = 36  # fewest outputs d1*d2 for which a K-major bank copy pays (README)
+KMAJOR_BANK_BYTES = 256 * 1024  # most bytes of a bank copied K-major (README)
 
 
 class ConvOutput(FeatureMap):
@@ -57,37 +69,54 @@ def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
     _check_real(fmap.data, "feature map")
 
 
-def naive_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None = None) -> ConvOutput:
-    """Same-padding cross-correlation of every filter with the feature map.
+@dataclass(frozen=True)
+class LoweredPlan:
+    """The reference engine's plan of one layer at one map size (LayerPlan.naive), in entries:
+    the lowered rows, 0 where (s1 = 1 or d1 = 1) they view the padded map; a copied c_out x K
+    bank, 0 where a filter stride of at least L = s1*c_in lets BLAS read it in place; one
+    partial product (s2 > 1); and the d1*d2 outputs, which the bank layout rule reads."""
 
-    output(o, m, n) = sum_{i,j,k} filter_o[i, j, k] * padded[i, m+j, n+k].
-    A counter gets K multiplies, K-1 additions per output.
-    """
-    check_conv_input(fs, fmap)
-    return _lowered_conv(fs, fmap, counter)
+    outputs: int
+    rows: int
+    bank: int
+    partial: int
+    multiplies: int  # c_out*d1*d2*K, and K-1 additions per output element
+    additions: int
+
+    def bank_layout(self, itemsize: int) -> str:
+        """How a run in this item size reads the bank: "in_place"; "kmajor", a K x c_out copy,
+        where KMAJOR_OUTPUTS outputs or more share a bank of at most KMAJOR_BANK_BYTES; else
+        "copy", a C-ordered c_out x K copy."""
+        if not self.bank:
+            return "in_place"
+        pays = self.outputs >= KMAJOR_OUTPUTS and self.bank * itemsize <= KMAJOR_BANK_BYTES
+        return "kmajor" if pays else "copy"
+
+    def nbytes(self, itemsize: int) -> int:
+        """Bytes one run in one float type allocates beyond the padded map and the output."""
+        return itemsize * (self.rows + self.bank + self.partial)
 
 
-def _lowered_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | None) -> ConvOutput:
-    """naive_conv on an input check_conv_input accepts, without checking it again.
-
-    Filter o is the K summary entries from o*stride on. Where the stride is at
-    least L = s1*c_in, no two filters overlap within a column block of that
-    bank, so BLAS reads it in place; elsewhere, or for a summary not in the
-    compute type, it reads a copy. Row c*d1 + m of the lowered matrix is the L
-    contiguous entries of padded column c from row m on, so row (n+k)*d1 + m
-    is column k of output (m, n)'s window, and the contiguous block
-    rows[k*d1 : k*d1 + d1*d2] holds it for every output in (n, m) order. The
-    output is sum_k block_k @ bank[:, k*L : (k+1)*L].T, added in order
-    k = 0 .. s2-1: channel-major, the same bytes every run. For s1 = 1 (or
-    d1 = 1) the rows are a view of the padded map; for s2 = 1 they are the
-    whole patch matrix.
-    """
+def _lowered_conv(plan: LoweredPlan, fs: FilterSummary, fmap: FeatureMap,
+                  counter: MultCounter | None) -> ConvOutput:
+    """`plan` on an input check_conv_input accepts, unchecked. Filter o is the K summary entries
+    from o*stride on. Row (n+k)*d1 + m of the lowered rows is the L entries of padded column n+k
+    from row m on, so rows[k*d1 : k*d1 + d1*d2] is column block k of every output's window, and
+    the output is sum_k block_k @ bank[:, k*L : (k+1)*L].T, added in order k = 0 .. s2-1:
+    channel-major, the same bytes every run. A K-major bank is the bank F-ordered, so each
+    block is an operand BLAS multiplies untransposed, at the price of a transposing copy: it
+    pays where KMAJOR_OUTPUTS (36) outputs or more share a bank of at most KMAJOR_BANK_BYTES
+    (256 KiB). f32 per call, one BLAS thread, C-ordered -> K-major: 16->16 3x3 at 32x32 119 ->
+    97 us, 32->32 at 16x16 92 -> 74, 64->64 at 8x8 97 -> 82; kept C-ordered, 64->64 at 4x4
+    40 -> 50 and 128->128 at 8x8 (a 576 KiB bank) 292 -> 418 (README: the command that fits
+    both constants)."""
     geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, np.ascontiguousarray(fs.weights)
     dtype, span = _compute_dtype(fmap.data, w), geom.slice_len
     bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
                       (fs.layout.stride * w.itemsize, w.itemsize))
-    if fs.layout.stride < span or w.dtype != dtype:  # overlapping rows, which BLAS cannot read
-        bank = bank.astype(dtype, order="C")
+    layout = plan.bank_layout(dtype.itemsize)
+    if layout != "in_place" or w.dtype != dtype:  # a summary not in the compute type: a copy
+        bank = bank.astype(dtype, order="F" if layout == "kmajor" else "C")
     x = _padded(fmap, geom.s1, geom.s2).astype(dtype, copy=False)
     cell = geom.c_in * x.itemsize  # bytes of one padded cell
     rows = np.ndarray((d2 + geom.s2 - 1, d1, span), x.dtype, x, 0,
@@ -96,21 +125,9 @@ def _lowered_conv(fs: FilterSummary, fmap: FeatureMap, counter: MultCounter | No
     for k in range(1, geom.s2):  # fixed order: bit-stable
         out += rows[k * d1 : k * d1 + d1 * d2] @ bank[:, k * span : (k + 1) * span].T
     if counter is not None:
-        counter.multiplies += geom.c_out * d1 * d2 * geom.filter_len
-        counter.additions += geom.c_out * d1 * d2 * (geom.filter_len - 1)
+        counter.multiplies += plan.multiplies
+        counter.additions += plan.additions
     return ConvOutput._trusted(geom.c_out, d1, d2, out.ravel())
-
-
-def naive_nbytes(geom: ConvGeometry, layout: Layout, d1: int, d2: int, itemsize: int) -> int:
-    """Bytes one naive_conv call on a map and summary of one float type allocates beyond
-    the padded map and the output: the lowered rows, (d2+s2-1)*d1*s1*c_in entries (none
-    for s1 = 1 or d1 = 1, where they are the padded map), the c_out x K bank where the
-    filter stride is below s1*c_in (none elsewhere: it is read in place), and for s2 > 1
-    one partial product."""
-    rows = (d2 + geom.s2 - 1) * d1 * geom.slice_len if geom.s1 > 1 and d1 > 1 else 0
-    bank = geom.c_out * geom.filter_len if layout.stride < geom.slice_len else 0
-    partial = geom.c_out * d1 * d2 if geom.s2 > 1 else 0
-    return itemsize * (rows + bank + partial)
 
 
 def rel_dev(actual, reference) -> float:

@@ -26,6 +26,7 @@ from fsconv import (
     ModelLayer,
     StridePolicy,
     central_diff,
+    derive_layout,
     dump_model,
     effective_params,
     extract_fractional,
@@ -779,7 +780,32 @@ class TestBench:
         # windows of 3 * 4 entries and one 8 x 6 x 5 partial; no bank, which it
         # reads in place, as the stride 16 is at least s1 * c_in = 12
         assert int(layer["naive_bytes"]) == 8 * (7 * 6 * 12 + 8 * 30)
+        assert layer["bank"] == "in_place"
         assert float(layer["fcfs_ms"]) > 0
+
+    @pytest.mark.parametrize("spatial, banks", [
+        ((6, 6), ["in_place", "kmajor", "copy"]),
+        ((5, 7), ["in_place", "copy", "copy"]),
+    ], ids=["36 outputs", "35 outputs"])
+    def test_bank_layout_and_bytes_from_the_record(self, capsys, tmp_path, spatial, banks):
+        # bank= and naive_bytes= are the layer record's LoweredPlan, in f64: a stride
+        # of at least s1*c_in reads the bank in place; a copy goes K-major where 36 or
+        # more outputs share a bank of at most 262,144 bytes (8 x 72 entries, 4,608
+        # bytes), and stays C-ordered for 35 outputs or a 64 x 576 bank (294,912 bytes)
+        arch = tmp_path / "banks.arch"
+        arch.write_text("layer a kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n"
+                        "layer b kind=conv c_in=8 s1=3 s2=3 c_out=8 r=4\n"
+                        "layer c kind=conv c_in=64 s1=3 s2=3 c_out=64 r=4\n")
+        d1, d2 = spatial
+        code, records, _ = run(capsys, "bench", arch, "--spatial", str(d1), str(d2), "--repeat", "1")
+        assert code == 0
+        layers = records_of(records, "layer")
+        assert [layer["bank"] for layer in layers] == banks
+        for layer, c_in, c_out, r in zip(layers, (4, 8, 64), (8, 8, 64), (2, 4, 4)):
+            geom = ConvGeometry(c_in, 3, 3, c_out, r)
+            plan = fsconv.fcfs.layer_plan(geom, derive_layout(geom), d1, d2).naive
+            assert int(layer["naive_bytes"]) == plan.nbytes(8)
+            assert layer["bank"] == plan.bank_layout(8)
 
     def test_spatial_past_numpy_index_range_is_input_error(self, capsys):
         code, records, err = run(capsys, "bench", "resnet110", "--ratio", "4",

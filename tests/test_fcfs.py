@@ -620,6 +620,37 @@ class TestRowBlocks:
                     assert rounding_excess(fast, fs, fmap, depth).max() <= 1, (geom, budget)
                 assert rel_dev(fast, naive_conv(fs, fmap).data) <= 1e-12
 
+    @pytest.mark.parametrize("s1, c_out, d, blocks", [(3, 16, 32, 1), (5, 16, 16, 1), (3, 32, 32, 2)],
+                             ids=["3x3 one block", "5x5 one block", "3x3 two blocks"])
+    def test_one_block_works_out_no_stage_two_ranges(self, s1, c_out, d, blocks, monkeypatch):
+        # f32 16->c_out s1 x s1 at d x d, warm: G of one block (as on every ResNet-110 layer
+        # but 16->32 at 32x32) is one product summed by s1 - 1 passes in order, with no
+        # add_block and so no range arithmetic, and the padded map goes before the table
+        # comes; G of two blocks goes through add_block once per block. Each table is the
+        # bytes of the unblocked stages over one product, and no call holds more than
+        # nbytes (a padded map kept to the end would add 16*P entries, 25,600 bytes at 5x5)
+        geom = ConvGeometry(16, s1, s1, c_out, 4)
+        fs = FilterSummary.random(geom, seed=63, dtype=np.float32)
+        fmap = FeatureMap.random(16, d, d, seed=64, dtype=np.float32)
+        fcfs_conv(fs, fmap)
+        plan = layer_plan(geom, fs.layout, d, d).fcfs
+        assert plan.blocks(4) == blocks
+        starts, add_block = [], fsconv.fcfs.FcfsPlan.add_block
+        with monkeypatch.context() as patched:
+            patched.setattr(fsconv.fcfs.FcfsPlan, "add_block",
+                            lambda plan, table, block, start: starts.append(start)
+                            or add_block(plan, table, block, start))
+            tracemalloc.start()
+            try:
+                table = plan.integrals(fmap, fs.weights)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert starts == ([] if blocks == 1 else [0, plan.rows(4) * plan.summary])
+        assert peak <= plan.nbytes(4) + 8 * 1024
+        x = pad_same(fmap, s1, s1).data.reshape(plan.cells, -1)
+        grid = np.matmul(x, fs.weights[: plan.summary * 16].reshape(plan.summary, -1).T).ravel()
+        assert table.tobytes() == unblocked_windows(plan, grid).tobytes()
 
 class TestNarrowTypes:
     """Bool and int maps and summaries compute in float64, where their sums fit."""
@@ -1021,17 +1052,20 @@ class TestPlanCache:
         (ConvGeometry(3, 3, 3, 4, 2, StridePolicy.GENERIC), Fallback.UNALIGNED_STRIDE),
     ], ids=["fcfs", "more_multiplies", "unaligned_stride"])
     def test_one_record_lookup_per_call(self, geom, fallback):
-        # convolve(engine="fcfs") looks the layer's record up exactly once per call, cold
-        # or warm, on both sides of the rule, and engine="naive" needs nothing from it
+        # convolve looks the layer's record up exactly once per call, cold or warm, on
+        # both sides of the rule, with either engine: "naive" runs the record's LoweredPlan
         fs = FilterSummary.random(geom, seed=61)
         fmap = FeatureMap.random(geom.c_in, 5, 4, seed=62)
         layer_plan.cache_clear()
-        for engine, lookups in [("fcfs", 1), ("fcfs", 1), ("naive", 0), ("fcfs", 1), ("naive", 0)]:
+        for engine, lookups in [("fcfs", 1), ("fcfs", 1), ("naive", 1), ("fcfs", 1), ("naive", 1)]:
             before = layer_plan.cache_info()
             report = convolve(fs, fmap, engine)[1]
             after = layer_plan.cache_info()
             assert after.hits + after.misses == before.hits + before.misses + lookups, engine
             assert report.fallback is (fallback if engine == "fcfs" else None)
+        before = layer_plan.cache_info()
+        naive_conv(fs, fmap)
+        assert layer_plan.cache_info().hits == before.hits + 1
         assert layer_plan.cache_info().misses == 1
 
     def test_cache_size_stays_bounded(self):

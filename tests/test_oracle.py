@@ -1,6 +1,7 @@
 """The brute-force reference engine: padding, hand convolutions, counting."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from fsconv import (
     derive_layout,
     fcfs_conv,
     filter_as_3d,
+    layer_plan,
     naive_conv,
-    naive_nbytes,
     pad_same,
     rel_dev,
     unwrap,
 )
 from fsconv.errors import InvalidDtypeError, ShapeMismatchError
+from fsconv.oracle import KMAJOR_BANK_BYTES, KMAJOR_OUTPUTS
 
-from helpers import random_fast_geometry
+from helpers import random_fast_geometry, rounding_excess
 
 
 class TestPadSame:
@@ -152,12 +154,13 @@ class TestOracleProperties:
             assert counter.multiplies == geom.c_out * d1 * d2 * geom.filter_len
 
 
-def copied_bank_conv(fs, fmap):
-    """The oracle's product sum with the bank always a C-ordered copy of the summary's
-    filters, as before it was read in place: sum_k rows_k @ bank[:, k*L : (k+1)*L].T."""
+def copied_bank_conv(fs, fmap, order="C"):
+    """The oracle's product sum with the bank always a copy of the summary's filters in
+    `order`, C as before it was read in place or stored K-major (F):
+    sum_k rows_k @ bank[:, k*L : (k+1)*L].T."""
     geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, fs.weights
     bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
-                      (fs.layout.stride * w.itemsize, w.itemsize)).copy()
+                      (fs.layout.stride * w.itemsize, w.itemsize)).copy(order)
     x, span = pad_same(fmap, geom.s1, geom.s2).data, geom.slice_len
     cell = geom.c_in * x.itemsize
     rows = np.ndarray((d2 + geom.s2 - 1, d1, span), x.dtype, x, 0,
@@ -169,24 +172,32 @@ def copied_bank_conv(fs, fmap):
 
 
 class TestLoweredMemory:
-    @pytest.mark.parametrize("geom, d1, d2, dtype, rows, bank", [
-        (ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC), 14, 16, np.float64, 20 * 14 * 220, 0),
-        (ConvGeometry(16, 3, 3, 16, 4), 32, 32, np.float32, 34 * 32 * 48, 16 * 144),
-        (ConvGeometry(64, 1, 3, 64, 4), 32, 32, np.float64, 0, 64 * 192),
-    ], ids=["55->56 4x5 f64", "16->16 3x3 f32", "64->64 1x3 f64"])
-    def test_call_allocates_rows_bank_and_one_partial(self, geom, d1, d2, dtype, rows, bank):
+    @pytest.mark.parametrize("geom, d1, d2, dtype, rows, bank, read", [
+        (ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC), 14, 16, np.float64, 20 * 14 * 220, 0,
+         "in_place"),
+        (ConvGeometry(16, 3, 3, 16, 4), 32, 32, np.float32, 34 * 32 * 48, 16 * 144, "kmajor"),
+        (ConvGeometry(64, 1, 3, 64, 4), 32, 32, np.float64, 0, 64 * 192, "kmajor"),
+        (ConvGeometry(64, 3, 3, 64, 4), 5, 5, np.float32, 7 * 5 * 192, 64 * 576, "copy"),
+        (ConvGeometry(64, 3, 3, 64, 4), 16, 16, np.float64, 18 * 16 * 192, 64 * 576, "copy"),
+    ], ids=["55->56 4x5 f64", "16->16 3x3 f32", "64->64 1x3 f64", "64->64 3x3 f32 at 5x5",
+            "64->64 3x3 f64 at 16x16"])
+    def test_call_allocates_rows_bank_and_one_partial(self, geom, d1, d2, dtype, rows, bank, read):
         # beyond the padded map and the output, one call holds the row-lowered
         # matrix, (d2+s2-1)*d1 windows of s1*c_in entries, the c_out x K bank
-        # where the filter stride is below s1*c_in (the last two layers; the
-        # first, at stride 549 >= 220, reads its bank in place) and one
-        # d1*d2*c_out partial product. A d1*d2 x K patch copy (1.97 MB on the
-        # first layer) or a bank copy there (492,800 bytes) would push the peak
-        # past its bound; so would any lowered copy at s1 = 1, where the rows
-        # are the padded map (557,056 bytes on the last layer)
+        # where the filter stride is below s1*c_in (every layer but the first;
+        # the first, at stride 549 >= 220, reads its bank in place), K-major
+        # (the second and third) or C-ordered (25 outputs, then a 294,912-byte
+        # bank) in the same bytes, and one d1*d2*c_out partial product. A d1*d2
+        # x K patch copy (1.97 MB on the first layer) or a bank copy there
+        # (492,800 bytes) would push the peak past its bound; so would any
+        # lowered copy at s1 = 1, where the rows are the padded map (557,056
+        # bytes on the third layer), or a second bank copy on the last
         itemsize = np.dtype(dtype).itemsize
         layout = derive_layout(geom)
         assert (layout.stride >= geom.slice_len) == (bank == 0)
-        extra = naive_nbytes(geom, layout, d1, d2, itemsize)
+        plan = layer_plan(geom, layout, d1, d2).naive
+        assert plan.bank_layout(itemsize) == read
+        extra = plan.nbytes(itemsize)
         assert extra == itemsize * (rows + bank + geom.c_out * d1 * d2)
         padded = geom.c_in * (d1 + geom.s1 - 1) * (d2 + geom.s2 - 1)
         bound = itemsize * (padded + geom.c_out * d1 * d2) + extra + 64 * 1024
@@ -206,31 +217,66 @@ class TestLoweredMemory:
         geom = ConvGeometry(3, 3, 1, 2, 1)  # s2 = 1: no partial product
         layout = derive_layout(geom)
         assert layout.stride == 6  # below s1*c_in = 9: a bank copy
-        assert naive_nbytes(geom, layout, 1, 5, 8) == 8 * 2 * 9
-        assert naive_nbytes(geom, layout, 2, 5, 8) == 8 * (5 * 2 * 9 + 2 * 9)
+        assert layer_plan(geom, layout, 1, 5).naive.nbytes(8) == 8 * 2 * 9
+        assert layer_plan(geom, layout, 2, 5).naive.nbytes(8) == 8 * (5 * 2 * 9 + 2 * 9)
         apart = Layout(18, 9, layout.slices, 18)  # stride 9: the bank is read in place
-        assert naive_nbytes(geom, apart, 1, 5, 8) == 0
-        assert naive_nbytes(geom, apart, 2, 5, 8) == 8 * 5 * 2 * 9
+        assert layer_plan(geom, apart, 1, 5).naive.nbytes(8) == 0
+        assert layer_plan(geom, apart, 2, 5).naive.nbytes(8) == 8 * 5 * 2 * 9
         narrow = ConvGeometry(3, 1, 2, 2, 1)  # stride 3 = s1*c_in: in place
-        assert naive_nbytes(narrow, derive_layout(narrow), 4, 5, 4) == 4 * 2 * 4 * 5
+        assert layer_plan(narrow, derive_layout(narrow), 4, 5).naive.nbytes(4) == 4 * 2 * 4 * 5
 
     def test_bank_read_in_place_gives_the_bytes_of_a_copy(self):
         # on seeded layers of every policy, in f32 and f64, the oracle is the
-        # bytes of the same products over a copied bank; a third of them or more
-        # have a filter stride >= s1*c_in, where the bank is read in place
+        # bytes of the same products over a C-ordered bank copy where it reads
+        # the bank in place or copies it C-ordered; where it copies it K-major,
+        # the bytes over an F-ordered copy (BLAS may sum an untransposed operand
+        # in another order), within the rounding bound of the exact sums. 20 or
+        # more read the bank in place; 20 cases on maps from 8x8 up, after 60 on
+        # maps up to 11x11, make 10 or more copy it K-major
         rng = np.random.default_rng(63)
-        in_place = 0
-        for case in range(60):
+        seen = {"in_place": 0, "copy": 0, "kmajor": 0}
+        for case in range(80):
             policy = list(StridePolicy)[case % 3]
             geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 5), s2=(1, 4), c_out=(1, 10),
                                         policy=policy)
-            d1, d2 = (int(v) for v in rng.integers(1, 12, 2))
+            d1, d2 = (int(v) for v in rng.integers(*((1, 12) if case < 60 else (8, 17)), 2))
             dtype = (np.float32, np.float64)[case % 2]
             fs = FilterSummary.random(geom, seed=case, dtype=dtype)
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=case, dtype=dtype)
-            in_place += fs.layout.stride >= geom.slice_len
-            assert naive_conv(fs, fmap).data.tobytes() == copied_bank_conv(fs, fmap).tobytes(), geom
-        assert in_place >= 20
+            read = layer_plan(geom, fs.layout, d1, d2).naive.bank_layout(np.dtype(dtype).itemsize)
+            assert (read == "in_place") == (fs.layout.stride >= geom.slice_len)
+            seen[read] += 1
+            out = naive_conv(fs, fmap).data
+            if read == "kmajor":
+                assert out.tobytes() == copied_bank_conv(fs, fmap, "F").tobytes(), geom
+                assert rounding_excess(out, fs, fmap, geom.filter_len).max() <= 1, geom
+            else:
+                assert out.tobytes() == copied_bank_conv(fs, fmap).tobytes(), geom
+        assert seen["in_place"] >= 20 and min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bank_layout_rule_at_its_thresholds(self, dtype):
+        # a copied bank goes K-major exactly where at least KMAJOR_OUTPUTS
+        # outputs share a bank of at most KMAJOR_BANK_BYTES, by exact sizes on
+        # each side of each threshold; a bank read in place stays in place
+        itemsize = np.dtype(dtype).itemsize
+        assert (KMAJOR_OUTPUTS, KMAJOR_BANK_BYTES) == (36, 262_144)
+        geom = ConvGeometry(8, 3, 3, 8, 4)  # stride 16 < s1*c_in = 24: a copy
+        layout = derive_layout(geom)
+        assert layout.stride < geom.slice_len
+        for (d1, d2), read in [((6, 6), "kmajor"), ((5, 7), "copy"), ((1, 36), "kmajor"),
+                               ((7, 5), "copy"), ((1, 35), "copy")]:
+            assert layer_plan(geom, layout, d1, d2).naive.bank_layout(itemsize) == read, (d1, d2)
+        # 16->c_out 2x2 banks (K = 64, channel stride 16 < 32: a copy) at 36 outputs:
+        # exactly KMAJOR_BANK_BYTES, and one filter more
+        fits = KMAJOR_BANK_BYTES // (64 * itemsize)
+        for c_out, read in [(fits, "kmajor"), (fits + 1, "copy")]:
+            geom = ConvGeometry(16, 2, 2, c_out, 2)
+            plan = layer_plan(geom, derive_layout(geom), 6, 6).naive
+            assert plan.bank * itemsize == 262_144 + 64 * itemsize * (c_out - fits)
+            assert plan.bank_layout(itemsize) == read, c_out
+            apart = Layout(32 * c_out + 32, 32, Fraction(c_out + 1), 32 * c_out + 32)  # stride 32
+            assert layer_plan(geom, apart, 6, 6).naive.bank_layout(itemsize) == "in_place"
 
 
 def literal_conv(fs, fmap):

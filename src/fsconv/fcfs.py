@@ -4,10 +4,12 @@ A cell is the c_in values at one padded position, or c_in consecutive
 summary weights. Under a channel-aligned filter stride each slice inner
 product sums a window of s1 consecutive entries on one diagonal of the cell
 products G[r, q] = x_cell[r] . w_cell[q], flat and C-ordered, where a diagonal
-steps by Q+1. Stages 1 and 2 run in row blocks of G that fit BLOCK_BYTES:
-stage 1 multiplies one block of rows into one buffer, and stage 2 adds each of
-its entries into the windows it belongs to, so every window adds its s1
-entries in order and the window table is the same bytes however G is cut.
+steps by Q+1. Stages 1 and 2 run in one loop over row blocks of G that fit
+BLOCK_BYTES: stage 1 multiplies one block of rows into one buffer, after a
+carry of the (s1-1)(Q+1) entries before it, so every window that ends in the
+block is one run of the buffer, and stage 2 sums those runs into the table.
+Each window adds its s1 entries in order, so given one G the table is the same
+bytes however G is cut.
 Stage 3 reads one strided view of the windows and adds the s2 slices per
 output in order, bit-identical at a fixed BLAS thread count.
 
@@ -91,68 +93,58 @@ class FcfsPlan:
         return -(-self.cells // self.rows(itemsize))
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one execution allocates beyond its output: the window table, for s1 > 1
-        one block of G, and where G takes more than one block the padded map (c_in*P
-        entries), which then lives through stage 2; for one block it goes before the table
-        comes, so it is not counted."""
-        rows = self.rows(itemsize)
-        block = rows * self.summary if self.window > 1 else 0
-        padded = self.multiplies // self.summary if rows < self.cells else 0
-        return itemsize * (padded + block + self.windows)
+        """Bytes one execution allocates beyond its output: stage 1's (c_in, Q) summary block,
+        the window table, for s1 > 1 one buffer of the carry and one block of G, and where G
+        takes more than one block the padded map (c_in*P entries), which then lives through
+        stage 2; for one block it goes before the table comes, so it is not counted."""
+        rows, grid = self.rows(itemsize), self.cells * self.summary
+        c_in, carry = self.multiplies // grid, grid - self.windows  # (s1-1)(Q+1) entries
+        buffer = carry + rows * self.summary if self.window > 1 else 0
+        padded = c_in * self.cells if rows < self.cells else 0
+        return itemsize * (c_in * self.summary + padded + buffer + self.windows)
 
     def integrals(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
-        """Pad the map, then stages 1 and 2. G of one block is one product, and the padded map
-        goes before the table comes, which takes fewer page faults; then G is the table for
-        s1 = 1, else the table is G[:n] + G[step : step + n] and s1-2 passes of += G[t*step :
-        t*step + n], with no buffer and no ranges to work out. Larger G goes in row blocks
-        through one buffer (np.matmul, out=), each into the window table (add_block)."""
+        """Pad the map, then stages 1 and 2. Stage 1 multiplies by one C-ordered (c_in, Q) copy
+        of the summary's first Q cells in the compute type, wherever the weights sit in memory,
+        so BLAS takes the same path on a summary at any address. G is the table for s1 = 1;
+        else its row blocks are made in order into one buffer after the carry, each summed by
+        sum_block, and the padded map goes once the last block is made, before the table comes
+        where that block is the first."""
         x = _padded(fmap, self.window, self.shape[0]).reshape(self.cells, -1)
-        w = weights[: self.summary * x.shape[1]].reshape(self.summary, -1).T
-        dtype = _compute_dtype(x, w)
-        rows = self.rows(dtype.itemsize)
-        if rows == self.cells:  # one block, as on every ResNet-110 layer but one
-            products = np.matmul(x, w, dtype=dtype).ravel()
-            del x
-            if self.window == 1:  # G is the table
-                return products
-            step, n = self.summary + 1, self.windows
-            table = np.add(products[:n], products[step : step + n])
-            for t in range(2, self.window):  # fixed order: add_block's, bit for bit
-                table += products[t * step : t * step + n]
-            return table
-        block, table = np.empty((rows, self.summary), dtype), np.empty(self.windows, dtype)
-        for r0 in range(0, self.cells, rows):  # one buffer for every block
-            products = np.matmul(x[r0 : r0 + rows], w, block[: self.cells - r0], dtype=dtype).ravel()
+        dtype, q = _compute_dtype(x, weights), self.summary
+        w = np.array(weights[: q * x.shape[1]].reshape(q, -1).T, dtype, order="C")
+        if self.window == 1:
+            return np.matmul(x, w, dtype=dtype).ravel()
+        rows, carry = self.rows(dtype.itemsize), (self.window - 1) * (q + 1)
+        buffer = np.empty(carry + rows * q, dtype)
+        products = buffer[carry:].reshape(rows, q)
+        for r0 in range(0, self.cells, rows):
+            made = np.matmul(x[r0 : r0 + rows], w, products[: self.cells - r0], dtype=dtype)
             if r0 + rows >= self.cells:
                 del x
-            self.add_block(table, products, r0 * self.summary)
+            if not r0:
+                table = np.empty(self.windows, dtype)
+            self.sum_block(table, buffer[: carry + made.size], r0 * q)
         return table
 
-    def add_block(self, table: np.ndarray, block: np.ndarray, start: int) -> None:
-        """Stage 2 of G's flat entries [start, start + block.size), for s1 > 1: entry j adds
-        into window j - t*(Q+1) for each t < s1. Blocks come in order and t ascends within
-        one, so each window adds its entries t = 0 .. s1-1 in order: its first two in one
-        np.add where both lie in this block, else the first by assignment, and each later
-        one by +=. One block of all of G makes G[:n] + G[step : step + n], then s1-2 passes
-        of += G[t*step : t*step + n]."""
-        # conditional expressions, not min and max: on small layers those calls cost as much
-        # as the adds
-        step, n, size = self.summary + 1, self.windows, block.size
-        first = n - start if n - start < size else size  # windows from `start` on: entry 0 here
-        pair = first if first < size - step else size - step  # those whose entry 1 is here too
-        if pair < 0:
-            pair = 0
-        np.add(block[:pair], block[step : step + pair], table[start : start + pair])
-        if pair < first:
-            table[start + pair : start + first] = block[pair:first]
-        paired = start if start < n else n  # entry 1 of the windows from here on came above
-        for t in range(1 if start else 2, self.window):  # t = 1: windows before `start`
-            at = start - t * step  # the window whose entry t is the block's first
-            lo, hi, cap = (at if at > 0 else 0), at + size, (n if t > 1 else paired)
-            if hi > cap:
-                hi = cap
-            if lo < hi:
-                table[lo:hi] += block[lo - at : hi - at]
+    def sum_block(self, table: np.ndarray, buffer: np.ndarray, start: int) -> None:
+        """Stage 2 of one row block of G, for s1 > 1. `buffer` holds the carry, the (s1-1)(Q+1)
+        entries of G before `start` (unset before entry 0), then the block, G's entries from
+        `start` on. Window j ends at entry j + carry, so each window that ends in the block is
+        one run of the buffer: the windows [lo, hi) add buffer[lo - start + carry + t*(Q+1)],
+        t < s1, in order, the first two in one np.add, as one block of all of G does. Then,
+        unless this block ends G, its last `carry` entries move to the front: the next carry."""
+        step = self.summary + 1
+        carry = (self.window - 1) * step
+        size = buffer.size - carry  # the block's entries
+        lo, hi = (start - carry if start > carry else 0), start + size - carry
+        if lo < hi:  # else the block ends before the first window does
+            a = lo - start + carry
+            out = np.add(buffer[a:size], buffer[a + step : size + step], table[lo:hi])
+            for t in range(2, self.window):  # fixed order: bit-stable
+                out += buffer[a + t * step : size + t * step]
+        if hi < self.windows:
+            buffer[:carry] = buffer[size:]
 
     def view(self, flat: np.ndarray) -> np.ndarray:
         """The window of each slice pair in the contiguous `flat`, as a read-only (s2, d2,

@@ -14,7 +14,9 @@ place where the filter stride is at least s1*c_in, else copied K-major (K x c_ou
 multiplies each column block untransposed) where at least KMAJOR_OUTPUTS = 36 outputs share a
 bank of at most KMAJOR_BANK_BYTES = 256 KiB, else copied C-ordered: the K-major copy transposes,
 which costs more than it saves on tiny maps and large banks (f32, 16->16 3x3 at 32x32: 119 ->
-97 us; 64->64 at 4x4: 40 -> 50 us; the other shapes at _lowered_conv).
+97 us; 64->64 at 4x4: 40 -> 50 us; the other shapes at _lowered_conv). A bank to be read in
+place from a summary at a misaligned address, as FSN1 payloads load, is copied C-ordered
+instead, which gives the bytes of an aligned summary; BLAS would copy it its own way.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _lowered_conv(plan: LoweredPlan, fs: FilterSummary, fmap: FeatureMap,
     bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
                       (fs.layout.stride * w.itemsize, w.itemsize))
     layout = plan.bank_layout(dtype.itemsize)
-    if layout != "in_place" or w.dtype != dtype:  # a summary not in the compute type: a copy
+    if layout != "in_place" or w.dtype != dtype or not w.flags.aligned:
         bank = bank.astype(dtype, order="F" if layout == "kmajor" else "C")
     x = _padded(fmap, geom.s1, geom.s2).astype(dtype, copy=False)
     cell = geom.c_in * x.itemsize  # bytes of one padded cell

@@ -46,10 +46,11 @@ def _check_real(values: np.ndarray, name: str) -> None:
 
 
 def _compute_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
-    """The type both engines multiply and add in: the common type of two float arrays,
-    else float64, where a sum of bool or int products neither saturates nor wraps."""
+    """The type both engines multiply and add in: the common type of two float arrays, at
+    least float32, else float64, so no sum of half-float, bool or int products saturates,
+    wraps or rounds to half precision."""
     if a.dtype.kind == b.dtype.kind == "f":
-        return np.promote_types(a.dtype, b.dtype)
+        return np.promote_types(np.promote_types(a.dtype, b.dtype), np.float32)
     return np.dtype(np.float64)
 
 

@@ -65,6 +65,13 @@ def q8_model_with_grid(w_min, w_max) -> bytes:
     return bytes(blob)
 
 
+def misaligned(array):
+    """A read-only copy of `array` at an odd byte offset, as FSN1 payloads load: numpy
+    flags an array of items wider than a byte there as not aligned."""
+    array = np.ascontiguousarray(array)
+    return np.frombuffer(b"\0" + array.tobytes(), array.dtype, offset=1).reshape(array.shape)
+
+
 def as_dtype(values, dtype):
     """values converted exactly to `dtype`; object means Fractions."""
     return np.vectorize(Fraction, otypes=[object])(values) if dtype is object else values.astype(dtype)

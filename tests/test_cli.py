@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from fsconv import (
     dump_model,
     effective_params,
     extract_fractional,
+    fcfs_conv,
     grad_alpha,
     grad_summary,
     init_alphas,
@@ -38,6 +40,7 @@ from fsconv import (
     naive_conv,
     quantize,
     read_model,
+    rel_dev,
     unwrap,
     write_model,
 )
@@ -232,6 +235,31 @@ class TestConv:
             FilterSummary(geom, fs.layout, fs.weights), unwrap(tensor)
         ).as_3d()
         assert saved == pytest.approx(expected, rel=1e-12)
+
+    def test_loaded_weights_give_the_bytes_of_aligned_copies(self, capsys, tmp_path):
+        # FSN1 payloads load at odd byte offsets, here after the names conv1 and conv2: the
+        # output file and each layer's deviation are what both engines give on aligned
+        # copies of the same f32 weights, chained through the oracle as the command does
+        geoms = [ConvGeometry(20, 3, 3, 32, Fraction(3, 2)), ConvGeometry(32, 2, 3, 20, 2)]
+        model = tmp_path / "m.fsn"
+        write_model(model, [
+            ModelLayer(f"conv{i + 1}", geom, "f32",
+                       weights=FilterSummary.random(geom, seed=i, dtype=np.float32).weights)
+            for i, geom in enumerate(geoms)])
+        tensor = np.random.default_rng(0).standard_normal((20, 11, 7)).astype(np.float32)
+        np.save(tmp_path / "x.npy", tensor)
+        code, records, _ = run(capsys, "conv", model, tmp_path / "x.npy", "--engine", "both")
+        assert code == 0
+        current, devs = unwrap(tensor), []
+        for layer in read_model(model):
+            loaded = layer.summary()
+            assert not loaded.weights.flags.aligned
+            fs = FilterSummary(loaded.geom, loaded.layout, loaded.weights.copy())
+            fast = fcfs_conv(fs, current)[0]
+            current = naive_conv(fs, current)
+            devs.append(fsconv.cli._fmt(rel_dev(fast.data, current.data)))
+        assert [layer["dev"] for layer in records_of(records, "layer")] == devs
+        assert np.load(tmp_path / "x.out.npy").tobytes() == current.as_3d().tobytes()
 
     def test_zero_input_zero_output(self, capsys, small_model, tmp_path):
         model_path, _, _ = small_model
@@ -760,9 +788,11 @@ class TestBench:
         assert int(layer["fcfs_mults"]) == 64 * 324 * 135 == 2_799_360
         assert int(layer["fcfs_floor"]) == 2_751_488
         # stages 1 and 2 in blocks of 262,144 // (8 * 135) = 242 of the 324 rows of
-        # G, so the padded map, 64 x 324 entries, lives through stage 2
+        # G, so the padded map, 64 x 324 entries, lives through stage 2; the summary
+        # block is 64 x 135 entries, and the buffer holds a carry of 2 * 136 before a block
         assert int(layer["blocks"]) == 2
-        assert int(layer["work_bytes"]) == 8 * (64 * 324 + 242 * 135 + 322 * 135 - 2)
+        assert int(layer["work_bytes"]) == 8 * (64 * 135 + 64 * 324 + 2 * 136 + 242 * 135
+                                                + 322 * 135 - 2)
 
     def test_plan_reported_apart_from_execution(self, capsys, tmp_path):
         arch = tmp_path / "bench.arch"
@@ -771,10 +801,10 @@ class TestBench:
         assert code == 0
         (layer,) = records_of(records, "layer")
         assert float(layer["plan_ms"]) > 0
-        # one f64 execution allocates the P x Q cell products, one block, and the
-        # (P-2)*Q - 2 windows: P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary
-        # cells (channel-aligned stride 16)
-        assert int(layer["work_bytes"]) == 8 * (56 * 37 + 54 * 37 - 2)
+        # one f64 execution allocates the 4 x Q summary block, the carry of 2(Q+1)
+        # entries and the P x Q cell products, one block, and the (P-2)*Q - 2 windows:
+        # P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary cells (channel-aligned stride 16)
+        assert int(layer["work_bytes"]) == 8 * (4 * 37 + 2 * 38 + 56 * 37 + 54 * 37 - 2)
         assert int(layer["blocks"]) == 1
         # the oracle's, from the same kind of closed form: 7 padded columns of 6
         # windows of 3 * 4 entries and one 8 x 6 x 5 partial; no bank, which it

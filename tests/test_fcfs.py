@@ -57,6 +57,7 @@ import helpers
 from helpers import (
     LONGDOUBLE_IS_WIDER,
     gamma,
+    misaligned,
     random_fast_geometry,
     random_instance,
     rounding_excess,
@@ -250,11 +251,16 @@ def unblocked_windows(plan, grid):
 
 
 def blocked_windows(plan, grid, itemsize):
-    """Stage 2 of a given flat G through add_block, in the row blocks an execution in
-    `itemsize`-byte entries takes."""
-    table, rows, q = np.empty(plan.windows, grid.dtype), plan.rows(itemsize), plan.summary
-    for r0 in range(0, plan.cells, rows):
-        plan.add_block(table, grid[r0 * q : (r0 + rows) * q], r0 * q)
+    """Stage 2 of a given flat G through sum_block, in the row blocks an execution in
+    `itemsize`-byte entries takes, each put after the carry in one buffer. The buffer
+    starts as NaN, which no window may read: a NaN or a Term + NaN would show."""
+    table, size = np.empty(plan.windows, grid.dtype), plan.rows(itemsize) * plan.summary
+    carry = grid.size - plan.windows
+    buffer = np.full(carry + size, np.nan, grid.dtype)
+    for start in range(0, grid.size, size):
+        block = grid[start : start + size]
+        buffer[carry : carry + block.size] = block
+        plan.sum_block(table, buffer[: carry + block.size], start)
     return table
 
 
@@ -287,7 +293,7 @@ class TestStageTwo:
         assert min(blocks) == 1 and (max(blocks) > 1) == (s1 > 1)
 
     def test_blocked_table_is_the_unblocked_bytes(self, monkeypatch):
-        # given one G, with signed zeros, the table add_block fills in any row blocks
+        # given one G, with signed zeros, the table sum_block fills in any row blocks
         # is byte for byte the unblocked one, whose adds run in the same order
         rng = np.random.default_rng(51)
         for case in range(60):
@@ -302,6 +308,24 @@ class TestStageTwo:
             for budget in BUDGETS:
                 monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", budget)
                 assert blocked_windows(plan, grid, grid.itemsize).tobytes() == expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_shorter_than_the_carry(self, dtype, monkeypatch):
+        # at a 64-byte budget each block is one row of G, Q entries, against a carry of
+        # 6(Q+1) at s1 = 7: the first six blocks end before any window does, and each
+        # later one completes Q windows whose entries span seven blocks. Given one G, with
+        # signed zeros, the table is the unblocked one, byte for byte
+        monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 64)
+        geom = ConvGeometry(2, 7, 2, 6, 3)
+        plan = layer_plan(geom, derive_layout(geom), 5, 4).fcfs
+        carry = plan.cells * plan.summary - plan.windows
+        assert plan.rows(np.dtype(dtype).itemsize) == 1
+        assert plan.summary < carry == 6 * (plan.summary + 1)
+        rng = np.random.default_rng(65)
+        grid = rng.standard_normal(plan.cells * plan.summary).astype(dtype)
+        grid[rng.random(grid.size) < 0.1] = -0.0
+        expected = unblocked_windows(plan, grid).tobytes()
+        assert blocked_windows(plan, grid, grid.itemsize).tobytes() == expected
 
     def test_rows_per_block(self, monkeypatch):
         # B = BLOCK_BYTES // (Q * itemsize) rows, at least one and at most P; s1 = 1 is
@@ -372,7 +396,7 @@ class TestBuildIntegrals:
         # (c_in = s1 = 1), 4 lookups and 2 slice additions; 4 products read
         assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (6, 2, 4, 4)
         assert (plan.shape, plan.strides) == ((2, 2, 1, 1), (3, 2, 2, 1))
-        assert plan.nbytes(8) == 8 * 6  # G, one block, which is also the windows
+        assert plan.nbytes(8) == 8 * (2 + 6)  # the (1, 2) summary block; G, also the windows
         windows = plan.view(table)
         assert np.array_equal(windows.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
@@ -395,12 +419,12 @@ class TestBuildIntegrals:
         monkeypatch.setattr(fsconv.fcfs, "BLOCK_BYTES", 64)
         seen = []
 
-        def add_block(plan, table, block, start):
-            seen.append((start, block.copy()))
-            add_block.original(plan, table, block, start)
+        def sum_block(plan, table, buffer, start):
+            seen.append((start, buffer[plan.cells * plan.summary - plan.windows :].copy()))
+            sum_block.original(plan, table, buffer, start)
 
-        add_block.original = fsconv.fcfs.FcfsPlan.add_block
-        monkeypatch.setattr(fsconv.fcfs.FcfsPlan, "add_block", add_block)
+        sum_block.original = fsconv.fcfs.FcfsPlan.sum_block
+        monkeypatch.setattr(fsconv.fcfs.FcfsPlan, "sum_block", sum_block)
         rng = np.random.default_rng(9)
         for _ in range(10):
             fs, fmap = random_instance(rng, c_in=(1, 6), c_out=(1, 8), d=(2, 6))
@@ -524,7 +548,8 @@ class TestStageThreeViews:
         # second stage-2 table, a gathered index or a slice-sum temporary
         # (393,216 bytes at s1 = 3) would push a peak past its bound. At s1 = 5
         # and 7 the peak is below 4*(P*Q + windows), the bytes of an unblocked
-        # G and table.
+        # G and table. The buffer holds the carry, (s1-1)(Q+1) entries, before
+        # the block, and stage 1 reads one (16, Q) copy of the summary.
         geom = ConvGeometry(16, s1, s1, 32, 4, StridePolicy.CHANNEL_ALIGNED)
         fs = FilterSummary.random(geom, seed=41, dtype=np.float32)
         fmap = FeatureMap.random(16, 32, 32, seed=42, dtype=np.float32)
@@ -535,20 +560,21 @@ class TestStageThreeViews:
         rows = 262_144 // (4 * summary)
         assert (plan.rows(4), plan.blocks(4)) == (rows, -(-cells // rows)) and rows < cells
         work_bytes = plan.nbytes(4)
-        assert work_bytes == 4 * (16 * cells + rows * summary + windows)
+        carry = (s1 - 1) * (summary + 1)
+        assert work_bytes == 4 * (16 * summary + 16 * cells + carry + rows * summary + windows)
         numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
         held = []
 
-        def add_block(plan, table, block, start):
-            add_block.original(plan, table, block, start)
+        def sum_block(plan, table, buffer, start):
+            sum_block.original(plan, table, buffer, start)
             snapshot = tracemalloc.take_snapshot().filter_traces([numpy_data])
             held.append(sum(stat.size for stat in snapshot.statistics("filename")))
 
-        add_block.original = fsconv.fcfs.FcfsPlan.add_block
+        sum_block.original = fsconv.fcfs.FcfsPlan.sum_block
         tracemalloc.start()
         try:
             with monkeypatch.context() as patched:
-                patched.setattr(fsconv.fcfs.FcfsPlan, "add_block", add_block)
+                patched.setattr(fsconv.fcfs.FcfsPlan, "sum_block", sum_block)
                 plan.integrals(fmap, fs.weights)
             tracemalloc.reset_peak()
             out, _ = convolve(fs, fmap)
@@ -562,12 +588,18 @@ class TestStageThreeViews:
             assert peak < 4 * (cells * summary + windows)
 
 
-def unblocked_conv(plan, fs, fmap):
-    """fcfs with stages 1 and 2 unblocked: one product over all of G, unblocked_windows,
-    then stage 3 as the engine runs it, v[0] + v[1], then += v[k] (v[0] for s2 = 1)."""
+def unblocked_grid(plan, fs, fmap):
+    """G as one product over all of it, by the operand stage 1 reads: the summary's first Q
+    cells as one C-ordered (c_in, Q) block."""
     x = pad_same(fmap, plan.window, plan.shape[0]).data.reshape(plan.cells, -1)
-    w = fs.weights[: plan.summary * x.shape[1]].reshape(plan.summary, -1)
-    windows = plan.view(unblocked_windows(plan, np.matmul(x, w.T).ravel()))
+    w = np.ascontiguousarray(fs.weights[: plan.summary * x.shape[1]].reshape(plan.summary, -1).T)
+    return np.matmul(x, w).ravel()
+
+
+def unblocked_conv(plan, fs, fmap):
+    """fcfs with stages 1 and 2 unblocked: unblocked_grid, unblocked_windows, then stage 3
+    as the engine runs it, v[0] + v[1], then += v[k] (v[0] for s2 = 1)."""
+    windows = plan.view(unblocked_windows(plan, unblocked_grid(plan, fs, fmap)))
     out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
     for per_slice in windows[2:]:
         out += per_slice
@@ -622,38 +654,54 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("s1, c_out, d, blocks", [(3, 16, 32, 1), (5, 16, 16, 1), (3, 32, 32, 2)],
                              ids=["3x3 one block", "5x5 one block", "3x3 two blocks"])
-    def test_one_block_works_out_no_stage_two_ranges(self, s1, c_out, d, blocks, monkeypatch):
+    def test_one_sum_block_call_per_block(self, s1, c_out, d, blocks, monkeypatch):
         # f32 16->c_out s1 x s1 at d x d, warm: G of one block (as on every ResNet-110 layer
-        # but 16->32 at 32x32) is one product summed by s1 - 1 passes in order, with no
-        # add_block and so no range arithmetic, and the padded map goes before the table
-        # comes; G of two blocks goes through add_block once per block. Each table is the
-        # bytes of the unblocked stages over one product, and no call holds more than
-        # nbytes (a padded map kept to the end would add 16*P entries, 25,600 bytes at 5x5)
+        # but 16->32 at 32x32) and G of two blocks both run sum_block once per block, and
+        # the padded map of one block goes before the table comes. Each table is the bytes
+        # of the unblocked stages over one product, and no call holds more than nbytes (a
+        # padded map kept to the end would add 16*P entries, 25,600 bytes at 5x5)
         geom = ConvGeometry(16, s1, s1, c_out, 4)
         fs = FilterSummary.random(geom, seed=63, dtype=np.float32)
         fmap = FeatureMap.random(16, d, d, seed=64, dtype=np.float32)
         fcfs_conv(fs, fmap)
         plan = layer_plan(geom, fs.layout, d, d).fcfs
         assert plan.blocks(4) == blocks
-        starts, add_block = [], fsconv.fcfs.FcfsPlan.add_block
+        starts, sum_block = [], fsconv.fcfs.FcfsPlan.sum_block
         with monkeypatch.context() as patched:
-            patched.setattr(fsconv.fcfs.FcfsPlan, "add_block",
-                            lambda plan, table, block, start: starts.append(start)
-                            or add_block(plan, table, block, start))
+            patched.setattr(fsconv.fcfs.FcfsPlan, "sum_block",
+                            lambda plan, table, buffer, start: starts.append(start)
+                            or sum_block(plan, table, buffer, start))
             tracemalloc.start()
             try:
                 table = plan.integrals(fmap, fs.weights)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert starts == ([] if blocks == 1 else [0, plan.rows(4) * plan.summary])
+        assert starts == [r0 * plan.summary for r0 in range(0, plan.cells, plan.rows(4))]
+        assert len(starts) == blocks
         assert peak <= plan.nbytes(4) + 8 * 1024
-        x = pad_same(fmap, s1, s1).data.reshape(plan.cells, -1)
-        grid = np.matmul(x, fs.weights[: plan.summary * 16].reshape(plan.summary, -1).T).ravel()
-        assert table.tobytes() == unblocked_windows(plan, grid).tobytes()
+        assert table.tobytes() == unblocked_windows(plan, unblocked_grid(plan, fs, fmap)).tobytes()
+
 
 class TestNarrowTypes:
-    """Bool and int maps and summaries compute in float64, where their sums fit."""
+    """Bool and int maps and summaries compute in float64, where their sums fit, and
+    half floats in float32."""
+
+    def test_half_floats_compute_in_float32(self):
+        # a float16 16 -> 16 3x3 layer, its weights and map scaled by 300: the 144-product
+        # sums pass float16's largest value, 65,504 (unscaled, they would still round to
+        # 11 bits). In float32 every engine is within float32 rounding of the float64 result
+        geom = ConvGeometry(16, 3, 3, 16, 4)
+        template = FilterSummary.random(geom, seed=67)
+        fs = FilterSummary(geom, template.layout, (300 * template.weights).astype(np.float16))
+        fmap = FeatureMap(16, 8, 8, (300 * FeatureMap.random(16, 8, 8, seed=68).data).astype(np.float16))
+        wide = naive_conv(FilterSummary(geom, fs.layout, fs.weights.astype(np.float64)),
+                          FeatureMap(16, 8, 8, fmap.data.astype(np.float64))).data
+        assert np.abs(wide).max() > np.finfo(np.float16).max
+        for out in (naive_conv(fs, fmap), fcfs_conv(fs, fmap)[0], convolve(fs, fmap)[0],
+                    convolve(fs, fmap, "naive")[0]):
+            assert out.data.dtype == np.float32
+            assert rel_dev(out.data, wide) <= 1e-5
 
     @pytest.mark.parametrize("dtype, value, sums", [
         (bool, True, (4, 2)),
@@ -671,6 +719,25 @@ class TestNarrowTypes:
                     convolve(fs, fmap, "naive")[0]):
             assert out.data.dtype == np.float64
             assert np.array_equal(out.as_3d(), cube)
+
+
+class TestWeightAddress:
+    """Both engines give a summary's bytes wherever its weights sit in memory. FSN1
+    payloads load as views at odd byte offsets, and BLAS copies a misaligned operand
+    its own way, into a block that may take other kernels."""
+
+    def test_misaligned_summary_gives_the_aligned_bytes(self):
+        # in f32 and f64, with c_in and Q large enough for BLAS to pick its kernels by
+        # operand layout
+        rng = np.random.default_rng(70)
+        for case in range(40):
+            dtype = (np.float32, np.float64)[case % 2]
+            fs, fmap = random_instance(rng, dtype=dtype, c_in=(8, 32), s1=(2, 4), c_out=(8, 64),
+                                       d=(6, 16))
+            moved = FilterSummary(fs.geom, fs.layout, misaligned(fs.weights))
+            assert not moved.weights.flags.aligned and not moved.weights.flags.writeable
+            for engine in (naive_conv, lambda *given: fcfs_conv(*given)[0]):
+                assert engine(moved, fmap).data.tobytes() == engine(fs, fmap).data.tobytes(), case
 
 
 class TestFcfsConv:

@@ -10,8 +10,8 @@ carry of the (s1-1)(Q+1) entries before it, so every window that ends in the
 block is one run of the buffer, and stage 2 sums those runs into the table.
 Each window adds its s1 entries in order, so given one G the table is the same
 bytes however G is cut.
-Stage 3 reads one strided view of the windows and adds the s2 slices per
-output in order, bit-identical at a fixed BLAS thread count.
+Stage 3 is one numpy reduction over the slice axis of one strided view of the
+windows, which numpy adds in index order: bit-identical at a fixed BLAS thread count.
 
 LayerPlan.build(geom, layout, d1, d2) is the engine rule, the fcfs plan and the oracle's plan in
 one record, which layer_plan caches and convolve, naive_conv and fcfs_conv read. fcfs_conv runs
@@ -93,15 +93,15 @@ class FcfsPlan:
         return -(-self.cells // self.rows(itemsize))
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one execution allocates beyond its output: stage 1's (c_in, Q) summary block,
-        the window table, for s1 > 1 one buffer of the carry and one block of G, and where G
-        takes more than one block the padded map (c_in*P entries), which then lives through
-        stage 2; for one block it goes before the table comes, so it is not counted."""
+        """Bytes one execution allocates beyond its output, at its peak: stage 1's (c_in, Q)
+        summary block, for s1 > 1 one buffer of the carry and one block of G, the padded map
+        (c_in*P entries) and the window table. Both of the last live at once, but for s1 > 1
+        with G in one block, where the map goes before the table comes: the larger counts."""
         rows, grid = self.rows(itemsize), self.cells * self.summary
         c_in, carry = self.multiplies // grid, grid - self.windows  # (s1-1)(Q+1) entries
-        buffer = carry + rows * self.summary if self.window > 1 else 0
-        padded = c_in * self.cells if rows < self.cells else 0
-        return itemsize * (c_in * self.summary + padded + buffer + self.windows)
+        buffer, padded = (carry + rows * self.summary if self.window > 1 else 0), c_in * self.cells
+        held = max(padded, self.windows) if buffer and rows == self.cells else padded + self.windows
+        return itemsize * (c_in * self.summary + buffer + held)
 
     def integrals(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
         """Pad the map, then stages 1 and 2. Stage 1 multiplies by one C-ordered (c_in, Q) copy
@@ -156,9 +156,8 @@ class FcfsPlan:
 
 def _reads(plan: FcfsPlan) -> np.ndarray:
     """The cells any slice reads, as a (P, Q) mask."""
-    mask = np.zeros(plan.cells * plan.summary, bool)
-    for t in range(plan.window):  # a slice's s1 cells, a diagonal step apart (bool: byte strides)
-        np.ndarray(plan.shape, bool, mask, t * (plan.summary + 1), plan.strides)[...] = True
+    mask = np.zeros(plan.cells * plan.summary, bool)  # a slice's s1 cells, a diagonal step apart
+    np.ndarray((plan.window, *plan.shape), bool, mask, 0, (plan.summary + 1, *plan.strides))[...] = True
     return mask.reshape(plan.cells, plan.summary)
 
 
@@ -179,13 +178,13 @@ class LayerPlan:
         if d1 < 1 or d2 < 1:
             raise ShapeMismatchError(f"feature map is {d1}x{d2}; both sizes must be >= 1")
         s1, s2, c_in, k, span = geom.s1, geom.s2, geom.c_in, geom.filter_len, geom.slice_len
-        elements, rows = geom.c_out * d1 * d2, (d2 + s2 - 1) * d1 * span if s1 > 1 and d1 > 1 else 0
-        naive = LoweredPlan(d1 * d2, rows, 0 if layout.stride >= span else geom.c_out * k,
+        p1, shift, elements = d1 + s1 - 1, layout.stride // c_in, geom.c_out * d1 * d2
+        cells, rows = p1 * (d2 + s2 - 1), (d2 + s2 - 1) * d1 * span if s1 > 1 and d1 > 1 else 0
+        naive = LoweredPlan(d1 * d2, c_in * cells, rows, 0 if layout.stride >= span else geom.c_out * k,
                             elements if s2 > 1 else 0, elements * k, elements * (k - 1))
         if layout.stride % c_in:  # the diagonals would scatter across channel residues
             return cls(Fallback.UNALIGNED_STRIDE, None, naive)
-        p1, shift = d1 + s1 - 1, layout.stride // c_in
-        cells, summary = p1 * (d2 + s2 - 1), (geom.c_out - 1) * shift + s1 * s2
+        summary = (geom.c_out - 1) * shift + s1 * s2
         step = summary + 1  # along a diagonal; no window read wraps past row P-1
         windows = cells * summary - (s1 - 1) * step
         lookups = s2 * elements
@@ -275,11 +274,8 @@ def fcfs_conv(fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCoun
 
 def _execute(plan: FcfsPlan, fs: FilterSummary, fmap: FeatureMap) -> tuple[ConvOutput, MultCounter]:
     """Stages 1-3 of `plan` on an input check_conv_input accepts."""
-    windows = plan.view(plan.integrals(fmap, fs.weights))
-    # (d2, d1, c_out), channel-major; for s2 = 1 each output is one slice's window
-    out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
-    for per_slice in windows[2:]:  # fixed order: bit-stable
-        out += per_slice
+    # stage 3 into a C-ordered (d2, d1, c_out): numpy adds the view's outermost axis in index order
+    out = np.add.reduce(plan.view(plan.integrals(fmap, fs.weights)))
     counts = MultCounter(plan.multiplies, plan.additions, plan.lookups)
     return ConvOutput._trusted(fs.geom.c_out, fmap.d1, fmap.d2, out.ravel()), counts
 

@@ -74,11 +74,12 @@ def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
 @dataclass(frozen=True)
 class LoweredPlan:
     """The reference engine's plan of one layer at one map size (LayerPlan.naive), in entries:
-    the lowered rows, 0 where (s1 = 1 or d1 = 1) they view the padded map; a copied c_out x K
-    bank, 0 where a filter stride of at least L = s1*c_in lets BLAS read it in place; one
-    partial product (s2 > 1); and the d1*d2 outputs, which the bank layout rule reads."""
+    the padded map; the lowered rows, 0 where (s1 = 1 or d1 = 1) they view the padded map; a
+    copied c_out x K bank, 0 where a filter stride of at least L = s1*c_in lets BLAS read it in
+    place; one partial product (s2 > 1); and the d1*d2 outputs, which the bank layout rule reads."""
 
     outputs: int
+    padded: int
     rows: int
     bank: int
     partial: int
@@ -95,8 +96,8 @@ class LoweredPlan:
         return "kmajor" if pays else "copy"
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one run in one float type allocates beyond the padded map and the output."""
-        return itemsize * (self.rows + self.bank + self.partial)
+        """Bytes one run in one float type allocates beyond its output, all alive at once."""
+        return itemsize * (self.padded + self.rows + self.bank + self.partial)
 
 
 def _lowered_conv(plan: LoweredPlan, fs: FilterSummary, fmap: FeatureMap,

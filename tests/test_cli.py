@@ -261,6 +261,23 @@ class TestConv:
         assert [layer["dev"] for layer in records_of(records, "layer")] == devs
         assert np.load(tmp_path / "x.out.npy").tobytes() == current.as_3d().tobytes()
 
+    @pytest.mark.parametrize("engine", ["fcfs", "naive", "both"])
+    def test_alphas_reported_ignored(self, capsys, small_model, small_input, tmp_path, engine):
+        # small_model's layer carries alphas (init_alphas), which conv does not honor: it
+        # runs the fixed layout, and the layer's record says so (test_chained_layers: a
+        # layer without alphas has no such field)
+        model_path, geom, fs = small_model
+        input_path, tensor = small_input
+        out_path = tmp_path / "out.npy"
+        code, records, _ = run(
+            capsys, "conv", model_path, input_path, "--engine", engine, "--output", out_path
+        )
+        assert code == 0
+        (layer,) = records_of(records, "layer")
+        assert layer["alphas"] == "ignored"
+        fixed = naive_conv(FilterSummary(geom, fs.layout, fs.weights), unwrap(tensor)).as_3d()
+        assert np.load(out_path) == pytest.approx(fixed, rel=1e-12)
+
     def test_zero_input_zero_output(self, capsys, small_model, tmp_path):
         model_path, _, _ = small_model
         zero = tmp_path / "zero.npy"
@@ -495,6 +512,7 @@ class TestConv:
         code, records, _ = run(capsys, "conv", model, inp)
         assert code == 0
         assert len(records_of(records, "layer")) == 2
+        assert not any("alphas" in layer for layer in records_of(records, "layer"))
         (out,) = records_of(records, "output")
         assert out["shape"] == "3x5x5"
 
@@ -806,10 +824,11 @@ class TestBench:
         # P = 8*7 padded cells, Q = 7*(16/4) + 3*3 summary cells (channel-aligned stride 16)
         assert int(layer["work_bytes"]) == 8 * (4 * 37 + 2 * 38 + 56 * 37 + 54 * 37 - 2)
         assert int(layer["blocks"]) == 1
-        # the oracle's, from the same kind of closed form: 7 padded columns of 6
-        # windows of 3 * 4 entries and one 8 x 6 x 5 partial; no bank, which it
-        # reads in place, as the stride 16 is at least s1 * c_in = 12
-        assert int(layer["naive_bytes"]) == 8 * (7 * 6 * 12 + 8 * 30)
+        # the oracle's, from the same kind of closed form: the padded map, 4 x 56
+        # entries, 7 padded columns of 6 windows of 3 * 4 entries and one 8 x 6 x 5
+        # partial; no bank, which it reads in place, as the stride 16 is at least
+        # s1 * c_in = 12
+        assert int(layer["naive_bytes"]) == 8 * (4 * 56 + 7 * 6 * 12 + 8 * 30)
         assert layer["bank"] == "in_place"
         assert float(layer["fcfs_ms"]) > 0
 

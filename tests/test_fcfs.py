@@ -396,7 +396,8 @@ class TestBuildIntegrals:
         # (c_in = s1 = 1), 4 lookups and 2 slice additions; 4 products read
         assert (plan.multiplies, plan.additions, plan.lookups, plan.needed) == (6, 2, 4, 4)
         assert (plan.shape, plan.strides) == ((2, 2, 1, 1), (3, 2, 2, 1))
-        assert plan.nbytes(8) == 8 * (2 + 6)  # the (1, 2) summary block; G, also the windows
+        # the (1, 2) summary block, the padded map, alive while G is made, and G, also the windows
+        assert plan.nbytes(8) == 8 * (2 + 3 + 6)
         windows = plan.view(table)
         assert np.array_equal(windows.ravel(), [3.0, 4.0, 8.0, 0.0])  # (k, n) order
         assert np.array_equal(fcfs_conv(fs, fmap)[0].data, [11.0, 4.0])
@@ -523,6 +524,30 @@ class TestStageThreeViews:
             assert table.size == positions.size
             assert plan.view(table).tobytes() == table[idx].tobytes()
 
+    def test_reduction_adds_the_slices_in_order(self):
+        # stage 3 is one numpy reduction over the view's slice axis, the outermost and never
+        # contiguous, so numpy adds each output's slices in index order: fcfs_conv is the
+        # bytes of unblocked_conv's explicit loop for s2 = 1 .. 11 in f32 and f64, on a map
+        # that many slices of an output read, a 1x1 map and c_out = 1 (on a 1x1 map with
+        # c_out = 1, a lone output, every slice but one reads padding zeros). Were the slices
+        # summed pairwise, as numpy sums a contiguous axis, v[0] + (v[1] + v[2]) and the
+        # like would change bytes. The output is the reduction's own (d2, d1, c_out) array,
+        # C-ordered and writable, which the map's data views: no copy follows
+        rng = np.random.default_rng(71)
+        for s2, dtype in itertools.product(range(1, 12), (np.float32, np.float64)):
+            for c_out, d1, d2 in [((2, 9), int(rng.integers(2, 7)), s2 + int(rng.integers(1, 4))),
+                                  ((1, 9), 1, 1), ((1, 1), int(rng.integers(1, 7)), s2 + 1)]:
+                geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 4), s2=(s2, s2), c_out=c_out)
+                fs = FilterSummary.random(geom, seed=int(rng.integers(2**31)), dtype=dtype)
+                fmap = FeatureMap.random(geom.c_in, d1, d2, seed=int(rng.integers(2**31)),
+                                         dtype=dtype)
+                plan = layer_plan(geom, fs.layout, d1, d2).fcfs
+                assert plan.blocks(np.dtype(dtype).itemsize) == 1  # G is unblocked_grid's product
+                out = fcfs_conv(fs, fmap)[0].data
+                assert out.tobytes() == unblocked_conv(plan, fs, fmap).tobytes(), (geom, d1, d2)
+                assert out.base.shape == (d2, d1, geom.c_out)
+                assert out.base.flags.c_contiguous and out.flags.writeable
+
     def test_view_refuses_an_array_it_leaves(self):
         geom = ConvGeometry(2, 3, 3, 4, 2)
         fs = FilterSummary.random(geom, seed=43)
@@ -597,8 +622,9 @@ def unblocked_grid(plan, fs, fmap):
 
 
 def unblocked_conv(plan, fs, fmap):
-    """fcfs with stages 1 and 2 unblocked: unblocked_grid, unblocked_windows, then stage 3
-    as the engine runs it, v[0] + v[1], then += v[k] (v[0] for s2 = 1)."""
+    """fcfs with stages 1 and 2 unblocked: unblocked_grid, unblocked_windows, then stage 3 as
+    an explicit loop in slice order, v[0] + v[1], then += v[k] (v[0] for s2 = 1): the order
+    the engine's reduction must keep."""
     windows = plan.view(unblocked_windows(plan, unblocked_grid(plan, fs, fmap)))
     out = np.add(windows[0], windows[1], order="C") if len(windows) > 1 else windows[0].copy()
     for per_slice in windows[2:]:
@@ -681,6 +707,39 @@ class TestRowBlocks:
         assert len(starts) == blocks
         assert peak <= plan.nbytes(4) + 8 * 1024
         assert table.tobytes() == unblocked_windows(plan, unblocked_grid(plan, fs, fmap)).tobytes()
+
+    @pytest.mark.parametrize("geom, d, dtype, blocks", [
+        (ConvGeometry(16, 1, 3, 32, 4), 32, np.float32, 1),
+        (ConvGeometry(32, 2, 2, 4, 4), 16, np.float64, 1),
+        (ConvGeometry(16, 3, 3, 16, 4), 32, np.float32, 1),
+        (ConvGeometry(16, 3, 3, 32, 4), 32, np.float32, 2),
+    ], ids=["16->32 1x3 f32", "32->4 2x2 f64", "16->16 3x3 f32", "16->32 3x3 f32 two blocks"])
+    def test_nbytes_is_the_peak_of_a_warm_call(self, geom, d, dtype, blocks):
+        # nbytes counts the padded map as the execution holds it: beside G, the table, for
+        # s1 = 1; beside the table for more than one block; for one block with s1 > 1 the
+        # map goes before the table comes, so the larger counts: the map of 32->4 (c_in*P =
+        # 9,248 entries against 1,151 windows) and the table of the ResNet-110 layer 16->16
+        # (45,004 windows against 18,496). A warm integrals call peaks at nbytes plus under
+        # 8 KiB of small objects, and a warm fcfs_conv call holds no more beyond its output.
+        # Without the map, 16->32 1x3 reads 13,248 bytes against a peak of 83,784, and 32->4
+        # 19,520 against 85,536
+        itemsize = np.dtype(dtype).itemsize
+        fs = FilterSummary.random(geom, seed=65, dtype=dtype)
+        fmap = FeatureMap.random(geom.c_in, d, d, seed=66, dtype=dtype)
+        plan = layer_plan(geom, fs.layout, d, d).fcfs
+        assert plan.blocks(itemsize) == blocks
+        peaks = []
+        for call in (lambda: plan.integrals(fmap, fs.weights), lambda: fcfs_conv(fs, fmap)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        nbytes = plan.nbytes(itemsize)
+        assert nbytes <= peaks[0] <= nbytes + 8 * 1024
+        assert peaks[1] <= nbytes + itemsize * geom.c_out * d * d + 8 * 1024
 
 
 class TestNarrowTypes:

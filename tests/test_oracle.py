@@ -182,7 +182,7 @@ class TestLoweredMemory:
     ], ids=["55->56 4x5 f64", "16->16 3x3 f32", "64->64 1x3 f64", "64->64 3x3 f32 at 5x5",
             "64->64 3x3 f64 at 16x16"])
     def test_call_allocates_rows_bank_and_one_partial(self, geom, d1, d2, dtype, rows, bank, read):
-        # beyond the padded map and the output, one call holds the row-lowered
+        # beyond the output, one call holds the padded map, the row-lowered
         # matrix, (d2+s2-1)*d1 windows of s1*c_in entries, the c_out x K bank
         # where the filter stride is below s1*c_in (every layer but the first;
         # the first, at stride 549 >= 220, reads its bank in place), K-major
@@ -198,9 +198,9 @@ class TestLoweredMemory:
         plan = layer_plan(geom, layout, d1, d2).naive
         assert plan.bank_layout(itemsize) == read
         extra = plan.nbytes(itemsize)
-        assert extra == itemsize * (rows + bank + geom.c_out * d1 * d2)
         padded = geom.c_in * (d1 + geom.s1 - 1) * (d2 + geom.s2 - 1)
-        bound = itemsize * (padded + geom.c_out * d1 * d2) + extra + 64 * 1024
+        assert extra == itemsize * (padded + rows + bank + geom.c_out * d1 * d2)
+        bound = itemsize * geom.c_out * d1 * d2 + extra + 64 * 1024
         fs = FilterSummary.random(geom, seed=61, dtype=dtype)
         fmap = FeatureMap.random(geom.c_in, d1, d2, seed=62, dtype=dtype)
         naive_conv(fs, fmap)
@@ -211,19 +211,20 @@ class TestLoweredMemory:
         finally:
             tracemalloc.stop()
         assert out.data.dtype == dtype
-        assert peak <= bound
+        assert bound - 64 * 1024 <= peak <= bound  # nbytes counts nothing the call does not hold
 
     def test_closed_form_counts_no_rows_where_they_are_the_padded_map(self):
         geom = ConvGeometry(3, 3, 1, 2, 1)  # s2 = 1: no partial product
         layout = derive_layout(geom)
         assert layout.stride == 6  # below s1*c_in = 9: a bank copy
-        assert layer_plan(geom, layout, 1, 5).naive.nbytes(8) == 8 * 2 * 9
-        assert layer_plan(geom, layout, 2, 5).naive.nbytes(8) == 8 * (5 * 2 * 9 + 2 * 9)
+        # the padded map, 3 x (d1+2) x 5 entries, beside every term below
+        assert layer_plan(geom, layout, 1, 5).naive.nbytes(8) == 8 * (45 + 2 * 9)
+        assert layer_plan(geom, layout, 2, 5).naive.nbytes(8) == 8 * (60 + 5 * 2 * 9 + 2 * 9)
         apart = Layout(18, 9, layout.slices, 18)  # stride 9: the bank is read in place
-        assert layer_plan(geom, apart, 1, 5).naive.nbytes(8) == 0
-        assert layer_plan(geom, apart, 2, 5).naive.nbytes(8) == 8 * 5 * 2 * 9
-        narrow = ConvGeometry(3, 1, 2, 2, 1)  # stride 3 = s1*c_in: in place
-        assert layer_plan(narrow, derive_layout(narrow), 4, 5).naive.nbytes(4) == 4 * 2 * 4 * 5
+        assert layer_plan(geom, apart, 1, 5).naive.nbytes(8) == 8 * 45
+        assert layer_plan(geom, apart, 2, 5).naive.nbytes(8) == 8 * (60 + 5 * 2 * 9)
+        narrow = ConvGeometry(3, 1, 2, 2, 1)  # stride 3 = s1*c_in: in place; 3 x 4 x 6 padded
+        assert layer_plan(narrow, derive_layout(narrow), 4, 5).naive.nbytes(4) == 4 * (72 + 40)
 
     def test_bank_read_in_place_gives_the_bytes_of_a_copy(self):
         # on seeded layers of every policy, in f32 and f64, the oracle is the

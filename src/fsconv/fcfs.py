@@ -105,8 +105,8 @@ class FcfsPlan:
 
     def integrals(self, fmap: FeatureMap, weights: np.ndarray) -> np.ndarray:
         """Pad the map, then stages 1 and 2. Stage 1 multiplies by one C-ordered (c_in, Q) copy
-        of the summary's first Q cells in the compute type, wherever the weights sit in memory,
-        so BLAS takes the same path on a summary at any address. G is the table for s1 = 1;
+        of the summary's first Q cells, cast to the compute type: G's right operand in the layout
+        BLAS multiplies untransposed. G is the table for s1 = 1;
         else its row blocks are made in order into one buffer after the carry, each summed by
         sum_block, and the padded map goes once the last block is made, before the table comes
         where that block is the first."""
@@ -180,7 +180,7 @@ class LayerPlan:
         s1, s2, c_in, k, span = geom.s1, geom.s2, geom.c_in, geom.filter_len, geom.slice_len
         p1, shift, elements = d1 + s1 - 1, layout.stride // c_in, geom.c_out * d1 * d2
         cells, rows = p1 * (d2 + s2 - 1), (d2 + s2 - 1) * d1 * span if s1 > 1 and d1 > 1 else 0
-        naive = LoweredPlan(d1 * d2, c_in * cells, rows, 0 if layout.stride >= span else geom.c_out * k,
+        naive = LoweredPlan(c_in * cells, rows, 0 if layout.stride >= span else geom.c_out * k,
                             elements if s2 > 1 else 0, elements * k, elements * (k - 1))
         if layout.stride % c_in:  # the diagonals would scatter across channel residues
             return cls(Fallback.UNALIGNED_STRIDE, None, naive)

@@ -11,12 +11,10 @@ instrumented run over a (d1, d2) map totals c_out*d1*d2*K.
 
 A layer's LoweredPlan, on its LayerPlan record (fcfs.py), decides the bank's layout: read in
 place where the filter stride is at least s1*c_in, else copied K-major (K x c_out, so BLAS
-multiplies each column block untransposed) where at least KMAJOR_OUTPUTS = 36 outputs share a
-bank of at most KMAJOR_BANK_BYTES = 256 KiB, else copied C-ordered: the K-major copy transposes,
-which costs more than it saves on tiny maps and large banks (f32, 16->16 3x3 at 32x32: 119 ->
-97 us; 64->64 at 4x4: 40 -> 50 us; the other shapes at _lowered_conv). A bank to be read in
-place from a summary at a misaligned address, as FSN1 payloads load, is copied C-ordered
-instead, which gives the bytes of an aligned summary; BLAS would copy it its own way.
+multiplies each column block untransposed) where the bank takes at most KMAJOR_BANK_BYTES =
+256 KiB, else copied C-ordered: on a large bank the transposing copy costs more than it saves
+(f32, 16->16 3x3 at 32x32: 119 -> 97 us; 128->128 at 8x8: 292 -> 418 us; the other shapes at
+_lowered_conv). Execution decides nothing else: a FilterSummary is aligned where it is made.
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ from .counters import MultCounter
 from .errors import ShapeMismatchError
 from .tensors import FeatureMap, FilterSummary, _check_real, _compute_dtype
 
-__all__ = ["KMAJOR_OUTPUTS", "KMAJOR_BANK_BYTES", "ConvOutput", "LoweredPlan", "pad_same",
-           "check_conv_input", "rel_dev"]
+__all__ = ["KMAJOR_BANK_BYTES", "ConvOutput", "LoweredPlan", "pad_same", "check_conv_input",
+           "rel_dev"]
 
-KMAJOR_OUTPUTS = 36  # fewest outputs d1*d2 for which a K-major bank copy pays (README)
 KMAJOR_BANK_BYTES = 256 * 1024  # most bytes of a bank copied K-major (README)
 
 
@@ -61,13 +58,12 @@ def _padded(fmap: FeatureMap, s1: int, s2: int) -> np.ndarray:
 
 
 def check_conv_input(fs: FilterSummary, fmap: FeatureMap) -> None:
-    """Refuse a map whose channel count is not the layer's c_in, that is
-    empty, or that holds no real numbers; both engines run this check first."""
+    """Refuse a map whose channel count is not the layer's c_in or that holds no real numbers;
+    both engines run this check first, then look up the layer record, which refuses an empty
+    side (LayerPlan.build)."""
     if fmap.c_in != fs.geom.c_in:
         raise ShapeMismatchError(
             f"feature map has {fmap.c_in} channels, layer expects {fs.geom.c_in}")
-    if fmap.d1 < 1 or fmap.d2 < 1:
-        raise ShapeMismatchError(f"feature map is {fmap.d1}x{fmap.d2}; both sizes must be >= 1")
     _check_real(fmap.data, "feature map")
 
 
@@ -76,9 +72,8 @@ class LoweredPlan:
     """The reference engine's plan of one layer at one map size (LayerPlan.naive), in entries:
     the padded map; the lowered rows, 0 where (s1 = 1 or d1 = 1) they view the padded map; a
     copied c_out x K bank, 0 where a filter stride of at least L = s1*c_in lets BLAS read it in
-    place; one partial product (s2 > 1); and the d1*d2 outputs, which the bank layout rule reads."""
+    place; and one partial product (s2 > 1)."""
 
-    outputs: int
     padded: int
     rows: int
     bank: int
@@ -88,15 +83,15 @@ class LoweredPlan:
 
     def bank_layout(self, itemsize: int) -> str:
         """How a run in this item size reads the bank: "in_place"; "kmajor", a K x c_out copy,
-        where KMAJOR_OUTPUTS outputs or more share a bank of at most KMAJOR_BANK_BYTES; else
-        "copy", a C-ordered c_out x K copy."""
+        where the bank takes at most KMAJOR_BANK_BYTES; else "copy", a C-ordered c_out x K copy."""
         if not self.bank:
             return "in_place"
-        pays = self.outputs >= KMAJOR_OUTPUTS and self.bank * itemsize <= KMAJOR_BANK_BYTES
-        return "kmajor" if pays else "copy"
+        return "kmajor" if self.bank * itemsize <= KMAJOR_BANK_BYTES else "copy"
 
     def nbytes(self, itemsize: int) -> int:
-        """Bytes one run in one float type allocates beyond its output, all alive at once."""
+        """Bytes one run in one float type allocates beyond its output, all alive at once. A
+        summary not in the compute type is cast whole first, phys_length entries more: the one
+        allocation of a run that this leaves out."""
         return itemsize * (self.padded + self.rows + self.bank + self.partial)
 
 
@@ -108,18 +103,18 @@ def _lowered_conv(plan: LoweredPlan, fs: FilterSummary, fmap: FeatureMap,
     the output is sum_k block_k @ bank[:, k*L : (k+1)*L].T, added in order k = 0 .. s2-1:
     channel-major, the same bytes every run. A K-major bank is the bank F-ordered, so each
     block is an operand BLAS multiplies untransposed, at the price of a transposing copy: it
-    pays where KMAJOR_OUTPUTS (36) outputs or more share a bank of at most KMAJOR_BANK_BYTES
-    (256 KiB). f32 per call, one BLAS thread, C-ordered -> K-major: 16->16 3x3 at 32x32 119 ->
-    97 us, 32->32 at 16x16 92 -> 74, 64->64 at 8x8 97 -> 82; kept C-ordered, 64->64 at 4x4
-    40 -> 50 and 128->128 at 8x8 (a 576 KiB bank) 292 -> 418 (README: the command that fits
-    both constants)."""
-    geom, d1, d2, w = fs.geom, fmap.d1, fmap.d2, np.ascontiguousarray(fs.weights)
-    dtype, span = _compute_dtype(fmap.data, w), geom.slice_len
-    bank = np.ndarray((geom.c_out, geom.filter_len), w.dtype, w, 0,
-                      (fs.layout.stride * w.itemsize, w.itemsize))
-    layout = plan.bank_layout(dtype.itemsize)
-    if layout != "in_place" or w.dtype != dtype or not w.flags.aligned:
-        bank = bank.astype(dtype, order="F" if layout == "kmajor" else "C")
+    pays up to a bank of KMAJOR_BANK_BYTES (256 KiB). f32 per call, one BLAS thread, C-ordered
+    -> K-major: 16->16 3x3 at 32x32 119 -> 97 us, 32->32 at 16x16 92 -> 74, 64->64 at 8x8
+    97 -> 82, and 64->64 at 4x4 40 -> 50, a shape no workload runs; kept C-ordered, 128->128 at
+    8x8 (a 576 KiB bank) 292 -> 418 (README: the command that fits the constant). A summary
+    not in the compute type is cast whole first; the bank is a view of the cast."""
+    geom, d1, d2 = fs.geom, fmap.d1, fmap.d2
+    dtype, span = _compute_dtype(fmap.data, fs.weights), geom.slice_len
+    w = fs.weights.astype(dtype, copy=False)
+    bank = np.ndarray((geom.c_out, geom.filter_len), dtype, w, 0,
+                      (fs.layout.stride * dtype.itemsize, dtype.itemsize))
+    if (layout := plan.bank_layout(dtype.itemsize)) != "in_place":
+        bank = bank.copy("F" if layout == "kmajor" else "C")
     x = _padded(fmap, geom.s1, geom.s2).astype(dtype, copy=False)
     cell = geom.c_in * x.itemsize  # bytes of one padded cell
     rows = np.ndarray((d2 + geom.s2 - 1, d1, span), x.dtype, x, 0,

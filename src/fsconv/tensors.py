@@ -113,7 +113,10 @@ class FilterSummary:
     ordinary trainable values. A layout whose stride would put a filter
     outside the summary is refused, since the reference engine reads the
     filters through a strided view, and so are weights that are not real
-    numbers. Filter views returned by extract_filter / filter_as_3d alias
+    numbers. `weights` is C-contiguous and aligned: an array that is not,
+    such as an FSN1 payload at an odd byte offset, is copied once here, so
+    no engine call reads misaligned memory or copies the summary for its
+    address. Filter views returned by extract_filter / filter_as_3d alias
     this array, so mutating the summary is reflected in previously
     extracted filters.
     """
@@ -123,7 +126,7 @@ class FilterSummary:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights)
+        w = np.require(self.weights, requirements="CA")
         if w.shape != (self.layout.phys_length,):
             raise ShapeMismatchError(
                 f"summary has shape {w.shape}, expected ({self.layout.phys_length},)"

@@ -237,9 +237,10 @@ class TestConv:
         assert saved == pytest.approx(expected, rel=1e-12)
 
     def test_loaded_weights_give_the_bytes_of_aligned_copies(self, capsys, tmp_path):
-        # FSN1 payloads load at odd byte offsets, here after the names conv1 and conv2: the
-        # output file and each layer's deviation are what both engines give on aligned
-        # copies of the same f32 weights, chained through the oracle as the command does
+        # FSN1 payloads load at odd byte offsets, here after the names conv1 and conv2, and
+        # each layer's summary holds an aligned C-ordered copy: the output file and each
+        # layer's deviation are what both engines give on aligned copies of the same f32
+        # weights, chained through the oracle as the command does
         geoms = [ConvGeometry(20, 3, 3, 32, Fraction(3, 2)), ConvGeometry(32, 2, 3, 20, 2)]
         model = tmp_path / "m.fsn"
         write_model(model, [
@@ -253,8 +254,10 @@ class TestConv:
         current, devs = unwrap(tensor), []
         for layer in read_model(model):
             loaded = layer.summary()
-            assert not loaded.weights.flags.aligned
-            fs = FilterSummary(loaded.geom, loaded.layout, loaded.weights.copy())
+            assert not layer.weights.flags.aligned
+            assert loaded.weights.flags.aligned and loaded.weights.flags.c_contiguous
+            assert loaded.weights.tobytes() == layer.weights.tobytes()
+            fs = FilterSummary(loaded.geom, loaded.layout, layer.weights.copy())
             fast = fcfs_conv(fs, current)[0]
             current = naive_conv(fs, current)
             devs.append(fsconv.cli._fmt(rel_dev(fast.data, current.data)))
@@ -834,13 +837,13 @@ class TestBench:
 
     @pytest.mark.parametrize("spatial, banks", [
         ((6, 6), ["in_place", "kmajor", "copy"]),
-        ((5, 7), ["in_place", "copy", "copy"]),
+        ((5, 7), ["in_place", "kmajor", "copy"]),
     ], ids=["36 outputs", "35 outputs"])
     def test_bank_layout_and_bytes_from_the_record(self, capsys, tmp_path, spatial, banks):
         # bank= and naive_bytes= are the layer record's LoweredPlan, in f64: a stride
-        # of at least s1*c_in reads the bank in place; a copy goes K-major where 36 or
-        # more outputs share a bank of at most 262,144 bytes (8 x 72 entries, 4,608
-        # bytes), and stays C-ordered for 35 outputs or a 64 x 576 bank (294,912 bytes)
+        # of at least s1*c_in reads the bank in place; a copy goes K-major where the bank
+        # takes at most 262,144 bytes (8 x 72 entries, 4,608 bytes), at 36 outputs and at
+        # 35, and stays C-ordered for a 64 x 576 bank (294,912 bytes)
         arch = tmp_path / "banks.arch"
         arch.write_text("layer a kind=conv c_in=4 s1=3 s2=3 c_out=8 r=2\n"
                         "layer b kind=conv c_in=8 s1=3 s2=3 c_out=8 r=4\n"

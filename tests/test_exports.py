@@ -37,3 +37,16 @@ def test_one_layer_record_and_no_alias_beside_it():
         declared = [path.stem for path in SRC.glob("[!_]*.py")
                     if name in getattr(importlib.import_module(f"fsconv.{path.stem}"), "__all__", ())]
         assert declared == ["fcfs"], (name, declared)
+
+
+def test_bank_rule_is_one_size_test_with_no_alias_beside_it():
+    # the bank layout reads the bank's bytes alone: the output-count threshold and
+    # the plan field it read are gone from oracle.py and from the package
+    import dataclasses
+
+    import fsconv.oracle
+
+    for module in (fsconv, fsconv.oracle):
+        assert not hasattr(module, "KMAJOR_OUTPUTS"), module.__name__
+    assert "KMAJOR_OUTPUTS" not in fsconv.oracle.__all__
+    assert "outputs" not in {field.name for field in dataclasses.fields(fsconv.oracle.LoweredPlan)}

@@ -781,9 +781,10 @@ class TestNarrowTypes:
 
 
 class TestWeightAddress:
-    """Both engines give a summary's bytes wherever its weights sit in memory. FSN1
+    """Both engines give a summary's bytes wherever its weights sat in memory. FSN1
     payloads load as views at odd byte offsets, and BLAS copies a misaligned operand
-    its own way, into a block that may take other kernels."""
+    its own way, into a block that may take other kernels; FilterSummary copies such
+    weights once, aligned and C-ordered, and keeps weights that are both as given."""
 
     def test_misaligned_summary_gives_the_aligned_bytes(self):
         # in f32 and f64, with c_in and Q large enough for BLAS to pick its kernels by
@@ -793,8 +794,12 @@ class TestWeightAddress:
             dtype = (np.float32, np.float64)[case % 2]
             fs, fmap = random_instance(rng, dtype=dtype, c_in=(8, 32), s1=(2, 4), c_out=(8, 64),
                                        d=(6, 16))
-            moved = FilterSummary(fs.geom, fs.layout, misaligned(fs.weights))
-            assert not moved.weights.flags.aligned and not moved.weights.flags.writeable
+            payload = misaligned(fs.weights)
+            assert not payload.flags.aligned and not payload.flags.writeable
+            moved = FilterSummary(fs.geom, fs.layout, payload)
+            assert moved.weights.flags.aligned and moved.weights.flags.c_contiguous
+            assert moved.weights.tobytes() == fs.weights.tobytes()
+            assert FilterSummary(fs.geom, fs.layout, fs.weights).weights is fs.weights
             for engine in (naive_conv, lambda *given: fcfs_conv(*given)[0]):
                 assert engine(moved, fmap).data.tobytes() == engine(fs, fmap).data.tobytes(), case
 

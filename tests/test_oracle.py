@@ -8,24 +8,27 @@ import pytest
 
 from fsconv import (
     ConvGeometry,
+    ConvSpec,
     FeatureMap,
     FilterSummary,
     MultCounter,
     Layout,
     StridePolicy,
+    bundled_arch,
     derive_layout,
     fcfs_conv,
     filter_as_3d,
     layer_plan,
     naive_conv,
     pad_same,
+    read_arch,
     rel_dev,
     unwrap,
 )
 from fsconv.errors import InvalidDtypeError, ShapeMismatchError
-from fsconv.oracle import KMAJOR_BANK_BYTES, KMAJOR_OUTPUTS
+from fsconv.oracle import KMAJOR_BANK_BYTES
 
-from helpers import random_fast_geometry, rounding_excess
+from helpers import misaligned, random_fast_geometry, rounding_excess
 
 
 class TestPadSame:
@@ -171,13 +174,24 @@ def copied_bank_conv(fs, fmap, order="C"):
     return out.ravel()
 
 
+def warm_peak(fs, fmap):
+    """A warm naive_conv call's output and its tracemalloc peak, after one call caches the record."""
+    naive_conv(fs, fmap)
+    tracemalloc.start()
+    try:
+        out = naive_conv(fs, fmap)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoweredMemory:
     @pytest.mark.parametrize("geom, d1, d2, dtype, rows, bank, read", [
         (ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC), 14, 16, np.float64, 20 * 14 * 220, 0,
          "in_place"),
         (ConvGeometry(16, 3, 3, 16, 4), 32, 32, np.float32, 34 * 32 * 48, 16 * 144, "kmajor"),
         (ConvGeometry(64, 1, 3, 64, 4), 32, 32, np.float64, 0, 64 * 192, "kmajor"),
-        (ConvGeometry(64, 3, 3, 64, 4), 5, 5, np.float32, 7 * 5 * 192, 64 * 576, "copy"),
+        (ConvGeometry(64, 3, 3, 64, 4), 5, 5, np.float32, 7 * 5 * 192, 64 * 576, "kmajor"),
         (ConvGeometry(64, 3, 3, 64, 4), 16, 16, np.float64, 18 * 16 * 192, 64 * 576, "copy"),
     ], ids=["55->56 4x5 f64", "16->16 3x3 f32", "64->64 1x3 f64", "64->64 3x3 f32 at 5x5",
             "64->64 3x3 f64 at 16x16"])
@@ -186,12 +200,13 @@ class TestLoweredMemory:
         # matrix, (d2+s2-1)*d1 windows of s1*c_in entries, the c_out x K bank
         # where the filter stride is below s1*c_in (every layer but the first;
         # the first, at stride 549 >= 220, reads its bank in place), K-major
-        # (the second and third) or C-ordered (25 outputs, then a 294,912-byte
-        # bank) in the same bytes, and one d1*d2*c_out partial product. A d1*d2
-        # x K patch copy (1.97 MB on the first layer) or a bank copy there
-        # (492,800 bytes) would push the peak past its bound; so would any
-        # lowered copy at s1 = 1, where the rows are the padded map (557,056
-        # bytes on the third layer), or a second bank copy on the last
+        # (a 147,456-byte bank at 25 outputs too) or C-ordered (the last, a
+        # 294,912-byte bank) in the same bytes, and one d1*d2*c_out partial
+        # product. A d1*d2 x K patch copy (1.97 MB on the first layer) or a
+        # bank copy there (492,800 bytes) would push the peak past its bound;
+        # so would any lowered copy at s1 = 1, where the rows are the padded
+        # map (557,056 bytes on the third layer), or a second bank copy on the
+        # last
         itemsize = np.dtype(dtype).itemsize
         layout = derive_layout(geom)
         assert (layout.stride >= geom.slice_len) == (bank == 0)
@@ -202,16 +217,44 @@ class TestLoweredMemory:
         assert extra == itemsize * (padded + rows + bank + geom.c_out * d1 * d2)
         bound = itemsize * geom.c_out * d1 * d2 + extra + 64 * 1024
         fs = FilterSummary.random(geom, seed=61, dtype=dtype)
-        fmap = FeatureMap.random(geom.c_in, d1, d2, seed=62, dtype=dtype)
-        naive_conv(fs, fmap)
-        tracemalloc.start()
-        try:
-            out = naive_conv(fs, fmap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = warm_peak(fs, FeatureMap.random(geom.c_in, d1, d2, seed=62, dtype=dtype))
         assert out.data.dtype == dtype
         assert bound - 64 * 1024 <= peak <= bound  # nbytes counts nothing the call does not hold
+
+    @pytest.mark.parametrize("summary, cast", [(np.float64, 0), (np.float32, 1)],
+                             ids=["misaligned f64", "misaligned f32 on f64"])
+    def test_misaligned_summary_holds_no_bank_copy(self, summary, cast):
+        # a summary made from weights at an odd byte offset, as FSN1 payloads load,
+        # is aligned where it is made, so a call reads its bank in place and holds
+        # what the record counts, as for the first layer above; a 492,800-byte bank
+        # copy would push the peak past its bound. An f32 summary on an f64 map is
+        # cast whole first, phys_length * 8 bytes more: the one allocation nbytes
+        # leaves out, and still no bank copy
+        geom = ConvGeometry(55, 4, 5, 56, 2, StridePolicy.GENERIC)
+        layout, d1, d2 = derive_layout(geom), 14, 16
+        plan = layer_plan(geom, layout, d1, d2).naive
+        assert plan.bank_layout(8) == "in_place"
+        weights = misaligned(FilterSummary.random(geom, seed=64, dtype=summary).weights)
+        assert not weights.flags.aligned
+        out, peak = warm_peak(FilterSummary(geom, layout, weights),
+                              FeatureMap.random(geom.c_in, d1, d2, seed=65))
+        assert out.data.dtype == np.float64
+        held = out.data.nbytes + plan.nbytes(8) + cast * 8 * layout.phys_length
+        assert held <= peak <= held + 64 * 1024
+
+    def test_resnet110_copies_every_f32_bank_kmajor(self):
+        # every conv of the bundled ResNet-110 at ratio 4, at 32x32, 16x16 and 8x8,
+        # copies its f32 bank K-major (at most 147,456 bytes), as it did when the
+        # rule also read the output count: the network's traffic is unchanged
+        convs = [spec for spec in read_arch(bundled_arch("resnet110")).layers
+                 if isinstance(spec, ConvSpec)]
+        reads = []
+        for spec in convs:
+            geom = ConvGeometry(spec.c_in, spec.s1, spec.s2, spec.c_out, 4)
+            plans = [layer_plan(geom, derive_layout(geom), d, d).naive for d in (32, 16, 8)]
+            reads += [plan.bank_layout(4) for plan in plans]
+            assert max(plan.bank for plan in plans) * 4 <= 147_456, spec.name
+        assert len(reads) == 327 and set(reads) == {"kmajor"}
 
     def test_closed_form_counts_no_rows_where_they_are_the_padded_map(self):
         geom = ConvGeometry(3, 3, 1, 2, 1)  # s2 = 1: no partial product
@@ -232,15 +275,22 @@ class TestLoweredMemory:
         # the bank in place or copies it C-ordered; where it copies it K-major,
         # the bytes over an F-ordered copy (BLAS may sum an untransposed operand
         # in another order), within the rounding bound of the exact sums. 20 or
-        # more read the bank in place; 20 cases on maps from 8x8 up, after 60 on
-        # maps up to 11x11, make 10 or more copy it K-major
+        # more read the bank in place and 10 or more copy it K-major, on maps up
+        # to 11x11 and then from 8x8 up; 12 banks of 64-96 -> 120-160 3x3 at
+        # ratio 4, past KMAJOR_BANK_BYTES in either type, copy it C-ordered on
+        # maps up to 5x5
         rng = np.random.default_rng(63)
         seen = {"in_place": 0, "copy": 0, "kmajor": 0}
-        for case in range(80):
+        for case in range(92):
             policy = list(StridePolicy)[case % 3]
-            geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 5), s2=(1, 4), c_out=(1, 10),
-                                        policy=policy)
-            d1, d2 = (int(v) for v in rng.integers(*((1, 12) if case < 60 else (8, 17)), 2))
+            if case < 80:
+                geom = random_fast_geometry(rng, c_in=(1, 6), s1=(1, 5), s2=(1, 4), c_out=(1, 10),
+                                            policy=policy)
+                d1, d2 = (int(v) for v in rng.integers(*((1, 12) if case < 60 else (8, 17)), 2))
+            else:
+                geom = ConvGeometry(int(rng.integers(64, 97)), 3, 3, int(rng.integers(120, 161)), 4,
+                                    policy)
+                d1, d2 = (int(v) for v in rng.integers(1, 6, 2))
             dtype = (np.float32, np.float64)[case % 2]
             fs = FilterSummary.random(geom, seed=case, dtype=dtype)
             fmap = FeatureMap.random(geom.c_in, d1, d2, seed=case, dtype=dtype)
@@ -257,27 +307,21 @@ class TestLoweredMemory:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bank_layout_rule_at_its_thresholds(self, dtype):
-        # a copied bank goes K-major exactly where at least KMAJOR_OUTPUTS
-        # outputs share a bank of at most KMAJOR_BANK_BYTES, by exact sizes on
-        # each side of each threshold; a bank read in place stays in place
+        # a copied bank goes K-major exactly where it takes at most
+        # KMAJOR_BANK_BYTES, by exact sizes on each side, on any map; a bank read
+        # in place stays in place. 16->c_out 2x2 banks (K = 64, channel stride
+        # 16 < 32: a copy): exactly KMAJOR_BANK_BYTES, and one filter more
         itemsize = np.dtype(dtype).itemsize
-        assert (KMAJOR_OUTPUTS, KMAJOR_BANK_BYTES) == (36, 262_144)
-        geom = ConvGeometry(8, 3, 3, 8, 4)  # stride 16 < s1*c_in = 24: a copy
-        layout = derive_layout(geom)
-        assert layout.stride < geom.slice_len
-        for (d1, d2), read in [((6, 6), "kmajor"), ((5, 7), "copy"), ((1, 36), "kmajor"),
-                               ((7, 5), "copy"), ((1, 35), "copy")]:
-            assert layer_plan(geom, layout, d1, d2).naive.bank_layout(itemsize) == read, (d1, d2)
-        # 16->c_out 2x2 banks (K = 64, channel stride 16 < 32: a copy) at 36 outputs:
-        # exactly KMAJOR_BANK_BYTES, and one filter more
+        assert KMAJOR_BANK_BYTES == 262_144
         fits = KMAJOR_BANK_BYTES // (64 * itemsize)
         for c_out, read in [(fits, "kmajor"), (fits + 1, "copy")]:
             geom = ConvGeometry(16, 2, 2, c_out, 2)
-            plan = layer_plan(geom, derive_layout(geom), 6, 6).naive
-            assert plan.bank * itemsize == 262_144 + 64 * itemsize * (c_out - fits)
-            assert plan.bank_layout(itemsize) == read, c_out
             apart = Layout(32 * c_out + 32, 32, Fraction(c_out + 1), 32 * c_out + 32)  # stride 32
-            assert layer_plan(geom, apart, 6, 6).naive.bank_layout(itemsize) == "in_place"
+            for d1, d2 in [(1, 1), (5, 7), (6, 6)]:
+                plan = layer_plan(geom, derive_layout(geom), d1, d2).naive
+                assert plan.bank * itemsize == 262_144 + 64 * itemsize * (c_out - fits)
+                assert plan.bank_layout(itemsize) == read, (c_out, d1, d2)
+                assert layer_plan(geom, apart, d1, d2).naive.bank_layout(itemsize) == "in_place"
 
 
 def literal_conv(fs, fmap):
